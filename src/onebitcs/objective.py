@@ -10,11 +10,17 @@ pattern y_R = [Re(y_hat); Im(y_hat)], the data term and its gradient are
 and the Gaussian prior contributes g(x) = -||x_R||^2, grad -2 x_R.  All of
 it reduces to one operator application (and one adjoint for the gradient)
 because A_R x_R and A_R^T w are the real forms of A x and A^H w.
+
+The data term depends on x only through u = A x, so the kernels
+:func:`loglik` and :func:`likelihood` take u.  A solver that knows A x for
+its iterates (every iterate it forms is a linear combination of points
+whose images it already has) then pays no operator apply for f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -24,8 +30,11 @@ from .operator import SensingOperator, complex_form, real_form
 
 __all__ = [
     "ObjectiveContext",
+    "Likelihood",
     "log_ndtr",
     "inv_mills",
+    "loglik",
+    "likelihood",
     "f_loglik",
     "g_logprior",
     "grad_h",
@@ -100,16 +109,35 @@ class ObjectiveContext:
         return self._signs.shape[0]
 
 
-def _scaled_inner(ctx: ObjectiveContext, x: np.ndarray) -> np.ndarray:
-    """The 2MT likelihood arguments s .* A_R x_R via one operator apply."""
-    u = ctx.op.apply(x)
-    return ctx._signs * real_form(u)
+class Likelihood(NamedTuple):
+    """The data term and its first-order terms at one point u = A x."""
+
+    f: float              # sum_i log Phi(v_i)
+    v: np.ndarray         # likelihood arguments s .* u_R
+    lam: np.ndarray       # inv_mills(v)
+    weights: np.ndarray   # complex_form(lam .* s): grad f = A^H weights
+
+
+def loglik(ctx: ObjectiveContext, u: np.ndarray) -> float:
+    """Log-likelihood f at the estimate whose operator image is u = A x."""
+    return float(np.sum(special.log_ndtr(ctx._signs * real_form(u))))
+
+
+def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:
+    """f and the adjoint weights at the estimate whose image is u = A x.
+
+    Costs no operator call; the gradient of f is then one adjoint,
+    ``ctx.op.apply_adjoint(terms.weights)``.
+    """
+    v = ctx._signs * real_form(u)
+    lam = inv_mills(v)
+    return Likelihood(float(np.sum(special.log_ndtr(v))), v, lam,
+                      complex_form(lam * ctx._signs))
 
 
 def f_loglik(ctx: ObjectiveContext, x: np.ndarray) -> float:
     """Log-likelihood of the sign pattern at estimate x; always <= 0."""
-    x = np.asarray(x, dtype=complex)
-    return float(np.sum(special.log_ndtr(_scaled_inner(ctx, x))))
+    return loglik(ctx, ctx.op.apply(x))
 
 
 def g_logprior(x: np.ndarray) -> float:
@@ -131,6 +159,4 @@ def grad_h(ctx: ObjectiveContext, x: np.ndarray) -> np.ndarray:
     this convention throughout.  Costs one apply and one adjoint.
     """
     x = np.asarray(x, dtype=complex)
-    v = _scaled_inner(ctx, x)
-    w = complex_form(inv_mills(v) * ctx._signs)
-    return ctx.op.apply_adjoint(w) - 2.0 * x
+    return ctx.op.apply_adjoint(likelihood(ctx, ctx.op.apply(x)).weights) - 2.0 * x

@@ -13,10 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import CapacityError, ConvergenceError, NumericalError, TuningError
-from .objective import ObjectiveContext, f_loglik, grad_h, h_objective, inv_mills
+from .objective import (
+    ObjectiveContext,
+    g_logprior,
+    grad_h,
+    h_objective,
+    likelihood,
+    loglik,
+)
 from .operator import (
     CoherenceStructure,
     coherence_bands,
@@ -69,9 +75,6 @@ class SolverConfig:
 
     eta is "auto" (pick the largest threshold keeping every coherence band
     nontrivial), an explicit float in (0, 1), or None to disable banding.
-    equality_tol widens the exact-equality test used when forming by-product
-    sets; the default 0.0 keeps it bitwise, which is the case that matters
-    because off-support entries are exactly zero in all pursuit iterates.
     """
 
     sparsity: int
@@ -80,7 +83,6 @@ class SolverConfig:
     inner_tol: float = 1e-8
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
     debias: bool = False
-    equality_tol: float = 0.0
     max_inner_iters: int = 100
 
     def __post_init__(self):
@@ -132,13 +134,13 @@ def bms_threshold(
     current_x: np.ndarray,
     budget: int,
     bands: CoherenceStructure,
-    equality_tol: float = 0.0,
 ):
     """Band-maximum hard thresholding of a score vector.
 
     Scans candidates by descending |z|.  For candidate i the by-product set
     collects the other band members whose current estimate value equals the
-    candidate's; i is admitted only when |z_i| strictly exceeds the score of
+    candidate's, bitwise (the case that matters is the exactly-zero
+    off-support entries of every pursuit iterate); i is admitted only when |z_i| strictly exceeds the score of
     every by-product (an empty by-product set always admits).  Candidates
     whose score exactly ties their by-product maximum are rejected, and so
     is the tied by-product when its turn comes; fewer than `budget` indices
@@ -156,11 +158,7 @@ def bms_threshold(
         if len(selected) == budget:
             break
         band = bands.bands[i]
-        if equality_tol == 0.0:
-            byproduct = band[(current_x[band] == current_x[i]) & (band != i)]
-        else:
-            close = np.abs(current_x[band] - current_x[i]) <= equality_tol
-            byproduct = band[close & (band != i)]
+        byproduct = band[(current_x[band] == current_x[i]) & (band != i)]
         if byproduct.size == 0 or mags[i] > np.max(mags[byproduct]):
             selected.append(int(i))
     keep = np.array(sorted(selected), dtype=int)
@@ -214,25 +212,22 @@ def restricted_maximize(
 
     cols = ctx.op.columns(support)            # (MT, q)
     cols_r = _real_embed(cols)                # (2MT, 2q)
-    signs = ctx._signs
-    rho_term = signs * signs                  # 2*rho elementwise
+    rho_term = ctx._signs * ctx._signs        # 2*rho elementwise
 
-    def f_of(u):
-        return float(np.sum(special.log_ndtr(signs * real_form(u))))
-
-    def h_of(u, xr):
-        return f_of(u) - float(xr @ xr)
+    def h_at(u_t, x_t):
+        # Every trial point carries its likelihood terms, so the accepted
+        # one supplies the next iteration's gradient and curvature.
+        terms = likelihood(ctx, u_t)
+        xr = real_form(x_t)
+        return terms, terms.f - float(xr @ xr)
 
     u = cols @ x
-    xr = real_form(x)
-    h_val = h_of(u, xr)
+    terms, h_val = h_at(u, x)
     trace = [h_val]
     best = (h_val, x.copy())
 
     for _ in range(max_iters):
-        v = signs * real_form(u)
-        lam = inv_mills(v)
-        grad_c = cols.conj().T @ complex_form(lam * signs) - 2.0 * x
+        grad_c = cols.conj().T @ terms.weights - 2.0 * x
         g_r = real_form(grad_c)
         gnorm = np.linalg.norm(g_r)
         if gnorm <= inner_tol:
@@ -240,7 +235,7 @@ def restricted_maximize(
             return (full, trace) if return_trace else full
 
         # Negative Hessian 2I + A_R^T diag(2 rho lam (v + lam)) A_R is SPD.
-        d_weights = rho_term * lam * (v + lam)
+        d_weights = rho_term * terms.lam * (terms.v + terms.lam)
         neg_hess = 2.0 * np.eye(2 * support.size) + cols_r.T @ (d_weights[:, None] * cols_r)
         d_r = np.linalg.solve(neg_hess, g_r)
         d_c = complex_form(d_r)
@@ -252,7 +247,7 @@ def restricted_maximize(
         accepted = False
         if slope > noise_floor:
             for _ in range(line_search.max_steps):
-                h_t = h_of(u + t * w, real_form(x + t * d_c))
+                trial, h_t = h_at(u + t * w, x + t * d_c)
                 if h_t >= h_val + line_search.slope * t * slope:
                     accepted = True
                     break
@@ -263,19 +258,18 @@ def restricted_maximize(
             # raw Newton step still contracts the gradient quadratically,
             # so take it unless it measurably descends.
             t = 1.0
-            h_t = h_of(u + w, real_form(x + d_c))
+            trial, h_t = h_at(u + w, x + d_c)
             if h_t < h_val - noise_floor:
                 break
         x = x + t * d_c
         u = u + t * w
-        h_val = h_t
+        terms, h_val = trial, h_t
         trace.append(h_val)
         if h_val > best[0]:
             best = (h_val, x.copy())
 
     full[support] = best[1]
-    v = signs * real_form(cols @ best[1])
-    grad_c = cols.conj().T @ complex_form(inv_mills(v) * signs) - 2.0 * best[1]
+    grad_c = cols.conj().T @ likelihood(ctx, cols @ best[1]).weights - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {max_iters} iterations",
         best=full,
@@ -302,7 +296,7 @@ def _resolve_bands(op, config: SolverConfig):
 
 def _threshold(z, x, budget, bands, config, use_bms):
     if use_bms and bands is not None:
-        idx, _ = bms_threshold(z, x, budget, bands, config.equality_tol)
+        idx, _ = bms_threshold(z, x, budget, bands)
     else:
         idx, _ = hard_threshold(z, budget)
     return idx
@@ -340,7 +334,8 @@ def _grasp_step(ctx, config, x, bands):
     z = grad_h(ctx, x)
     idx = _threshold(z, x, 2 * L, bands, config, use_bms=bands is not None)
     merged = np.union1d(idx, _support_of(x))
-    assert merged.size <= 3 * L
+    if merged.size > 3 * L:
+        raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
     b_vec = restricted_maximize(
         ctx, merged, init=x, inner_tol=config.inner_tol,
         line_search=config.line_search, max_iters=config.max_inner_iters,
@@ -369,11 +364,15 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
 
 def _grahtp_step(ctx, config, x, bands):
     L = config.sparsity
-    g = grad_h(ctx, x)
-    kappa = _backtrack_gradient_step(ctx, x, g, config.line_search)
+    u = ctx.op.apply(x)
+    at_x = likelihood(ctx, u)
+    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
+    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g,
+                                     config.line_search)
     z = x + kappa * g
     idx = _threshold(z, x, L, bands, config, use_bms=bands is not None)
-    assert idx.size <= L
+    if idx.size > L:
+        raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
     return restricted_maximize(
         ctx, idx, init=_mask_to(x, idx), inner_tol=config.inner_tol,
         line_search=config.line_search, max_iters=config.max_inner_iters,
@@ -386,15 +385,20 @@ def _mask_to(x, idx):
     return out
 
 
-def _backtrack_gradient_step(ctx, x, g, ls: LineSearchParams) -> float:
-    """Armijo backtracking for the ascent step size along the gradient."""
-    h0 = h_objective(ctx, x)
+def _backtrack_gradient_step(ctx, x, u, h0, g, ls: LineSearchParams) -> float:
+    """Armijo backtracking for the ascent step size along the gradient.
+
+    u = A x and h0 = h(x) are the caller's.  With w = A g formed once, the
+    trial point x + t g has image u + t w, so the search costs one apply
+    however often it backtracks.
+    """
     gn2 = float(np.vdot(g, g).real)
     if gn2 == 0.0:
         return 1.0
+    w = ctx.op.apply(g)
     t = 1.0
     for _ in range(ls.max_steps):
-        if h_objective(ctx, x + t * g) >= h0 + ls.slope * t * gn2:
+        if loglik(ctx, u + t * w) + g_logprior(x + t * g) >= h0 + ls.slope * t * gn2:
             return t
         t *= ls.shrink
     return t
@@ -422,10 +426,6 @@ def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def _grad_f(ctx, x):
-    return grad_h(ctx, x) + 2.0 * x
-
-
 def run_fista(
     ctx: ObjectiveContext,
     gamma: float,
@@ -438,37 +438,43 @@ def run_fista(
     Gradient steps on the log-likelihood are followed by the complex soft
     threshold prox; the step size is backtracked against the usual quadratic
     model and the accepted iterate never decreases the objective (the
-    momentum point only feeds the next gradient step).  Returns the final
+    momentum point only feeds the next gradient step).  A x is carried along
+    with every iterate: the momentum point's image is the same linear
+    combination of images, so an iteration costs one adjoint and one apply
+    per step-size trial.  Returns the final
     estimate with its eps-support (|x_b| > 1e-8); entries at or below the
     eps threshold are zeroed so the support contains supp(x_hat).
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    B = ctx.op.B
+    op = ctx.op
 
-    sigma = ctx.op.spectral_norm_estimate()
+    sigma = op.spectral_norm_estimate()
     lip = max(2.0 * ctx.rho * sigma * sigma, 1e-3)
     step = 1.0 / lip
 
     def penalty(x):
         return gamma * float(np.sum(np.abs(x)))
 
-    x_prev = np.zeros(B, dtype=complex)
-    obj_prev = f_loglik(ctx, x_prev) - penalty(x_prev)
-    y = x_prev
+    x_prev = np.zeros(op.B, dtype=complex)
+    u_prev = np.zeros(op.M * op.T, dtype=complex)    # A x_prev
+    obj_prev = loglik(ctx, u_prev) - penalty(x_prev)
+    y, u_y = x_prev, u_prev
     t_mom = 1.0
     trace = [obj_prev]
     z_prev = x_prev
 
     for _ in range(max_iters):
-        gy = _grad_f(ctx, y)
-        fy = f_loglik(ctx, y)
+        at_y = likelihood(ctx, u_y)
+        gy = op.apply_adjoint(at_y.weights)
+        fy = at_y.f
         if not np.isfinite(fy):
             raise NumericalError("objective became non-finite", best=x_prev)
         while True:
             z = _soft_threshold(y + step * gy, gamma * step)
             dz = z - y
-            fz = f_loglik(ctx, z)
+            u_z = op.apply(z)
+            fz = loglik(ctx, u_z)
             quad = fy + float(np.vdot(gy, dz).real) - float(np.vdot(dz, dz).real) / (2.0 * step)
             if fz >= quad - 1e-12 * abs(quad):
                 break
@@ -480,17 +486,19 @@ def run_fista(
             raise NumericalError("objective became non-finite", best=x_prev)
 
         if obj_z >= obj_prev:
-            x_new, obj_new = z, obj_z
+            x_new, u_new, obj_new = z, u_z, obj_z
         else:
-            x_new, obj_new = x_prev, obj_prev
+            x_new, u_new, obj_new = x_prev, u_prev, obj_prev
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x_new + (t_mom / t_next) * (z - x_new) + ((t_mom - 1.0) / t_next) * (x_new - x_prev)
+        a, b = t_mom / t_next, (t_mom - 1.0) / t_next
+        y = x_new + a * (z - x_new) + b * (x_new - x_prev)
+        u_y = u_new + a * (u_z - u_new) + b * (u_new - u_prev)
         t_mom = t_next
 
         trace.append(obj_new)
         converged = np.linalg.norm(z - z_prev) <= tol * max(1.0, np.linalg.norm(z))
-        x_prev, obj_prev, z_prev = x_new, obj_new, z
+        x_prev, u_prev, obj_prev, z_prev = x_new, u_new, obj_new, z
         if converged:
             break
 
