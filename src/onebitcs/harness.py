@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .model import draw_channel, synthesize_measurement, zc_training, dft_dictionary
 from .objective import ObjectiveContext
-from .operator import build_operator, unvec
+from .operator import build_operator
 from .solvers import (
     SolverConfig,
     brute_force_map,
@@ -165,10 +165,15 @@ def reconstruct_channel(op, x_hat: np.ndarray) -> np.ndarray:
     """Channel matrix synthesized from a virtual-channel estimate.
 
     Uses the same transform that defines the virtual representation,
-    H = A_RX X A_TX^H.
+    H = A_RX X A_TX^H, summed over the nonzero entries of X only: an
+    estimate has a few of them, and the dense product costs O(M*B).
     """
-    X = unvec(np.asarray(x_hat), op.B_RX, op.B_TX)
-    return op.A_RX @ X @ op.A_TX.conj().T
+    x_hat = np.asarray(x_hat)
+    if x_hat.shape != (op.B,):
+        raise ValueError(f"expected length-{op.B} estimate, got shape {x_hat.shape}")
+    idx = np.flatnonzero(x_hat)
+    br, bt = idx % op.B_RX, idx // op.B_RX
+    return (op.A_RX[:, br] * x_hat[idx]) @ op.A_TX[:, bt].conj().T
 
 
 # -- seeding -----------------------------------------------------------------

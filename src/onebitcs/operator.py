@@ -9,7 +9,7 @@ path evaluates
     unvec(A^H c)  = A_RX^H (A_TX^H (S C^H))^H
 
 and products with dictionary factors that sit on the canonical DFT grid are
-carried out with FFTs.
+carried out with FFTs.  As a matrix, A = G kron A_RX.
 
 Because the columns factor as a_(br,bt) = g_bt kron a_rx(br) with
 g = S^T conj(A_TX), both column norms and pairwise coherences factor over
@@ -170,7 +170,7 @@ class SensingOperator:
         self._mu_g = None
         self._band_cache: dict[float, CoherenceStructure] = {}
         self._eta_selection = None
-        self._spectral_est = None
+        self._spectral_norm = None
 
     # -- application ------------------------------------------------------
 
@@ -243,23 +243,15 @@ class SensingOperator:
         mu_rx, mu_g = self._factor_mus()
         return float(min(mu_rx[ir, jr] * mu_g[it, jt], 1.0))
 
-    def spectral_norm_estimate(self, iters: int = 30, seed: int = 0) -> float:
-        """Power-iteration estimate of the largest singular value of A."""
-        if self._spectral_est is None:
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal(self.B) + 1j * rng.standard_normal(self.B)
-            x /= np.linalg.norm(x)
-            sigma = 0.0
-            for _ in range(iters):
-                y = self.apply(x)
-                x = self.apply_adjoint(y)
-                nrm = np.linalg.norm(x)
-                if nrm == 0:
-                    break
-                sigma = np.sqrt(nrm)
-                x /= nrm
-            self._spectral_est = float(sigma)
-        return self._spectral_est
+    def spectral_norm_estimate(self) -> float:
+        """Largest singular value of A, exactly: ||G||_2 * ||A_RX||_2.
+
+        A = G kron A_RX, and the singular values of a Kronecker product are
+        the products of its factors' singular values.
+        """
+        if self._spectral_norm is None:
+            self._spectral_norm = float(np.linalg.norm(self.G, 2) * np.linalg.norm(self.A_RX, 2))
+        return self._spectral_norm
 
 
 @dataclass(frozen=True)

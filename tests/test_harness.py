@@ -54,6 +54,19 @@ class TestNmse:
         H = a_rx @ x.reshape(8, 8, order="F") @ a_tx.conj().T
         assert nmse(reconstruct_channel(op, x), H) < 1e-25
 
+    @pytest.mark.parametrize("nonzeros", [0, 1, 3, 64])
+    def test_reconstruction_matches_dense_product(self, nonzeros):
+        tr = zc_training(4, 6)
+        op = build_operator(tr.S, dft_dictionary(4, 8), dft_dictionary(4, 8), "fft")
+        rng = np.random.default_rng(nonzeros)
+        x = np.zeros(op.B, dtype=complex)
+        idx = rng.choice(op.B, size=nonzeros, replace=False)
+        x[idx] = rng.standard_normal(nonzeros) + 1j * rng.standard_normal(nonzeros)
+        dense = op.A_RX @ x.reshape(op.B_RX, op.B_TX, order="F") @ op.A_TX.conj().T
+        assert np.max(np.abs(reconstruct_channel(op, x) - dense)) <= 1e-12
+        with pytest.raises(ValueError):
+            reconstruct_channel(op, x[:-1])
+
 
 class TestSeeding:
     def test_child_seeds_are_distinct(self):

@@ -139,6 +139,22 @@ class TestApplication:
         factored_energy = np.sum(op_dense.column_norms**2)
         assert abs(dense_energy - factored_energy) / dense_energy < 1e-10
 
+    @pytest.mark.parametrize("dims", [(4, 4, 5, 8, 8), (8, 4, 6, 16, 12), (6, 6, 6, 6, 6)])
+    def test_spectral_norm_is_exact(self, dims):
+        op, op_dense = make_pair(*dims)
+        want = np.linalg.norm(op_dense.dense_A, 2)
+        assert abs(op.spectral_norm_estimate() - want) <= 1e-12 * want
+        assert abs(op_dense.spectral_norm_estimate() - want) <= 1e-12 * want
+
+    def test_spectral_norm_off_grid(self):
+        rng = np.random.default_rng(3)
+        S = zc_training(4, 6).S
+        a_rx = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        a_tx = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+        op = build_operator(S, a_rx, a_tx, "dense")
+        want = np.linalg.norm(op.dense_A, 2)
+        assert abs(op.spectral_norm_estimate() - want) <= 1e-12 * want
+
     def test_rejects_wrong_lengths(self):
         op, _ = make_pair(m=4, n=4, t=5, b_rx=4, b_tx=4)
         with pytest.raises(ValueError):

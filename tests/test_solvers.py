@@ -362,6 +362,18 @@ class TestGrahtp:
         assert np.array_equal(a.estimate.x_hat, b.estimate.x_hat)
 
 
+class TestBudgetErrors:
+    @pytest.mark.parametrize("runner", [run_grasp, run_grahtp])
+    def test_oversized_threshold_raises(self, monkeypatch, runner):
+        # A thresholder that overshoots the step's budget is an error, not
+        # an assertion that vanishes under python -O.
+        monkeypatch.setattr(solvers_module, "_threshold",
+                            lambda z, x, budget, *args, **kwargs: np.arange(3 * budget + 1))
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=19)
+        with pytest.raises(CapacityError):
+            runner(ctx, SolverConfig(sparsity=2), use_bms=True)
+
+
 class TestBmsVersusPlain:
     def test_identical_supports_with_orthonormal_factors(self):
         # Singleton bands: the band-maximum filter never rejects anything.
