@@ -139,12 +139,13 @@ def bms_threshold(
 
     Scans candidates by descending |z|.  For candidate i the by-product set
     collects the other band members whose current estimate value equals the
-    candidate's, bitwise (the case that matters is the exactly-zero
-    off-support entries of every pursuit iterate); i is admitted only when |z_i| strictly exceeds the score of
-    every by-product (an empty by-product set always admits).  Candidates
-    whose score exactly ties their by-product maximum are rejected, and so
-    is the tied by-product when its turn comes; fewer than `budget` indices
-    can therefore be returned even when B >= budget.
+    candidate's bitwise (the case that matters: off-support entries are
+    exactly zero in every pursuit iterate); i is admitted only when |z_i|
+    strictly exceeds the score of every by-product (an empty by-product set
+    always admits).  Candidates whose score exactly ties their by-product
+    maximum are rejected, and so is the tied by-product when its turn comes;
+    fewer than `budget` indices can therefore be returned even when
+    B >= budget.
 
     Returns (sorted selected indices, z restricted to them).
     """
@@ -439,11 +440,11 @@ def run_fista(
     threshold prox; the step size is backtracked against the usual quadratic
     model and the accepted iterate never decreases the objective (the
     momentum point only feeds the next gradient step).  A x is carried along
-    with every iterate: the momentum point's image is the same linear
+    with every iterate, and the momentum point's image is the same linear
     combination of images, so an iteration costs one adjoint and one apply
-    per step-size trial.  Returns the final
-    estimate with its eps-support (|x_b| > 1e-8); entries at or below the
-    eps threshold are zeroed so the support contains supp(x_hat).
+    per step-size trial.  Returns the final estimate with its eps-support
+    (|x_b| > 1e-8); entries at or below the eps threshold are zeroed so the
+    support contains supp(x_hat).
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
