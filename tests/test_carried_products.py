@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import onebitcs.solvers as solvers_module
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, f_loglik, g_logprior, grad_h, h_objective, likelihood
+from onebitcs.objective import (
+    ObjectiveContext,
+    f_loglik,
+    g_logprior,
+    grad_h,
+    h_objective,
+    likelihood,
+)
 from onebitcs.operator import build_operator
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
