@@ -118,7 +118,7 @@ def _cmd_gram(args) -> int:
         flag = " (clamped)" if selection.clamped else ""
         print(f"  eta: {selection.eta:.6g}{flag}")
         bands = coherence_bands(op, selection.eta)
-        sizes = np.array([b.size for b in bands.bands])
+        sizes = np.diff(bands.indptr)
         print(f"  band sizes: min={sizes.min()} median={int(np.median(sizes))} "
               f"max={sizes.max()}")
     return 0

@@ -20,6 +20,7 @@ computed without ever forming the B x B Gram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -208,12 +209,20 @@ class SensingOperator:
         return np.kron(self.G[:, bt], self.A_RX[:, br])
 
     def columns(self, idx) -> np.ndarray:
-        """Stack of columns A[:, idx] as an (M*T, len(idx)) matrix."""
+        """Stack of columns A[:, idx] as an (M*T, len(idx)) matrix.
+
+        Entry (t*M + m, k) is G[t, bt] * A_RX[m, br] for idx[k] = (br, bt),
+        the same products :meth:`column` forms through np.kron.
+        """
         idx = np.asarray(idx, dtype=int)
-        out = np.empty((self.M * self.T, idx.size), dtype=complex)
-        for k, b in enumerate(idx):
-            out[:, k] = self.column(int(b))
-        return out
+        bad = idx[(idx < 0) | (idx >= self.B)]
+        if bad.size:
+            raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
+        br, bt = idx % self.B_RX, idx // self.B_RX
+        # C order, so the block feeds BLAS with the layout (and so the
+        # rounding) of a column-by-column fill.
+        block = np.multiply(self.G[:, None, bt], self.A_RX[None, :, br], order="C")
+        return block.reshape(self.M * self.T, idx.size)
 
     # -- coherence geometry ------------------------------------------------
 
@@ -258,13 +267,21 @@ class SensingOperator:
 class CoherenceStructure:
     """Coherence bands of every column at a fixed threshold eta.
 
-    bands[i] is the sorted array of column indices j with coherence(i, j)
-    >= eta; it always contains i itself, and membership is symmetric.
+    The bands are stored as compressed sparse rows: band i is
+    indices[indptr[i]:indptr[i + 1]], the sorted column indices j with
+    coherence(i, j) >= eta.  It always contains i itself, and membership is
+    symmetric.
     """
 
     eta: float
-    bands: list  # list of sorted int arrays, one per column
+    indptr: np.ndarray    # (B + 1,) offsets into indices
+    indices: np.ndarray   # concatenated sorted bands
     column_norms: np.ndarray
+
+    @cached_property
+    def bands(self) -> list:
+        """The bands as a list of read-only views, one per column."""
+        return np.split(self.indices, self.indptr[1:-1])
 
 
 @dataclass(frozen=True)
@@ -295,8 +312,13 @@ def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:
     """Collect B_eta(i) = {j : coherence(i, j) >= eta} for every column.
 
     Works factor-wise: j = (jr, jt) is in the band of i = (ir, it) iff
-    mu_rx[ir, jr] * mu_g[it, jt] >= eta, so only the two factor Grams are
-    ever formed.  Results are cached on the operator per eta.
+    mu_g[it, jt] >= eta and mu_rx[ir, jr] >= eta / mu_g[it, jt], so only
+    the two factor Grams are ever formed.  The receive pairs that can pass
+    are found once, at the smallest threshold eta / max(mu_g) (an
+    off-diagonal mu_g can exceed 1 by rounding); each transmit bin then
+    tests them against its own thresholds in one vectorized pass.  The
+    bands come out as CSR arrays; results are cached on the operator per
+    eta.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
@@ -306,21 +328,27 @@ def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:
 
     mu_rx, mu_g = op._factor_mus()
     b_rx = op.B_RX
-    bands = []
+    rx_row, rx_col = np.nonzero(mu_rx >= eta / mu_g.max())   # ordered by (ir, jr)
+    rx_val = mu_rx[rx_row, rx_col]
+    sizes = []
+    chunks = []
     for it in range(op.B_TX):
         row_g = mu_g[it]
-        # mu_rx <= 1, so only transmit bins with row_g >= eta can contribute.
         jts = np.nonzero(row_g >= eta)[0]
         thresholds = eta / row_g[jts]
-        for ir in range(b_rx):
-            row_rx = mu_rx[ir]
-            members = []
-            for jt, thr in zip(jts, thresholds):
-                jrs = np.nonzero(row_rx >= thr)[0]
-                members.append(jrs + jt * b_rx)
-            band = np.concatenate(members) if members else np.array([], dtype=int)
-            bands.append(np.sort(band))
-    structure = CoherenceStructure(eta=float(eta), bands=bands,
+        k, p = np.nonzero(rx_val[None, :] >= thresholds[:, None])
+        # Entries come ordered by (jt, ir, jr); a stable sort on ir makes
+        # each band's run ordered by (jt, jr), that is, by column index.
+        rows = rx_row[p]
+        order = np.argsort(rows, kind="stable")
+        chunks.append((rx_col[p] + jts[k] * b_rx)[order])
+        sizes.append(np.bincount(rows, minlength=b_rx))
+    indptr = np.zeros(op.B + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    indices = np.concatenate(chunks)
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    structure = CoherenceStructure(eta=float(eta), indptr=indptr, indices=indices,
                                    column_norms=op.column_norms)
     op._band_cache[eta] = structure
     return structure

@@ -111,9 +111,25 @@ def _support_of(x: np.ndarray) -> np.ndarray:
     return np.nonzero(x)[0]
 
 
-def _magnitude_order(z: np.ndarray) -> np.ndarray:
-    """Indices by descending |z|, ties broken toward the lowest index."""
-    return np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
+def _descending_prefixes(mags: np.ndarray, count: int):
+    """Yield ever longer prefixes of the indices by descending mags.
+
+    Ties go to the lowest index.  The first prefix holds at least `count`
+    indices and each later one at least four times as many as the one
+    before; every prefix ends with all the indices tied with its last
+    magnitude, so each extends the one before, and the last is the whole
+    order.  Only the entries at or above the count-th largest magnitude are
+    sorted.
+    """
+    vals = mags[mags > 0]     # np.partition is slow on a long, mostly zero vector
+    while 0 < count <= vals.size:
+        kth = np.partition(vals, vals.size - count)[vals.size - count]
+        top = np.flatnonzero(mags >= kth)
+        yield top[np.argsort(-mags[top], kind="stable")]
+        count = 4 * top.size
+    # Past the nonzeros every zero ties with the last magnitude.
+    nz = np.flatnonzero(mags)
+    yield np.concatenate([nz[np.argsort(-mags[nz], kind="stable")], np.flatnonzero(mags == 0)])
 
 
 def hard_threshold(z: np.ndarray, budget: int):
@@ -123,10 +139,27 @@ def hard_threshold(z: np.ndarray, budget: int):
     are broken toward the lowest index.
     """
     z = np.asarray(z)
-    keep = np.sort(_magnitude_order(z)[: max(budget, 0)])
+    keep = np.sort(next(_descending_prefixes(np.abs(z), budget))[: max(budget, 0)])
     out = np.zeros_like(z)
     out[keep] = z[keep]
     return keep, out
+
+
+def _band_admits(candidates, mags, current_x, bands: CoherenceStructure) -> np.ndarray:
+    """Mask of the candidates that no by-product of their band blocks.
+
+    A by-product j of candidate i is another member of band(i) with
+    current_x[j] == current_x[i]; it blocks i when |z_j| >= |z_i|.
+    """
+    starts = bands.indptr[candidates]
+    lengths = bands.indptr[candidates + 1] - starts
+    slot = np.repeat(np.arange(candidates.size), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    members = bands.indices[np.arange(slot.size) - offsets[slot] + starts[slot]]
+    owners = candidates[slot]
+    blocked = ((members != owners) & (current_x[members] == current_x[owners])
+               & (mags[members] >= mags[owners]))
+    return np.bincount(slot[blocked], minlength=candidates.size) == 0
 
 
 def bms_threshold(
@@ -137,15 +170,21 @@ def bms_threshold(
 ):
     """Band-maximum hard thresholding of a score vector.
 
-    Scans candidates by descending |z|.  For candidate i the by-product set
-    collects the other band members whose current estimate value equals the
-    candidate's bitwise (the case that matters: off-support entries are
-    exactly zero in every pursuit iterate); i is admitted only when |z_i|
-    strictly exceeds the score of every by-product (an empty by-product set
-    always admits).  Candidates whose score exactly ties their by-product
-    maximum are rejected, and so is the tied by-product when its turn comes;
-    fewer than `budget` indices can therefore be returned even when
-    B >= budget.
+    Scans candidates by descending |z|, ties toward the lowest index.  For
+    candidate i the by-product set collects the other band members whose
+    current estimate value equals the candidate's bitwise (the case that
+    matters: off-support entries are exactly zero in every pursuit
+    iterate); i is admitted only when |z_i| strictly exceeds the score of
+    every by-product (an empty by-product set always admits).  Candidates
+    whose score exactly ties their by-product maximum are rejected, and so
+    is the tied by-product when its turn comes; fewer than `budget` indices
+    can therefore be returned even when B >= budget.  The first `budget`
+    admitted candidates are selected.
+
+    Admission depends only on z, current_x and band(i), never on which
+    candidates were selected before, so it is evaluated for a whole prefix
+    of the scan order at once; the prefix grows fourfold until it admits
+    `budget` candidates or covers every index.
 
     Returns (sorted selected indices, z restricted to them).
     """
@@ -154,15 +193,16 @@ def bms_threshold(
     z = np.asarray(z)
     current_x = np.asarray(current_x)
     mags = np.abs(z)
-    selected = []
-    for i in _magnitude_order(z):
-        if len(selected) == budget:
+    admitted = []
+    found = scanned = 0
+    for order in _descending_prefixes(mags, budget):
+        tail = order[scanned:]
+        scanned = order.size
+        admitted.append(tail[_band_admits(tail, mags, current_x, bands)])
+        found += admitted[-1].size
+        if found >= budget:
             break
-        band = bands.bands[i]
-        byproduct = band[(current_x[band] == current_x[i]) & (band != i)]
-        if byproduct.size == 0 or mags[i] > np.max(mags[byproduct]):
-            selected.append(int(i))
-    keep = np.array(sorted(selected), dtype=int)
+    keep = np.sort(np.concatenate(admitted)[:budget])
     out = np.zeros_like(z)
     out[keep] = z[keep]
     return keep, out
@@ -304,7 +344,11 @@ def _threshold(z, x, budget, bands, config, use_bms):
 
 
 def _pursuit_loop(ctx, config, use_bms, step):
-    """Shared outer loop: halt on fixed support, revisited support, or cap."""
+    """Shared outer loop: halt on fixed support, revisited support, or cap.
+
+    Each step appends h at its new iterate to the objective trace from
+    values it already holds, so the trace costs no operator apply.
+    """
     bands = _resolve_bands(ctx.op, config) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     prev_support = frozenset()
@@ -314,8 +358,7 @@ def _pursuit_loop(ctx, config, use_bms, step):
     iterations = 0
     for _ in range(config.max_outer_iters):
         iterations += 1
-        x = step(ctx, config, x, bands)
-        trace.append(h_objective(ctx, x))
+        x = step(ctx, config, x, bands, trace)
         new_support = frozenset(int(i) for i in _support_of(x))
         if new_support == prev_support:
             halted_by = "support-fixed"
@@ -330,7 +373,8 @@ def _pursuit_loop(ctx, config, use_bms, step):
                         halted_by=halted_by, objective_trace=trace)
 
 
-def _grasp_step(ctx, config, x, bands):
+def _grasp_step(ctx, config, x, bands, trace=None):
+    """One GraSP iteration from x; appends h at the new point to trace."""
     L = config.sparsity
     z = grad_h(ctx, x)
     idx = _threshold(z, x, 2 * L, bands, config, use_bms=bands is not None)
@@ -341,13 +385,20 @@ def _grasp_step(ctx, config, x, bands):
         ctx, merged, init=x, inner_tol=config.inner_tol,
         line_search=config.line_search, max_iters=config.max_inner_iters,
     )
-    _, pruned = hard_threshold(b_vec, L)
+    keep, pruned = hard_threshold(b_vec, L)
     if config.debias:
-        return restricted_maximize(
+        x_new, h_trace = restricted_maximize(
             ctx, _support_of(pruned), init=pruned, inner_tol=config.inner_tol,
             line_search=config.line_search, max_iters=config.max_inner_iters,
+            return_trace=True,
         )
-    return pruned
+        h = h_trace[-1]
+    else:
+        x_new = pruned
+        h = loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned)
+    if trace is not None:
+        trace.append(h)
+    return x_new
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -363,7 +414,8 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
     return _pursuit_loop(ctx, config, use_bms, _grasp_step)
 
 
-def _grahtp_step(ctx, config, x, bands):
+def _grahtp_step(ctx, config, x, bands, trace=None):
+    """One GraHTP iteration from x; appends h at the new point to trace."""
     L = config.sparsity
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
@@ -374,10 +426,14 @@ def _grahtp_step(ctx, config, x, bands):
     idx = _threshold(z, x, L, bands, config, use_bms=bands is not None)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
-    return restricted_maximize(
+    x_new, h_trace = restricted_maximize(
         ctx, idx, init=_mask_to(x, idx), inner_tol=config.inner_tol,
         line_search=config.line_search, max_iters=config.max_inner_iters,
+        return_trace=True,
     )
+    if trace is not None:
+        trace.append(h_trace[-1])
+    return x_new
 
 
 def _mask_to(x, idx):

@@ -4,7 +4,8 @@ The trend criteria (5-7, 9) share one 200-trial desk-scale sweep, executed
 twice to demonstrate reproducibility.  Wall-clock runtime is the single
 non-reproducible record field, so the byte-identity check zeroes the
 runtime_ms column in both emissions before comparing; every other byte of
-the CSV must match exactly.
+the CSV must match exactly.  Those four are marked ``slow``, so
+``pytest -m "not slow"`` runs everything else in seconds.
 """
 
 import time
@@ -161,6 +162,7 @@ def test_criterion_4_bms_degeneracy():
            f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_trend(sweep):
     records = sweep["first"]
     details = []
@@ -178,6 +180,7 @@ def test_criterion_5_desk_scale_trend(sweep):
     report(5, ok, "; ".join(details) + f"; sweep {sweep['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_high_snr_degradation(sweep):
     records = sweep["first"]
     medians = {snr: median_nmse(records, "bmsgrasp", snr)
@@ -189,6 +192,7 @@ def test_criterion_6_high_snr_degradation(sweep):
     report(6, ok, f"bmsgrasp median NMSE dB by SNR: {detail}; minimum at {best_snr:.0f}dB")
 
 
+@pytest.mark.slow
 def test_criterion_7_numerical_stability(sweep):
     finite = all(
         np.isfinite(r.nmse) and np.isfinite(r.runtime_ms)
@@ -232,6 +236,7 @@ def test_criterion_8_fista_tuning():
                   f"(target 6 +- 1), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(sweep, tmp_path):
     # Wall-clock runtime is not a function of the seed; zero it in both
     # emissions, then require byte identity of everything else.

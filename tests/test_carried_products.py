@@ -3,10 +3,12 @@
 run_fista and the GraHTP step search evaluate the likelihood at operator
 images formed as linear combinations of images they already hold, instead
 of applying the operator at every evaluation.  The oracles below are the
-earlier implementations, which did apply it every time.
+earlier implementations, which did apply it every time.  The pursuit loops
+likewise take their objective trace from values the steps already hold.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from onebitcs.solvers import (
     _soft_threshold,
     run_fista,
     run_grahtp,
+    run_grasp,
 )
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -194,3 +197,18 @@ def test_grahtp_step_costs_two_applies(monkeypatch):
         run_grahtp(ctx, SolverConfig(sparsity=2), use_bms=True)
     assert steps and max(steps) <= 2
     assert any(backtracked)
+
+
+@pytest.mark.parametrize("runner, debias, applies_per_iteration", [
+    (run_grasp, False, 1), (run_grasp, True, 1), (run_grahtp, False, 2)])
+def test_pursuit_trace_costs_no_apply(runner, debias, applies_per_iteration):
+    # Only the steps' own gradients and step searches apply the operator;
+    # the trace takes h from the restricted solves and column blocks.
+    for seed in range(4):
+        ctx = make_ctx(seed, 100.0, b=16)
+        applies, _ = count_operator_calls(ctx.op)
+        report = runner(ctx, SolverConfig(sparsity=2, debias=debias), use_bms=True)
+        assert applies.calls <= applies_per_iteration * report.iterations
+        assert len(report.objective_trace) == report.iterations
+        h = h_objective(ctx, report.estimate.x_hat)
+        assert abs(report.objective_trace[-1] - h) <= 1e-9 * max(1.0, abs(h))

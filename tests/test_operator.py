@@ -54,6 +54,23 @@ class TestBuildAndShapes:
             assert np.max(np.abs(op_fft.apply(e) - col)) < 1e-12
             assert np.max(np.abs(op_fft.column(b) - col)) < 1e-12
 
+    @pytest.mark.parametrize("idx", [[], [5, 5, 0], [63, 17, 0, 17], list(range(64))])
+    def test_columns_stack_column_bitwise(self, idx):
+        # The restricted solves are bitwise reproducible only if the block
+        # holds the same values in the same (C) layout as a column-by-column
+        # fill.
+        op, _ = make_pair(m=4, n=3, t=5, b_rx=8, b_tx=8)
+        block = op.columns(idx)
+        assert block.shape == (op.M * op.T, len(idx)) and block.flags.c_contiguous
+        for k, b in enumerate(idx):
+            assert np.array_equal(block[:, k], op.column(b))
+
+    @pytest.mark.parametrize("idx", [[64], [0, -1], [3, 70, 2]])
+    def test_columns_rejects_out_of_range(self, idx):
+        op, _ = make_pair(m=4, n=3, t=5, b_rx=8, b_tx=8)
+        with pytest.raises(ValueError):
+            op.columns(idx)
+
     def test_orthogonal_columns_with_square_training(self):
         # N == T ZC training has orthogonal columns too, so the full Gram is
         # a scaled identity: the Gram computation oracle.

@@ -65,9 +65,11 @@ def transcribed_band_max(z, x_hat, L, band_sets):
 
 
 def hand_bands(band_sets, B):
+    rows = [np.array(sorted(band_sets[i]), dtype=np.intp) for i in range(B)]
     return CoherenceStructure(
         eta=0.5,
-        bands=[np.array(sorted(band_sets[i]), dtype=int) for i in range(B)],
+        indptr=np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.intp),
+        indices=np.concatenate(rows),
         column_norms=np.ones(B),
     )
 
