@@ -15,10 +15,11 @@ from .harness import (
     load_config,
     parse_config_text,
     run_experiment,
+    sweep_operators,
 )
-from .model import dft_dictionary, zc_training
-from .operator import build_operator, coherence_bands, select_eta
+from .operator import select_eta
 from .selftest import run_selftest
+from .solvers import SolverConfig, _resolve_bands
 
 USAGE_ERROR = 2
 
@@ -93,31 +94,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_gram(args) -> int:
     config = load_config(args.config)
-    training = zc_training(config.n, config.t)
-    mode = "fft" if config.operator_mode == "auto" else config.operator_mode
-    seen = set()
-    for algo in config.algorithms:
-        dims = config.dims_for(algo)
-        if dims in seen:
-            continue
-        seen.add(dims)
-        op = build_operator(
-            training.S,
-            dft_dictionary(config.m, dims[0]),
-            dft_dictionary(config.n, dims[1]),
-            mode=mode,
-        )
+    _, ops = sweep_operators(config)
+    solver_config = SolverConfig(sparsity=config.l, eta=config.eta)
+    for dims, op in ops.items():
         print(f"dims B_rx={dims[0]} B_tx={dims[1]} (B={op.B}):")
         norms = op.column_norms
         print(f"  column norms: min={norms.min():.6g} max={norms.max():.6g}")
-        selection = select_eta(op)
-        if selection.eta is None:
+        # The bands the band-aware solvers use, at the configured or selected eta.
+        bands = _resolve_bands(op, solver_config)
+        if bands is None:
             print("  eta: not applicable (all columns orthogonal); "
                   "band thresholding degenerates to plain hard thresholding")
             continue
-        flag = " (clamped)" if selection.clamped else ""
-        print(f"  eta: {selection.eta:.6g}{flag}")
-        bands = coherence_bands(op, selection.eta)
+        clamped = config.eta == "auto" and select_eta(op).clamped
+        flag = " (clamped)" if clamped else ""
+        print(f"  eta: {bands.eta:.6g}{flag}")
         sizes = np.diff(bands.indptr)
         print(f"  band sizes: min={sizes.min()} median={int(np.median(sizes))} "
               f"max={sizes.max()}")

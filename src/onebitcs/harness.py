@@ -39,6 +39,7 @@ __all__ = [
     "child_seed",
     "tuning_seed",
     "run_experiment",
+    "sweep_operators",
     "emit_csv",
     "parse_csv",
     "emit_curve",
@@ -205,24 +206,62 @@ def tuning_seed(master_seed: int, snr_index: int, k: int) -> int:
 # -- sweep execution ---------------------------------------------------------
 
 
+def sweep_operators(config: ExperimentConfig):
+    """The training block and one operator per distinct dictionary size pair.
+
+    Returns (training, ops), with ops keyed by ``config.dims_for(algo)`` in
+    the order the algorithms first use them.  operator_mode "auto" selects
+    the factored operator.
+    """
+    training = zc_training(config.n, config.t)
+    mode = "fft" if config.operator_mode == "auto" else config.operator_mode
+    ops = {}
+    for algo in config.algorithms:
+        dims = config.dims_for(algo)
+        if dims not in ops:
+            ops[dims] = build_operator(
+                training.S,
+                dft_dictionary(config.m, dims[0]),
+                dft_dictionary(config.n, dims[1]),
+                mode=mode,
+            )
+    return training, ops
+
+
+def _pursuit(report):
+    return report.estimate.x_hat, report.iterations
+
+
+def _fista(ctx, cfg, gamma):
+    estimate, trace = run_fista(
+        ctx, gamma, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, return_trace=True,
+    )
+    return estimate.x_hat, len(trace) - 1
+
+
+# Solver per algorithm name: (ctx, solver config, FISTA gamma) -> (x_hat,
+# iterations).  Each entry looks its solver up among this module's globals
+# when it runs, so a wrapper installed on the module sees every solve.
+_SOLVERS = {
+    "bmsgrasp": lambda ctx, cfg, gamma: _pursuit(run_grasp(ctx, cfg, use_bms=True)),
+    "bmsgrasp-debias": lambda ctx, cfg, gamma: _pursuit(
+        run_grasp(ctx, replace(cfg, debias=True), use_bms=True)),
+    "bmsgrahtp": lambda ctx, cfg, gamma: _pursuit(run_grahtp(ctx, cfg, use_bms=True)),
+    "grasp": lambda ctx, cfg, gamma: _pursuit(run_grasp(ctx, cfg, use_bms=False)),
+    "grahtp": lambda ctx, cfg, gamma: _pursuit(run_grahtp(ctx, cfg, use_bms=False)),
+    "fista": _fista,
+    "oracle": lambda ctx, cfg, gamma: (brute_force_map(ctx, cfg.sparsity).x_hat, 1),
+}
+
+
 class _SweepState:
     """Operators, solver configs, and training shared by all trials."""
 
-    def __init__(self, config: ExperimentConfig, gammas: dict | None):
+    def __init__(self, config: ExperimentConfig, gammas: dict | None, training, ops):
         self.config = config
         self.gammas = gammas or {}
-        self.training = zc_training(config.n, config.t)
-        mode = "fft" if config.operator_mode == "auto" else config.operator_mode
-        self.ops = {}
-        for algo in config.algorithms:
-            dims = config.dims_for(algo)
-            if dims not in self.ops:
-                self.ops[dims] = build_operator(
-                    self.training.S,
-                    dft_dictionary(config.m, dims[0]),
-                    dft_dictionary(config.n, dims[1]),
-                    mode=mode,
-                )
+        self.training = training
+        self.ops = ops
         self.solver_config = SolverConfig(
             sparsity=config.l,
             eta=config.eta,
@@ -230,31 +269,6 @@ class _SweepState:
             inner_tol=config.inner_tol,
             debias=config.debias,
         )
-
-    def _solve(self, algo: str, ctx: ObjectiveContext, snr_index: int):
-        cfg = self.solver_config
-        if algo == "bmsgrasp":
-            report = run_grasp(ctx, cfg, use_bms=True)
-        elif algo == "bmsgrasp-debias":
-            report = run_grasp(ctx, replace(cfg, debias=True), use_bms=True)
-        elif algo == "bmsgrahtp":
-            report = run_grahtp(ctx, cfg, use_bms=True)
-        elif algo == "grasp":
-            report = run_grasp(ctx, cfg, use_bms=False)
-        elif algo == "grahtp":
-            report = run_grahtp(ctx, cfg, use_bms=False)
-        elif algo == "fista":
-            estimate, trace = run_fista(
-                ctx, self.gammas[snr_index],
-                max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, return_trace=True,
-            )
-            return estimate.x_hat, len(trace) - 1
-        elif algo == "oracle":
-            estimate = brute_force_map(ctx, self.config.l)
-            return estimate.x_hat, 1
-        else:  # pragma: no cover - guarded by config validation
-            raise ValueError(f"unknown algorithm {algo!r}")
-        return report.estimate.x_hat, report.iterations
 
     def run_trial(self, snr_index: int, trial: int) -> list:
         config = self.config
@@ -271,7 +285,8 @@ class _SweepState:
             ctx = ObjectiveContext(op, measurement)
             start = time.perf_counter()
             try:
-                x_hat, iterations = self._solve(algo, ctx, snr_index)
+                x_hat, iterations = _SOLVERS[algo](
+                    ctx, self.solver_config, self.gammas.get(snr_index))
             except (ConvergenceError, NumericalError) as err:
                 x_hat = err.best if err.best is not None else np.zeros(op.B, dtype=complex)
                 iterations = -1
@@ -299,7 +314,7 @@ _WORKER_STATE = None
 
 def _init_worker(config, gammas):
     global _WORKER_STATE
-    _WORKER_STATE = _SweepState(config, gammas)
+    _WORKER_STATE = _SweepState(config, gammas, *sweep_operators(config))
 
 
 def _worker_task(args):
@@ -307,17 +322,8 @@ def _worker_task(args):
     return _WORKER_STATE.run_trial(snr_index, trial)
 
 
-def _tune_fista_gammas(config: ExperimentConfig, info: dict | None) -> dict:
+def _tune_fista_gammas(config: ExperimentConfig, training, op, info: dict | None) -> dict:
     """Per-SNR regularization weights targeting a mean support of 3L."""
-    dims = config.dims_for("fista")
-    training = zc_training(config.n, config.t)
-    mode = "fft" if config.operator_mode == "auto" else config.operator_mode
-    op = build_operator(
-        training.S,
-        dft_dictionary(config.m, dims[0]),
-        dft_dictionary(config.n, dims[1]),
-        mode=mode,
-    )
     gammas = {}
     for snr_index, snr_db in enumerate(config.snr_db):
         rho = 10.0 ** (snr_db / 10.0)
@@ -346,14 +352,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     `info` dict is supplied it collects resolved metadata (training root,
     tuned FISTA weights).
     """
+    training, ops = sweep_operators(config)
     if info is not None:
-        training = zc_training(config.n, config.t)
         info["zc_root"] = training.root
         info["zc_shifts"] = training.shifts
 
     gammas = None
     if "fista" in config.algorithms:
-        gammas = _tune_fista_gammas(config, info)
+        gammas = _tune_fista_gammas(config, training, ops[config.dims_for("fista")], info)
 
     tasks = [
         (snr_index, trial)
@@ -366,7 +372,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
         ) as pool:
             blocks = list(pool.map(_worker_task, tasks, chunksize=8))
     else:
-        state = _SweepState(config, gammas)
+        state = _SweepState(config, gammas, training, ops)
         blocks = [state.run_trial(*task) for task in tasks]
 
     records = [record for block in blocks for record in block]

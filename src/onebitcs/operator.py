@@ -1,15 +1,14 @@
 """Kronecker-structured sensing operator and its coherence geometry.
 
-The vectorized measurement matrix is A = S^T conj(A_TX) kron A_RX, mapping
-the length-B virtual channel vector to the length-M*T receive block.  It is
-never applied as a dense matrix unless explicitly requested: the factored
-path evaluates
+The vectorized measurement matrix is A = S^T conj(A_TX) kron A_RX = G kron
+A_RX, mapping the length-B virtual channel vector to the length-M*T receive
+block.  It is never applied as a dense matrix unless explicitly requested:
+the factored path evaluates the two small products
 
-    unvec(A x)    = A_RX (S^H (A_TX X^H))^H
-    unvec(A^H c)  = A_RX^H (A_TX^H (S C^H))^H
+    unvec(A x)^T    = G (X^T A_RX^T)
+    unvec(A^H c)^T  = G^H C^T conj(A_RX)
 
-and products with dictionary factors that sit on the canonical DFT grid are
-carried out with FFTs.  As a matrix, A = G kron A_RX.
+whose row-major (C-order) flattening is already the column-major vec.
 
 Because the columns factor as a_(br,bt) = g_bt kron a_rx(br) with
 g = S^T conj(A_TX), both column norms and pairwise coherences factor over
@@ -25,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DegenerateOperatorError
-from .model import dft_dictionary
 
 __all__ = [
     "SensingOperator",
@@ -46,6 +44,13 @@ DENSE_CACHE_LIMIT = 2**26
 # Coherences at or below this are treated as exact zeros when selecting eta.
 ORTHO_TOL = 1e-12
 
+# OpenBLAS runs a complex matrix product of this many multiply-adds or more on
+# every core.  Just above it the second core saves no wall time, and after the
+# call it spins: at desk scale (B_RX = B_TX = 64, M = 16) the operator's
+# products sit at exactly this size, and FISTA rows took about 1.5x the CPU
+# time of the single-threaded FFT path.
+_BLAS_THREADED_WORK = 2**16
+
 
 def vec(X: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
@@ -55,6 +60,17 @@ def vec(X: np.ndarray) -> np.ndarray:
 def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec` for a rows x cols matrix."""
     return np.asarray(x).reshape(rows, cols, order="F")
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; below twice _BLAS_THREADED_WORK, as two single-threaded row halves."""
+    if not _BLAS_THREADED_WORK <= a.size * b.shape[1] < 2 * _BLAS_THREADED_WORK:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    half = a.shape[0] // 2
+    np.matmul(a[:half], b, out=out[:half])
+    np.matmul(a[half:], b, out=out[half:])
+    return out
 
 
 def real_form(x: np.ndarray) -> np.ndarray:
@@ -72,52 +88,14 @@ def complex_form(v: np.ndarray) -> np.ndarray:
     return v[:half] + 1j * v[half:]
 
 
-def _is_dft_grid(factor: np.ndarray) -> bool:
-    """True when `factor` equals the canonical DFT-grid dictionary."""
-    m, bins = factor.shape
-    if bins < m:
-        return False
-    return np.allclose(factor, dft_dictionary(m, bins), rtol=0.0, atol=1e-12)
-
-
-class _DictProduct:
-    """Multiply by one dictionary factor, with an FFT fast path.
-
-    For a factor D (m x bins) on the canonical grid, D @ W is a truncated
-    phase-twisted FFT of length `bins` and D^H @ C the matching zero-padded
-    inverse transform; off-grid factors fall back to dense matmul.
-    """
-
-    def __init__(self, factor: np.ndarray):
-        self.factor = factor
-        self.m, self.bins = factor.shape
-        self.use_fft = _is_dft_grid(factor)
-        if self.use_fft:
-            k = np.arange(self.m)
-            # e^{-j pi k s_b} = e^{j pi k (1 - 1/bins)} * e^{-j 2 pi k b / bins}
-            self.phase = np.exp(1j * np.pi * k * (1.0 - 1.0 / self.bins)) / np.sqrt(self.m)
-
-    def forward(self, W: np.ndarray) -> np.ndarray:
-        """factor @ W, with W of shape (bins, ...)."""
-        if not self.use_fft:
-            return self.factor @ W
-        F = np.fft.fft(W, axis=0)[: self.m]
-        return self.phase[:, None] * F
-
-    def adjoint(self, C: np.ndarray) -> np.ndarray:
-        """factor^H @ C, with C of shape (m, ...)."""
-        if not self.use_fft:
-            return self.factor.conj().T @ C
-        D = self.phase.conj()[:, None] * C
-        return self.bins * np.fft.ifft(D, n=self.bins, axis=0)
-
-
 class SensingOperator:
-    """Immutable sensing operator with dense and factored application paths.
+    """Immutable sensing operator, applied through its two factors.
 
     Built through :func:`build_operator`.  All stored arrays are marked
     read-only; derived coherence structure is cached on first use, so the
-    object is safe to share across threads and solver runs.
+    object is safe to share across threads and solver runs.  Mode "dense"
+    also materializes A and applies it as one matrix: it is the reference
+    the factored path is tested against.
     """
 
     def __init__(self, S: np.ndarray, A_RX: np.ndarray, A_TX: np.ndarray, mode: str):
@@ -145,8 +123,9 @@ class SensingOperator:
         # Training-mixed transmit factor: columns g_bt = S^T conj(a_tx_bt).
         self.G = S.T @ A_TX.conj()
 
-        self._rx_prod = _DictProduct(A_RX)
-        self._tx_prod = _DictProduct(A_TX)
+        # Conjugated factors of the adjoint product, formed once.
+        self._G_H = self.G.conj().T
+        self._A_RX_conj = A_RX.conj()
 
         self.rx_norms = np.linalg.norm(A_RX, axis=0)
         self.g_norms = np.linalg.norm(self.G, axis=0)
@@ -163,8 +142,8 @@ class SensingOperator:
             self.dense_A = np.kron(self.G, A_RX)
             self.dense_A.flags.writeable = False
 
-        for arr in (self.S, self.A_RX, self.A_TX, self.G, self.rx_norms,
-                    self.g_norms, self.column_norms):
+        for arr in (self.S, self.A_RX, self.A_TX, self.G, self._G_H, self._A_RX_conj,
+                    self.rx_norms, self.g_norms, self.column_norms):
             arr.flags.writeable = False
 
         self._mu_rx = None
@@ -182,11 +161,11 @@ class SensingOperator:
             raise ValueError(f"expected length-{self.B} vector, got shape {x.shape}")
         if self.mode == "dense":
             return self.dense_A @ x
-        X = unvec(x, self.B_RX, self.B_TX)
-        W = self._tx_prod.forward(X.conj().T)        # (N, B_RX)
-        W = self.S.conj().T @ W                      # (T, B_RX)
-        Y = self._rx_prod.forward(W.conj().T)        # (M, T)
-        return vec(Y)
+        # x.reshape(B_TX, B_RX) is X^T, and the (T, M) result is unvec(A x)^T.
+        # Contracting B_RX first costs B*M + T*B_TX*M multiplies, not B*T +
+        # T*B_RX*M: fewer whenever M < T, as in the shipped configs.
+        XA = _matmul(x.reshape(self.B_TX, self.B_RX), self.A_RX.T)
+        return _matmul(self.G, XA).reshape(-1)
 
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """A^H @ c for a length-M*T measurement-space vector."""
@@ -197,11 +176,9 @@ class SensingOperator:
             )
         if self.mode == "dense":
             return self.dense_A.conj().T @ c
-        C = unvec(c, self.M, self.T)
-        V = self.S @ C.conj().T                      # (N, M)
-        V = self._tx_prod.adjoint(V)                 # (B_TX, M)
-        R = self._rx_prod.adjoint(V.conj().T)        # (B_RX, B_TX)
-        return vec(R)
+        # Transposed, so the result needs no column-major copy: C order is vec.
+        return _matmul(_matmul(self._G_H, c.reshape(self.T, self.M)),
+                       self._A_RX_conj).reshape(-1)
 
     def column(self, b: int) -> np.ndarray:
         """Column b of A, assembled from the two factors in O(M*T)."""
@@ -301,9 +278,11 @@ class EtaSelection:
 def build_operator(S, A_RX, A_TX, mode: str = "fft") -> SensingOperator:
     """Assemble the sensing operator for a training block and two dictionaries.
 
-    mode "dense" materializes the full M*T x B matrix (capacity-checked);
-    mode "fft" keeps the factored form and uses FFTs for any dictionary
-    factor that sits on the canonical DFT grid.
+    mode "fft" keeps the factored form and applies A as two small matrix
+    products with G = S^T conj(A_TX) and A_RX, for any dictionaries; the name
+    is kept for configs that set it.  Mode "dense" also materializes the full
+    M*T x B matrix (capacity-checked) and applies it directly, as the
+    reference for the factored path.
     """
     return SensingOperator(S, A_RX, A_TX, mode)
 

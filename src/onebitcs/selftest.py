@@ -8,56 +8,73 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import dft_dictionary, draw_channel, quantize, synthesize_measurement, zc_training
+from .harness import ExperimentConfig, sweep_operators
+from .model import draw_channel, quantize, synthesize_measurement
 from .objective import ObjectiveContext, grad_h, h_objective, inv_mills, log_ndtr
-from .operator import build_operator, coherence_bands, real_form, select_eta
+from .operator import coherence_bands, real_form, select_eta
 from .solvers import SolverConfig, bms_threshold, hard_threshold, restricted_maximize, run_grasp
 
 
-def _make_problem(m=4, n=4, t=8, b_rx=8, b_tx=8, l=2, rho=1.0, seed=7, mode="fft"):
+def _require(condition, message: str) -> None:
+    # An explicit raise, not assert, so the checks still run under python -O.
+    if not condition:
+        raise AssertionError(message)
+
+
+def _operator(b=8, mode="auto"):
+    """The sweep's training and operator for M = N = 4, T = 8, B_rx = B_tx = b."""
+    config = ExperimentConfig(m=4, n=4, t=8, l=2, b_rx=b, b_tx=b, snr_db=(0.0,), trials=1,
+                              operator_mode=mode)
+    training, ops = sweep_operators(config)
+    return training, ops[(b, b)]
+
+
+def _make_problem(rho=1.0, seed=7):
     rng = np.random.default_rng(seed)
-    training = zc_training(n, t)
-    op = build_operator(training.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx), mode)
-    channel = draw_channel(l, m, n, rng)
+    training, op = _operator()
+    channel = draw_channel(2, 4, 4, rng)
     meas = synthesize_measurement(channel.H, training.S, rho, rng)
     return op, ObjectiveContext(op, meas), rng
 
 
 def check_steering_and_quantize():
     rng = np.random.default_rng(0)
-    training = zc_training(4, 8)
-    assert np.allclose(np.abs(training.S), 1.0)
-    assert np.allclose(training.S @ training.S.conj().T, 8 * np.eye(4), atol=1e-10)
+    training, _ = _operator()
+    _require(np.allclose(np.abs(training.S), 1.0), "training entries are not unit-modulus")
+    _require(np.allclose(training.S @ training.S.conj().T, 8 * np.eye(4), atol=1e-10),
+             "training block is not orthogonal")
     Y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     q = quantize(Y)
-    assert np.array_equal(quantize(q), q)
-    assert np.array_equal(quantize(3.7 * Y), q)
+    _require(np.array_equal(quantize(q), q), "quantize is not idempotent")
+    _require(np.array_equal(quantize(3.7 * Y), q), "quantize is not scale invariant")
 
 
 def check_operator_paths():
     _, _, rng = _make_problem()
-    training = zc_training(4, 8)
-    dense = build_operator(training.S, dft_dictionary(4, 8), dft_dictionary(4, 8), "dense")
-    fft = build_operator(training.S, dft_dictionary(4, 8), dft_dictionary(4, 8), "fft")
+    _, dense = _operator(mode="dense")
+    _, factored = _operator()
     for _ in range(5):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert np.allclose(fft.apply(x), dense.apply(x), atol=1e-10)
-        assert np.allclose(fft.apply_adjoint(c), dense.apply_adjoint(c), atol=1e-10)
-        lhs = np.vdot(fft.apply(x), c)
-        rhs = np.vdot(x, fft.apply_adjoint(c))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+        _require(np.allclose(factored.apply(x), dense.apply(x), atol=1e-10),
+                 "factored apply differs from dense")
+        _require(np.allclose(factored.apply_adjoint(c), dense.apply_adjoint(c), atol=1e-10),
+                 "factored adjoint differs from dense")
+        lhs = np.vdot(factored.apply(x), c)
+        rhs = np.vdot(x, factored.apply_adjoint(c))
+        _require(abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), "adjoint identity fails")
 
 
 def check_special_functions():
-    assert abs(log_ndtr(0.0) + np.log(2.0)) < 1e-14
-    assert abs(log_ndtr(-10.0) - (-53.23128515051247)) < 1e-9
-    assert abs(inv_mills(0.0) - np.sqrt(2 / np.pi)) < 1e-14
-    assert abs(inv_mills(-40.0) - 40.024968847207264) < 1e-9
+    _require(abs(log_ndtr(0.0) + np.log(2.0)) < 1e-14, "log_ndtr(0) != -log 2")
+    _require(abs(log_ndtr(-10.0) - (-53.23128515051247)) < 1e-9, "log_ndtr(-10) is inaccurate")
+    _require(abs(inv_mills(0.0) - np.sqrt(2 / np.pi)) < 1e-14, "inv_mills(0) != sqrt(2/pi)")
+    _require(abs(inv_mills(-40.0) - 40.024968847207264) < 1e-9, "inv_mills(-40) is inaccurate")
     # phi underflows float64 past x ~ 38.6, so probe strictness below that
     grid = np.linspace(-60, 38, 401)
     vals = inv_mills(grid)
-    assert np.all(vals > 0) and np.all(np.diff(vals) < 0)
+    _require(np.all(vals > 0) and np.all(np.diff(vals) < 0),
+             "inv_mills is not positive and strictly decreasing")
 
 
 def check_gradient():
@@ -75,49 +92,50 @@ def check_gradient():
             return h_objective(ctx, v[:half] + 1j * v[half:])
 
         fd = (h_at(xr + e) - h_at(xr - e)) / (2 * step)
-        assert abs(fd - g[k]) <= 1e-5 * max(1.0, abs(g[k]))
+        _require(abs(fd - g[k]) <= 1e-5 * max(1.0, abs(g[k])),
+                 f"gradient entry {k} differs from its finite difference")
 
 
 def check_band_structure():
-    training = zc_training(4, 8)
-    op = build_operator(training.S, dft_dictionary(4, 16), dft_dictionary(4, 16), "fft")
+    _, op = _operator(b=16)
     selection = select_eta(op)
-    assert selection.eta is not None and 0 < selection.eta < 1
+    _require(selection.eta is not None and 0 < selection.eta < 1,
+             f"selected eta {selection.eta} is not in (0, 1)")
     bands = coherence_bands(op, selection.eta)
     sizes = [b.size for b in bands.bands]
-    assert min(sizes) >= 2
+    _require(min(sizes) >= 2, "a band at the selected eta is a singleton")
     for i in (0, 17, 255):
-        assert i in bands.bands[i]
+        _require(i in bands.bands[i], f"column {i} is not in its own band")
 
 
 def check_thresholders():
     rng = np.random.default_rng(3)
-    training = zc_training(4, 8)
-    op = build_operator(training.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+    _, op = _operator(b=4)
     bands = coherence_bands(op, 0.5)     # orthogonal columns: singleton bands
     z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     idx_plain, _ = hard_threshold(z, 3)
     idx_bms, _ = bms_threshold(z, np.zeros(16, dtype=complex), 3, bands)
-    assert np.array_equal(idx_plain, idx_bms)
+    _require(np.array_equal(idx_plain, idx_bms), "BMS on singleton bands differs from plain")
 
 
 def check_solver_round_trip():
     op, ctx, _ = _make_problem(rho=10.0, seed=11)
     config = SolverConfig(sparsity=2)
     report = run_grasp(ctx, config, use_bms=True)
-    assert report.estimate.support.size <= 2
-    x = restricted_maximize(ctx, report.estimate.support, init=report.estimate.x_hat)
-    g = grad_h(ctx, x)
-    assert np.linalg.norm(real_form(g)[np.concatenate(
-        [report.estimate.support, report.estimate.support + op.B]
-    )]) <= 1e-6 or report.estimate.support.size == 0
+    support = report.estimate.support
+    _require(support.size <= 2, "support exceeds the sparsity")
+    x = restricted_maximize(ctx, support, init=report.estimate.x_hat)
+    g = real_form(grad_h(ctx, x))[np.concatenate([support, support + op.B])]
+    _require(support.size == 0 or np.linalg.norm(g) <= 1e-6,
+             "restricted gradient does not vanish on the support")
     repeat = run_grasp(ctx, config, use_bms=True)
-    assert np.array_equal(repeat.estimate.x_hat, report.estimate.x_hat)
+    _require(np.array_equal(repeat.estimate.x_hat, report.estimate.x_hat),
+             "a repeated run gives a different estimate")
 
 
 CHECKS = [
     ("steering/training/quantize", check_steering_and_quantize),
-    ("operator fft-vs-dense + adjoint", check_operator_paths),
+    ("operator factored-vs-dense + adjoint", check_operator_paths),
     ("stable special functions", check_special_functions),
     ("gradient vs finite differences", check_gradient),
     ("eta selection and bands", check_band_structure),

@@ -1,0 +1,129 @@
+"""Differential tests for the two-factor operator products.
+
+The oracle below is the earlier factored path: products with each dictionary
+factor went through truncated, phase-twisted FFTs when the factor sat on the
+canonical DFT grid and through dense matmul otherwise, with column-major
+vec / unvec around them.  The two-factor products must agree with it to
+1e-12 relative on and off the grid, for unequal dictionary sizes, for N < T,
+and at desk and full scale.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onebitcs.model import dft_dictionary, steering_vector, zc_training
+from onebitcs.operator import build_operator, unvec, vec
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+RTOL = 1e-12
+
+
+def _is_dft_grid(factor):
+    m, bins = factor.shape
+    if bins < m:
+        return False
+    return np.allclose(factor, dft_dictionary(m, bins), rtol=0.0, atol=1e-12)
+
+
+class OracleDictProduct:
+    """Multiply by one dictionary factor, with the FFT fast path on the grid."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.m, self.bins = factor.shape
+        self.use_fft = _is_dft_grid(factor)
+        if self.use_fft:
+            k = np.arange(self.m)
+            # e^{-j pi k s_b} = e^{j pi k (1 - 1/bins)} * e^{-j 2 pi k b / bins}
+            self.phase = np.exp(1j * np.pi * k * (1.0 - 1.0 / self.bins)) / np.sqrt(self.m)
+
+    def forward(self, W):
+        if not self.use_fft:
+            return self.factor @ W
+        return self.phase[:, None] * np.fft.fft(W, axis=0)[: self.m]
+
+    def adjoint(self, C):
+        if not self.use_fft:
+            return self.factor.conj().T @ C
+        D = self.phase.conj()[:, None] * C
+        return self.bins * np.fft.ifft(D, n=self.bins, axis=0)
+
+
+def oracle_apply(op, x):
+    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
+    X = unvec(x, op.B_RX, op.B_TX)
+    W = op.S.conj().T @ tx.forward(X.conj().T)    # (T, B_RX)
+    return vec(rx.forward(W.conj().T))             # (M, T)
+
+
+def oracle_apply_adjoint(op, c):
+    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
+    C = unvec(c, op.M, op.T)
+    V = tx.adjoint(op.S @ C.conj().T)              # (B_TX, M)
+    return vec(rx.adjoint(V.conj().T))             # (B_RX, B_TX)
+
+
+def off_grid_dictionary(rng, antennas, bins):
+    sines = np.sort(rng.uniform(-1.0, 1.0, bins))
+    return np.stack([steering_vector(float(np.arcsin(s)), antennas) for s in sines], axis=1)
+
+
+def rand_complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def check_against_oracle(op, rng):
+    x = rand_complex(rng, op.B)
+    c = rand_complex(rng, op.M * op.T)
+    for got, want, length in ((op.apply(x), oracle_apply(op, x), op.M * op.T),
+                              (op.apply_adjoint(c), oracle_apply_adjoint(op, c), op.B)):
+        assert got.shape == (length,)
+        assert got.flags.c_contiguous
+        assert relative_error(got, want) <= RTOL
+
+
+@st.composite
+def operators(draw):
+    """A small operator on or off the DFT grid, with B_RX, B_TX and T free."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.sampled_from([2, 3, 4, 8]))
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    t = n + draw(st.integers(0, 4))
+    b_rx = m * draw(st.integers(1, 3)) + draw(st.integers(0, 2))
+    b_tx = n * draw(st.integers(1, 3)) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["grid", "off-grid", "mixed"]))
+    a_rx = off_grid_dictionary(rng, m, b_rx) if kind == "off-grid" else dft_dictionary(m, b_rx)
+    a_tx = dft_dictionary(n, b_tx) if kind == "grid" else off_grid_dictionary(rng, n, b_tx)
+    return build_operator(zc_training(n, t).S, a_rx, a_tx), rng
+
+
+@SETTINGS
+@given(operators())
+def test_two_factor_products_match_fft_oracle(case):
+    op, rng = case
+    check_against_oracle(op, rng)
+
+
+def test_oracle_covers_both_of_its_paths():
+    assert OracleDictProduct(dft_dictionary(4, 9)).use_fft
+    assert not OracleDictProduct(off_grid_dictionary(np.random.default_rng(0), 4, 9)).use_fft
+
+
+def test_unequal_sizes_and_short_training():
+    op = build_operator(zc_training(3, 7).S, dft_dictionary(5, 11), dft_dictionary(3, 4))
+    assert (op.B_RX, op.B_TX, op.N, op.T) == (11, 4, 3, 7)
+    check_against_oracle(op, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("m, t, bins", [(16, 20, 64), (64, 80, 256)])
+def test_desk_and_full_scale(m, t, bins):
+    # At desk scale the B-sized products are issued as two row halves.
+    op = build_operator(zc_training(m, t).S, dft_dictionary(m, bins), dft_dictionary(m, bins))
+    check_against_oracle(op, np.random.default_rng(2))

@@ -1,13 +1,19 @@
 """Tests for the sweep runner, serialization, config parsing, and CLI."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import onebitcs
+from onebitcs import harness
 from onebitcs.cli import cli_main
 from onebitcs.harness import (
+    _SOLVERS,
+    ALGORITHMS,
     ExperimentConfig,
     TrialRecord,
     child_seed,
@@ -131,6 +137,27 @@ class TestRunExperiment:
         )
         records = run_experiment(config)
         assert len(records) == 2
+
+    def test_solver_table_covers_algorithms(self):
+        assert sorted(_SOLVERS) == sorted(ALGORITHMS)
+
+    def test_solvers_are_looked_up_when_called(self, monkeypatch):
+        # Wrappers installed on the harness module after import must see
+        # every solve, so the table may not hold the solver functions.
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(ctx, *args, **kwargs):
+                calls.append(name)
+                return fn(ctx, *args, **kwargs)
+            return wrapped
+
+        for name in ("run_grasp", "run_fista"):
+            monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
+        config = replace(TINY, algorithms=("bmsgrasp", "grasp", "fista"), trials=1,
+                         snr_db=(10.0,))
+        run_experiment(config)
+        assert calls == ["run_grasp", "run_grasp", "run_fista"]
 
 
 class TestConfigValidation:
@@ -321,7 +348,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eta:" in out and "band sizes:" in out
 
+    def test_gram_reports_configured_eta(self, tmp_path, capsys):
+        path = tmp_path / "eta.cfg"
+        path.write_text(CONFIG_TEXT.replace("eta = auto", "eta = 0.3"))
+        assert cli_main(["gram", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        etas = [line.split()[1] for line in lines if line.strip().startswith("eta:")]
+        assert etas == ["0.3", "0.3"]      # one per dictionary size pair
+
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
+
+    def test_selftest_fails_under_optimize(self):
+        # python -O strips assert statements; a failing check must still fail.
+        code = (
+            "import sys; import onebitcs.selftest as st; "
+            "st.log_ndtr = lambda x: 0.0 * x; "
+            "st.CHECKS[:] = [c for c in st.CHECKS if c[0] == 'stable special functions']; "
+            "sys.exit(st.run_selftest())"
+        )
+        src = os.path.dirname(os.path.dirname(onebitcs.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("FAIL stable special functions")
