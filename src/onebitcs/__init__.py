@@ -60,7 +60,6 @@ from .operator import (
     vec,
 )
 from .solvers import (
-    LineSearchParams,
     SolverConfig,
     SolverReport,
     SparseEstimate,

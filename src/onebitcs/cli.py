@@ -19,7 +19,7 @@ from .harness import (
 )
 from .operator import select_eta
 from .selftest import run_selftest
-from .solvers import SolverConfig, _resolve_bands
+from .solvers import _resolve_bands
 
 USAGE_ERROR = 2
 
@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
 def _cmd_gram(args) -> int:
     config = load_config(args.config)
     _, ops = sweep_operators(config)
-    solver_config = SolverConfig(sparsity=config.l, eta=config.eta)
+    solver_config = config.solver_config()
     for dims, op in ops.items():
         print(f"dims B_rx={dims[0]} B_tx={dims[1]} (B={op.B}):")
         norms = op.column_norms

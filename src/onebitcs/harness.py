@@ -22,6 +22,7 @@ from .model import draw_channel, synthesize_measurement, zc_training, dft_dictio
 from .objective import ObjectiveContext
 from .operator import build_operator
 from .solvers import (
+    ORACLE_BUDGET,
     SolverConfig,
     brute_force_map,
     run_fista,
@@ -60,8 +61,6 @@ ALGORITHMS = (
 CSV_HEADER = "algorithm,snr_db,trial,seed,nmse,iterations,runtime_ms,support_hit"
 CURVE_HEADER = "algorithm,snr_db,trials,mean_nmse_db,median_nmse_db,p10_nmse_db,p90_nmse_db"
 
-FISTA_MAX_ITERS = 500
-FISTA_TOL = 1e-6
 FISTA_TUNING_TRIALS = 6
 
 
@@ -96,6 +95,10 @@ class ExperimentConfig:
             raise ValueError("snr_db grid is empty")
         if not self.algorithms:
             raise ValueError("algorithms list is empty")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ValueError(f"snr_db grid repeats a point: {self.snr_db}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms list repeats a name: {self.algorithms}")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
@@ -112,17 +115,22 @@ class ExperimentConfig:
             raise ValueError(f"operator_mode must be dense/fft/auto, got {self.operator_mode!r}")
         if "oracle" in self.algorithms:
             brx, btx = self.dims_for("oracle")
-            if math.comb(brx * btx, self.l) > 10**5:
+            if math.comb(brx * btx, self.l) > ORACLE_BUDGET:
                 raise ValueError(
                     "oracle enumerates all size-L supports and is limited to "
-                    f"C(B, L) <= 1e5; got C({brx * btx}, {self.l})"
+                    f"C(B, L) <= {ORACLE_BUDGET}; got C({brx * btx}, {self.l})"
                 )
-        if not isinstance(self.eta, str):
-            eta = float(self.eta)
-            if not 0.0 < eta < 1.0:
-                raise ValueError(f"explicit eta must be in (0, 1), got {eta}")
-        elif self.eta != "auto":
-            raise ValueError(f"eta must be 'auto' or a float, got {self.eta!r}")
+        self.solver_config()      # checks eta, max_outer_iters and inner_tol
+
+    def solver_config(self) -> SolverConfig:
+        """The pursuit settings of this sweep."""
+        return SolverConfig(
+            sparsity=self.l,
+            eta=self.eta,
+            max_outer_iters=self.max_outer_iters,
+            inner_tol=self.inner_tol,
+            debias=self.debias,
+        )
 
     def dims_for(self, algo: str) -> tuple[int, int]:
         """Dictionary sizes for one algorithm, applying per-algo overrides."""
@@ -233,9 +241,7 @@ def _pursuit(report):
 
 
 def _fista(ctx, cfg, gamma):
-    estimate, trace = run_fista(
-        ctx, gamma, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, return_trace=True,
-    )
+    estimate, trace = run_fista(ctx, gamma, return_trace=True)
     return estimate.x_hat, len(trace) - 1
 
 
@@ -262,13 +268,7 @@ class _SweepState:
         self.gammas = gammas or {}
         self.training = training
         self.ops = ops
-        self.solver_config = SolverConfig(
-            sparsity=config.l,
-            eta=config.eta,
-            max_outer_iters=config.max_outer_iters,
-            inner_tol=config.inner_tol,
-            debias=config.debias,
-        )
+        self.solver_config = config.solver_config()
 
     def run_trial(self, snr_index: int, trial: int) -> list:
         config = self.config
@@ -334,10 +334,7 @@ def _tune_fista_gammas(config: ExperimentConfig, training, op, info: dict | None
             meas = synthesize_measurement(channel.H, training.S, _rho, rng)
             return ObjectiveContext(op, meas)
 
-        gamma, achieved = tune_gamma(
-            make_ctx, config.l, FISTA_TUNING_TRIALS,
-            fista_iters=FISTA_MAX_ITERS, fista_tol=FISTA_TOL,
-        )
+        gamma, achieved = tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
         gammas[snr_index] = gamma
         if info is not None:
             info.setdefault("fista_gamma", {})[float(snr_db)] = (gamma, achieved)

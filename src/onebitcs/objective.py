@@ -79,16 +79,16 @@ def inv_mills(x):
 class ObjectiveContext:
     """Fixed data of one estimation problem: operator, signs, SNR.
 
-    rho defaults to the SNR stored with the measurement.
+    rho is the SNR stored with the measurement.
     """
 
     op: SensingOperator
     y_hat: QuantizedMeasurement
-    rho: float | None = None
+    rho: float = field(init=False)
     _signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = self.y_hat.rho if self.rho is None else float(self.rho)
+        rho = self.y_hat.rho
         if rho < 0:
             raise ValueError(f"rho must be >= 0, got {rho}")
         object.__setattr__(self, "rho", rho)
@@ -102,11 +102,6 @@ class ObjectiveContext:
         signs = np.sqrt(2.0 * rho) * real_form(y)
         signs.flags.writeable = False
         object.__setattr__(self, "_signs", signs)
-
-    @property
-    def num_terms(self) -> int:
-        """Number of scalar likelihood terms, 2*M*T."""
-        return self._signs.shape[0]
 
 
 class Likelihood(NamedTuple):

@@ -12,7 +12,7 @@ from .harness import ExperimentConfig, sweep_operators
 from .model import draw_channel, quantize, synthesize_measurement
 from .objective import ObjectiveContext, grad_h, h_objective, inv_mills, log_ndtr
 from .operator import coherence_bands, real_form, select_eta
-from .solvers import SolverConfig, bms_threshold, hard_threshold, restricted_maximize, run_grasp
+from .solvers import bms_threshold, hard_threshold, restricted_maximize, run_grasp
 
 
 def _require(condition, message: str) -> None:
@@ -21,11 +21,15 @@ def _require(condition, message: str) -> None:
         raise AssertionError(message)
 
 
+def _config(b=8, mode="auto"):
+    """A sweep with M = N = 4, T = 8, L = 2 and B_rx = B_tx = b."""
+    return ExperimentConfig(m=4, n=4, t=8, l=2, b_rx=b, b_tx=b, snr_db=(0.0,), trials=1,
+                            operator_mode=mode)
+
+
 def _operator(b=8, mode="auto"):
-    """The sweep's training and operator for M = N = 4, T = 8, B_rx = B_tx = b."""
-    config = ExperimentConfig(m=4, n=4, t=8, l=2, b_rx=b, b_tx=b, snr_db=(0.0,), trials=1,
-                              operator_mode=mode)
-    training, ops = sweep_operators(config)
+    """The sweep's training and operator for _config(b, mode)."""
+    training, ops = sweep_operators(_config(b, mode))
     return training, ops[(b, b)]
 
 
@@ -120,7 +124,7 @@ def check_thresholders():
 
 def check_solver_round_trip():
     op, ctx, _ = _make_problem(rho=10.0, seed=11)
-    config = SolverConfig(sparsity=2)
+    config = _config().solver_config()
     report = run_grasp(ctx, config, use_bms=True)
     support = report.estimate.support
     _require(support.size <= 2, "support exceeds the sparsity")

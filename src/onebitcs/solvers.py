@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .operator import (
 
 __all__ = [
     "SparseEstimate",
-    "LineSearchParams",
     "SolverConfig",
     "SolverReport",
     "hard_threshold",
@@ -46,7 +45,18 @@ __all__ = [
     "brute_force_map",
 ]
 
+# FISTA zeroes entries at or below FISTA_SUPPORT_EPS and stops once the prox
+# point moves by at most FISTA_TOL relative to its norm.
 FISTA_SUPPORT_EPS = 1e-8
+FISTA_TOL = 1e-6
+# Armijo backtracking: step shrink factor, sufficient-ascent slope, step cap.
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 0.1
+ARMIJO_MAX_STEPS = 50
+# Bisections of log(gamma) before tune_gamma gives up.
+TUNE_MAX_BISECT = 60
+# Most candidate supports brute_force_map enumerates.
+ORACLE_BUDGET = 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,37 +71,32 @@ class SparseEstimate:
 
 
 @dataclass(frozen=True)
-class LineSearchParams:
-    """Armijo backtracking parameters."""
-
-    shrink: float = 0.5
-    slope: float = 0.1
-    max_steps: int = 50
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the pursuit solvers.
 
     eta is "auto" (pick the largest threshold keeping every coherence band
-    nontrivial), an explicit float in (0, 1), or None to disable banding.
+    nontrivial) or an explicit float in (0, 1); use_bms=False turns banding
+    off.
     """
 
     sparsity: int
     eta: object = "auto"
     max_outer_iters: int = 50
     inner_tol: float = 1e-8
-    line_search: LineSearchParams = field(default_factory=LineSearchParams)
     debias: bool = False
-    max_inner_iters: int = 100
 
     def __post_init__(self):
         if self.sparsity < 1:
             raise ValueError(f"sparsity must be >= 1, got {self.sparsity}")
         if self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ValueError("iteration caps must be positive")
+            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be positive, got {self.max_outer_iters}")
+        if isinstance(self.eta, str):
+            if self.eta != "auto":
+                raise ValueError(f"eta must be 'auto' or a float, got {self.eta!r}")
+        elif not 0.0 < float(self.eta) < 1.0:
+            raise ValueError(f"explicit eta must be in (0, 1), got {self.eta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +226,12 @@ def restricted_maximize(
     support,
     init: np.ndarray | None = None,
     inner_tol: float = 1e-8,
-    line_search: LineSearchParams = LineSearchParams(),
     max_iters: int = 100,
     return_trace: bool = False,
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
+    support is a set of indices: their order and repeats do not matter.
     The objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
@@ -236,7 +241,7 @@ def restricted_maximize(
     Returns the full-length maximizer (zeros off the support), or raises
     ConvergenceError carrying the best iterate if the cap is hit.
     """
-    support = np.asarray(sorted(int(s) for s in support), dtype=int)
+    support = np.unique(np.asarray(support, dtype=int))
     B = ctx.op.B
     full = np.zeros(B, dtype=complex)
     if support.size == 0:
@@ -287,12 +292,12 @@ def restricted_maximize(
         t = 1.0
         accepted = False
         if slope > noise_floor:
-            for _ in range(line_search.max_steps):
+            for _ in range(ARMIJO_MAX_STEPS):
                 trial, h_t = h_at(u + t * w, x + t * d_c)
-                if h_t >= h_val + line_search.slope * t * slope:
+                if h_t >= h_val + ARMIJO_SLOPE * t * slope:
                     accepted = True
                     break
-                t *= line_search.shrink
+                t *= ARMIJO_SHRINK
         if not accepted:
             # Near the optimum the Armijo gain falls below the rounding
             # noise of h, making backtracking comparisons meaningless; the
@@ -322,21 +327,19 @@ def restricted_maximize(
 
 
 def _resolve_bands(op, config: SolverConfig):
-    """Coherence bands for the configured eta, or None when banding is off."""
-    if config.eta is None:
-        return None
-    if isinstance(config.eta, str):
-        if config.eta != "auto":
-            raise ValueError(f"eta must be 'auto', None, or a float, got {config.eta!r}")
-        selection = select_eta(op)
-        if selection.eta is None:
-            return None
-        return coherence_bands(op, selection.eta)
-    return coherence_bands(op, float(config.eta))
+    """Coherence bands at the configured or selected eta.
+
+    None when eta is "auto" and no threshold applies (all columns
+    orthogonal); the band-aware solvers then threshold plainly.
+    """
+    if config.eta != "auto":
+        return coherence_bands(op, float(config.eta))
+    selected = select_eta(op).eta
+    return None if selected is None else coherence_bands(op, selected)
 
 
-def _threshold(z, x, budget, bands, config, use_bms):
-    if use_bms and bands is not None:
+def _threshold(z, x, budget, bands):
+    if bands is not None:
         idx, _ = bms_threshold(z, x, budget, bands)
     else:
         idx, _ = hard_threshold(z, budget)
@@ -359,7 +362,8 @@ def _pursuit_loop(ctx, config, use_bms, step):
     for _ in range(config.max_outer_iters):
         iterations += 1
         x = step(ctx, config, x, bands, trace)
-        new_support = frozenset(int(i) for i in _support_of(x))
+        support = _support_of(x)
+        new_support = frozenset(support.tolist())
         if new_support == prev_support:
             halted_by = "support-fixed"
             break
@@ -368,7 +372,7 @@ def _pursuit_loop(ctx, config, use_bms, step):
             break
         visited.add(new_support)
         prev_support = new_support
-    estimate = SparseEstimate(x_hat=x, support=np.sort(_support_of(x)))
+    estimate = SparseEstimate(x_hat=x, support=support)
     return SolverReport(estimate=estimate, iterations=iterations,
                         halted_by=halted_by, objective_trace=trace)
 
@@ -377,19 +381,15 @@ def _grasp_step(ctx, config, x, bands, trace=None):
     """One GraSP iteration from x; appends h at the new point to trace."""
     L = config.sparsity
     z = grad_h(ctx, x)
-    idx = _threshold(z, x, 2 * L, bands, config, use_bms=bands is not None)
+    idx = _threshold(z, x, 2 * L, bands)
     merged = np.union1d(idx, _support_of(x))
     if merged.size > 3 * L:
         raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
-    b_vec = restricted_maximize(
-        ctx, merged, init=x, inner_tol=config.inner_tol,
-        line_search=config.line_search, max_iters=config.max_inner_iters,
-    )
+    b_vec = restricted_maximize(ctx, merged, init=x, inner_tol=config.inner_tol)
     keep, pruned = hard_threshold(b_vec, L)
     if config.debias:
         x_new, h_trace = restricted_maximize(
             ctx, _support_of(pruned), init=pruned, inner_tol=config.inner_tol,
-            line_search=config.line_search, max_iters=config.max_inner_iters,
             return_trace=True,
         )
         h = h_trace[-1]
@@ -420,16 +420,13 @@ def _grahtp_step(ctx, config, x, bands, trace=None):
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g,
-                                     config.line_search)
+    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g)
     z = x + kappa * g
-    idx = _threshold(z, x, L, bands, config, use_bms=bands is not None)
+    idx = _threshold(z, x, L, bands)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
     x_new, h_trace = restricted_maximize(
-        ctx, idx, init=_mask_to(x, idx), inner_tol=config.inner_tol,
-        line_search=config.line_search, max_iters=config.max_inner_iters,
-        return_trace=True,
+        ctx, idx, init=_mask_to(x, idx), inner_tol=config.inner_tol, return_trace=True,
     )
     if trace is not None:
         trace.append(h_trace[-1])
@@ -442,7 +439,7 @@ def _mask_to(x, idx):
     return out
 
 
-def _backtrack_gradient_step(ctx, x, u, h0, g, ls: LineSearchParams) -> float:
+def _backtrack_gradient_step(ctx, x, u, h0, g) -> float:
     """Armijo backtracking for the ascent step size along the gradient.
 
     u = A x and h0 = h(x) are the caller's.  With w = A g formed once, the
@@ -454,10 +451,10 @@ def _backtrack_gradient_step(ctx, x, u, h0, g, ls: LineSearchParams) -> float:
         return 1.0
     w = ctx.op.apply(g)
     t = 1.0
-    for _ in range(ls.max_steps):
-        if loglik(ctx, u + t * w) + g_logprior(x + t * g) >= h0 + ls.slope * t * gn2:
+    for _ in range(ARMIJO_MAX_STEPS):
+        if loglik(ctx, u + t * w) + g_logprior(x + t * g) >= h0 + ARMIJO_SLOPE * t * gn2:
             return t
-        t *= ls.shrink
+        t *= ARMIJO_SHRINK
     return t
 
 
@@ -487,7 +484,6 @@ def run_fista(
     ctx: ObjectiveContext,
     gamma: float,
     max_iters: int = 500,
-    tol: float = 1e-6,
     return_trace: bool = False,
 ):
     """Maximize f(x) - gamma * ||x||_1 by monotone accelerated proximal ascent.
@@ -554,7 +550,7 @@ def run_fista(
         t_mom = t_next
 
         trace.append(obj_new)
-        converged = np.linalg.norm(z - z_prev) <= tol * max(1.0, np.linalg.norm(z))
+        converged = np.linalg.norm(z - z_prev) <= FISTA_TOL * max(1.0, np.linalg.norm(z))
         x_prev, u_prev, obj_prev, z_prev = x_new, u_new, obj_new, z
         if converged:
             break
@@ -565,16 +561,7 @@ def run_fista(
     return (estimate, trace) if return_trace else estimate
 
 
-def tune_gamma(
-    make_ctx,
-    L: int,
-    trials: int,
-    lo: float = 1e-6,
-    hi: float = 1e6,
-    max_bisect: int = 60,
-    fista_iters: int = 500,
-    fista_tol: float = 1e-6,
-):
+def tune_gamma(make_ctx, L: int, trials: int, lo: float = 1e-6, hi: float = 1e6):
     """Bisect log(gamma) until the mean FISTA eps-support size is near 3L.
 
     make_ctx(k) must build the k-th seeded problem instance.  The search
@@ -590,11 +577,7 @@ def tune_gamma(
     target = 3 * L
 
     def mean_support(gamma):
-        sizes = [
-            run_fista(c, gamma, max_iters=fista_iters, tol=fista_tol).support.size
-            for c in ctxs
-        ]
-        return float(np.mean(sizes))
+        return float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
 
     evaluations = []
 
@@ -611,7 +594,7 @@ def tune_gamma(
 
     result = None
     log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(max_bisect):
+    for _ in range(TUNE_MAX_BISECT):
         mid = math.exp(0.5 * (log_lo + log_hi))
         m = record(mid, mean_support(mid))
         if target - 1 <= m <= target + 1:
@@ -629,14 +612,14 @@ def tune_gamma(
             )
     if result is None:
         raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
-                          f"in {max_bisect} bisections")
+                          f"in {TUNE_MAX_BISECT} bisections")
     return result
 
 
 # -- exhaustive oracle -------------------------------------------------------
 
 
-def brute_force_map(ctx: ObjectiveContext, L: int, budget: int = 10**5) -> SparseEstimate:
+def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
     """Exact sparse MAP solution by support enumeration (test scale only).
 
     Every size-min(L, B) support is maximized over exactly; smaller supports
@@ -647,9 +630,9 @@ def brute_force_map(ctx: ObjectiveContext, L: int, budget: int = 10**5) -> Spars
         raise ValueError(f"L must be >= 1, got {L}")
     B = ctx.op.B
     k = min(L, B)
-    if math.comb(B, k) > budget:
+    if math.comb(B, k) > ORACLE_BUDGET:
         raise CapacityError(
-            f"{math.comb(B, k)} candidate supports exceed the budget {budget}"
+            f"{math.comb(B, k)} candidate supports exceed the budget {ORACLE_BUDGET}"
         )
     best_val = -np.inf
     best_x = None

@@ -25,7 +25,6 @@ from onebitcs.objective import (
 from onebitcs.operator import build_operator
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
-    LineSearchParams,
     SolverConfig,
     _backtrack_gradient_step,
     _soft_threshold,
@@ -88,17 +87,17 @@ def oracle_run_fista(ctx, gamma, max_iters=500, tol=1e-6):
     return x_final, trace
 
 
-def oracle_backtrack_gradient_step(ctx, x, g, ls):
+def oracle_backtrack_gradient_step(ctx, x, g, shrink=0.5, slope=0.1, max_steps=50):
     """Armijo search evaluating h(x + t g) by an operator apply per trial."""
     h0 = h_objective(ctx, x)
     gn2 = float(np.vdot(g, g).real)
     if gn2 == 0.0:
         return 1.0
     t = 1.0
-    for _ in range(ls.max_steps):
-        if h_objective(ctx, x + t * g) >= h0 + ls.slope * t * gn2:
+    for _ in range(max_steps):
+        if h_objective(ctx, x + t * g) >= h0 + slope * t * gn2:
             return t
-        t *= ls.shrink
+        t *= shrink
     return t
 
 
@@ -146,13 +145,12 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     x = np.zeros(ctx.op.B, dtype=complex)
     idx = rng.choice(ctx.op.B, size=size, replace=False)
     x[idx] = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    ls = LineSearchParams()
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     assert np.array_equal(g, grad_h(ctx, x))
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g, ls)
-    assert kappa == oracle_backtrack_gradient_step(ctx, x, g, ls)
+    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g)
+    assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
 
 
 def test_fista_costs_one_adjoint_per_iteration(monkeypatch):

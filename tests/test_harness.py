@@ -179,6 +179,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             replace(TINY, eta="blah")
 
+    def test_rejects_repeated_snr_points_and_algorithms(self):
+        # Each would write two rows per (algorithm, snr_db, trial) key.
+        with pytest.raises(ValueError, match="snr_db"):
+            replace(TINY, snr_db=(0.0, 0.0))
+        with pytest.raises(ValueError, match="snr_db"):
+            replace(TINY, snr_db=(0.0, 10.0, -0.0))
+        with pytest.raises(ValueError, match="algorithms"):
+            replace(TINY, algorithms=("grasp", "bmsgrasp", "grasp"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_outer_iters", 0), ("inner_tol", 0.0), ("inner_tol", -1.0)])
+    def test_rejects_bad_solver_field(self, name, value):
+        with pytest.raises(ValueError):
+            replace(TINY, **{name: value})
+
+    def test_solver_config_carries_the_sweep_settings(self):
+        config = replace(TINY, l=2, eta=0.4, max_outer_iters=7, inner_tol=1e-6, debias=True)
+        solver = config.solver_config()
+        assert (solver.sparsity, solver.eta, solver.max_outer_iters, solver.inner_tol,
+                solver.debias) == (2, 0.4, 7, 1e-6, True)
+        state = harness._SweepState(config, None, *harness.sweep_operators(config))
+        assert state.solver_config == solver
+
     def test_rejects_oracle_beyond_enumeration_budget(self):
         with pytest.raises(ValueError, match="oracle"):
             replace(TINY, algorithms=("oracle",), l=4)    # C(64, 4) > 1e5
@@ -332,6 +355,22 @@ class TestCli:
         code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--trials", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--snr", "0,0"), ("--algos", "grasp,grasp")])
+    def test_repeated_override_is_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                         flag, value])
+        assert code == 2
+        assert not out.exists()
+
+    def test_bad_solver_field_fails_before_output_and_tuning(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT.replace("max_outer_iters = 50", "max_outer_iters = 0")
+                        .replace("bmsgrasp, grasp", "bmsgrasp, grasp, fista"))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

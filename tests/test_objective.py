@@ -1,5 +1,7 @@
 """Tests for the penalized sign likelihood and its special functions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -301,4 +303,4 @@ class TestObjective:
     def test_context_validates_rho_and_length(self):
         op, ctx, _ = make_problem()
         with pytest.raises(ValueError):
-            ObjectiveContext(op, ctx.y_hat, rho=-1.0)
+            ObjectiveContext(op, replace(ctx.y_hat, rho=-1.0))

@@ -232,6 +232,14 @@ class TestRestrictedMaximize:
         x2 = restricted_maximize(ctx, support, init=init)
         assert np.max(np.abs(x1 - x2)) < 1e-6
 
+    def test_support_is_a_set(self):
+        # Repeated or unordered indices name the same support, and so the
+        # same maximizer, bit for bit.
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=8)
+        x = restricted_maximize(ctx, [3, 9])
+        for support in ([3, 3, 9], [9, 3], [9, 3, 9, 3]):
+            assert np.array_equal(restricted_maximize(ctx, support), x)
+
     def test_rejects_init_off_support(self):
         op, ctx, _ = make_problem()
         init = np.zeros(op.B, dtype=complex)
