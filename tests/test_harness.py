@@ -364,7 +364,11 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    def test_bad_solver_field_fails_before_output_and_tuning(self, tmp_path):
+    def test_bad_solver_field_fails_before_output_and_tuning(self, tmp_path, monkeypatch):
+        def no_tuning(*args, **kwargs):
+            raise RuntimeError("gamma tuning ran")
+
+        monkeypatch.setattr(harness, "tune_gamma", no_tuning)
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_TEXT.replace("max_outer_iters = 50", "max_outer_iters = 0")
                         .replace("bmsgrasp, grasp", "bmsgrasp, grasp, fista"))
