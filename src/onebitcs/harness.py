@@ -322,22 +322,51 @@ def _worker_task(args):
     return _WORKER_STATE.run_trial(snr_index, trial)
 
 
-def _tune_fista_gammas(config: ExperimentConfig, training, op, info: dict | None) -> dict:
-    """Per-SNR regularization weights targeting a mean support of 3L."""
+def _tune_point(config: ExperimentConfig, training, op, snr_index: int):
+    """(gamma, achieved mean support) at one SNR point, targeting 3L."""
+    rho = 10.0 ** (config.snr_db[snr_index] / 10.0)
+
+    def make_ctx(k):
+        rng = np.random.default_rng(tuning_seed(config.master_seed, snr_index, k))
+        channel = draw_channel(config.l, config.m, config.n, rng)
+        meas = synthesize_measurement(channel.H, training.S, rho, rng)
+        return ObjectiveContext(op, meas)
+
+    return tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
+
+
+def _worker_tune(snr_index):
+    state = _WORKER_STATE
+    op = state.ops[state.config.dims_for("fista")]
+    return _tune_point(state.config, state.training, op, snr_index)
+
+
+def _tune_fista_gammas(config: ExperimentConfig, training, op, info: dict | None,
+                       workers: int = 1) -> dict:
+    """Per-SNR regularization weights targeting a mean support of 3L.
+
+    With workers > 1 the SNR points are tuned in a process pool.  Each point
+    draws its problems from its own tuning_seed stream, so the weights are
+    the same as in a serial run.
+    """
+    points = range(len(config.snr_db))
+    if workers > 1 and len(points) > 1:
+        import multiprocessing    # here, so that serial runs never load it
+
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(points)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker, initargs=(config, None),
+        ) as pool:
+            tuned = list(pool.map(_worker_tune, points))
+    else:
+        tuned = [_tune_point(config, training, op, snr_index) for snr_index in points]
+
     gammas = {}
-    for snr_index, snr_db in enumerate(config.snr_db):
-        rho = 10.0 ** (snr_db / 10.0)
-
-        def make_ctx(k, _rho=rho, _idx=snr_index):
-            rng = np.random.default_rng(tuning_seed(config.master_seed, _idx, k))
-            channel = draw_channel(config.l, config.m, config.n, rng)
-            meas = synthesize_measurement(channel.H, training.S, _rho, rng)
-            return ObjectiveContext(op, meas)
-
-        gamma, achieved = tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
+    for snr_index, (gamma, achieved) in enumerate(tuned):
         gammas[snr_index] = gamma
         if info is not None:
-            info.setdefault("fista_gamma", {})[float(snr_db)] = (gamma, achieved)
+            info.setdefault("fista_gamma", {})[float(config.snr_db[snr_index])] = (gamma, achieved)
     return gammas
 
 
@@ -345,9 +374,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     """Run the configured sweep and return records in canonical order.
 
     Rows are sorted by (algorithm, snr_db, trial) regardless of execution
-    order; with workers > 1 trials are distributed over processes.  When an
-    `info` dict is supplied it collects resolved metadata (training root,
-    tuned FISTA weights).
+    order; with workers > 1 the FISTA tuning points and then the trials are
+    distributed over processes.  When an `info` dict is supplied it collects
+    resolved metadata (training root, tuned FISTA weights).
     """
     training, ops = sweep_operators(config)
     if info is not None:
@@ -356,7 +385,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
 
     gammas = None
     if "fista" in config.algorithms:
-        gammas = _tune_fista_gammas(config, training, ops[config.dims_for("fista")], info)
+        gammas = _tune_fista_gammas(
+            config, training, ops[config.dims_for("fista")], info, workers)
 
     tasks = [
         (snr_index, trial)

@@ -472,12 +472,12 @@ def run_grahtp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> So
 
 
 def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitudes by tau, keep phases."""
-    mag = np.abs(v)
-    out = np.zeros_like(v)
-    mask = mag > tau
-    out[mask] = v[mask] * (1.0 - tau / mag[mask])
-    return out
+    """Complex soft threshold: shrink magnitudes by tau, keep phases.
+
+    Entries with |v| <= tau get the factor 1 - tau/tau = 0; the others get
+    1 - tau/|v|.  One pass without masks costs the same at any sparsity.
+    """
+    return v * (1.0 - tau / np.maximum(np.abs(v), tau))
 
 
 def run_fista(
@@ -489,14 +489,20 @@ def run_fista(
     """Maximize f(x) - gamma * ||x||_1 by monotone accelerated proximal ascent.
 
     Gradient steps on the log-likelihood are followed by the complex soft
-    threshold prox; the step size is backtracked against the usual quadratic
-    model and the accepted iterate never decreases the objective (the
-    momentum point only feeds the next gradient step).  A x is carried along
-    with every iterate, and the momentum point's image is the same linear
-    combination of images, so an iteration costs one adjoint and one apply
-    per step-size trial.  Returns the final estimate with its eps-support
-    (|x_b| > 1e-8); entries at or below the eps threshold are zeroed so the
-    support contains supp(x_hat).
+    threshold prox.  The step starts at the worst-case 1/(2 rho ||A||^2) and
+    follows the local curvature both ways: it is halved until the trial
+    passes the usual quadratic model, and doubled after three iterations in
+    a row whose first trial passed (backtracking that can grow the step,
+    Scheinberg, Goldfarb & Bai 2014).  Growing only after a run of passes
+    keeps the failed trials few where the step is already at its limit.
+    The accepted iterate never decreases the objective; when this guard
+    rejects the prox point, the momentum restarts from the accepted iterate
+    (O'Donoghue & Candes 2015).  Most solves therefore stop at FISTA_TOL,
+    well before max_iters.  A x is carried along with every iterate, and the
+    momentum point's image is the same linear combination of images, so an
+    iteration costs one adjoint and one apply per step-size trial.  Returns
+    the final estimate with its eps-support (|x_b| > 1e-8); entries at or
+    below the eps threshold are zeroed so the support contains supp(x_hat).
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -516,6 +522,7 @@ def run_fista(
     t_mom = 1.0
     trace = [obj_prev]
     z_prev = x_prev
+    passes = 0    # iterations in a row whose first step-size trial passed
 
     for _ in range(max_iters):
         at_y = likelihood(ctx, u_y)
@@ -523,6 +530,10 @@ def run_fista(
         fy = at_y.f
         if not np.isfinite(fy):
             raise NumericalError("objective became non-finite", best=x_prev)
+        if passes == 3:
+            step *= 2.0
+            passes = 0
+        passes += 1
         while True:
             z = _soft_threshold(y + step * gy, gamma * step)
             dz = z - y
@@ -532,6 +543,7 @@ def run_fista(
             if fz >= quad - 1e-12 * abs(quad):
                 break
             step *= 0.5
+            passes = 0
             if step < 1e-18:
                 raise NumericalError("step size underflow in FISTA", best=x_prev)
         obj_z = fz - penalty(z)
@@ -539,15 +551,15 @@ def run_fista(
             raise NumericalError("objective became non-finite", best=x_prev)
 
         if obj_z >= obj_prev:
-            x_new, u_new, obj_new = z, u_z, obj_z
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            b = (t_mom - 1.0) / t_next
+            y = z + b * (z - x_prev)
+            u_y = u_z + b * (u_z - u_prev)
+            x_new, u_new, obj_new, t_mom = z, u_z, obj_z, t_next
         else:
+            # The guard keeps x_prev; restart the momentum from it.
             x_new, u_new, obj_new = x_prev, u_prev, obj_prev
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        a, b = t_mom / t_next, (t_mom - 1.0) / t_next
-        y = x_new + a * (z - x_new) + b * (x_new - x_prev)
-        u_y = u_new + a * (u_z - u_new) + b * (u_new - u_prev)
-        t_mom = t_next
+            y, u_y, t_mom = x_prev, u_prev, 1.0
 
         trace.append(obj_new)
         converged = np.linalg.norm(z - z_prev) <= FISTA_TOL * max(1.0, np.linalg.norm(z))

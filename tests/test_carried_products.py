@@ -123,17 +123,27 @@ def count_operator_calls(op):
     return op.apply, op.apply_adjoint
 
 
+def penalized(ctx, gamma, x):
+    return f_loglik(ctx, x) - gamma * float(np.sum(np.abs(x)))
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([1.0, 10.0, 100.0]),
        fraction=st.floats(0.05, 0.9))
 def test_fista_matches_oracle(seed, rho, fraction):
+    # The step rule differs from the oracle's, so the iterates do; the
+    # objective reached within the same cap must not be lower, and both
+    # must agree once neither is held back by its cap.
     ctx = make_ctx(seed, rho)
     gamma = gamma_for(ctx, fraction)
-    want_x, want_trace = oracle_run_fista(ctx, gamma)
-    got, got_trace = run_fista(ctx, gamma, return_trace=True)
-    assert len(got_trace) == len(want_trace)
-    assert np.array_equal(got.support, np.nonzero(want_x)[0])
-    assert np.linalg.norm(got.x_hat - want_x) <= 1e-9 * max(np.linalg.norm(want_x), 1e-300)
+    scale = abs(f_loglik(ctx, np.zeros(ctx.op.B, dtype=complex)))
+    want_x, _ = oracle_run_fista(ctx, gamma)
+    got = run_fista(ctx, gamma)
+    assert penalized(ctx, gamma, got.x_hat) >= penalized(ctx, gamma, want_x) - 1e-9 * scale
+    want_x, _ = oracle_run_fista(ctx, gamma, max_iters=20_000)
+    got = run_fista(ctx, gamma, max_iters=20_000)
+    want = penalized(ctx, gamma, want_x)
+    assert abs(penalized(ctx, gamma, got.x_hat) - want) <= 1e-6 * abs(want)
 
 
 @SETTINGS

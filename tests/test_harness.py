@@ -116,6 +116,15 @@ class TestRunExperiment:
         for ra, rb in zip(serial, parallel):
             assert ra.nmse == rb.nmse and ra.seed == rb.seed
 
+    def test_pooled_tuning_matches_serial(self):
+        config = replace(TINY, algorithms=("fista",), snr_db=(0.0, 10.0), trials=1)
+        serial, pooled = {}, {}
+        serial_rows = run_experiment(config, info=serial)
+        pooled_rows = run_experiment(config, workers=2, info=pooled)
+        assert set(serial["fista_gamma"]) == {0.0, 10.0}
+        assert pooled["fista_gamma"] == serial["fista_gamma"]
+        assert [r.nmse for r in pooled_rows] == [r.nmse for r in serial_rows]
+
     def test_nmse_finite_and_nonnegative(self):
         for r in run_experiment(TINY):
             assert np.isfinite(r.nmse) and r.nmse >= 0

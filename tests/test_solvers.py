@@ -404,6 +404,23 @@ class TestFista:
         assert abs(abs(out[0]) - 1.5) < 1e-12
         assert abs(np.angle(out[0]) - 0.3) < 1e-12
 
+    def test_soft_threshold_matches_masked_form(self):
+        # The masked form it replaced, kept as the reference: same bits on
+        # the entries it keeps, zero on the others, ties at |v| == tau too.
+        def masked(v, tau):
+            mag = np.abs(v)
+            out = np.zeros_like(v)
+            keep = mag > tau
+            out[keep] = v[keep] * (1.0 - tau / mag[keep])
+            return out
+
+        rng = np.random.default_rng(31)
+        for tau in (1e-12, 0.3, 1.0, 5.0):
+            v = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+            v[::7] = 0.0
+            v[1::7] = tau * np.exp(1j * rng.uniform(0, 2 * np.pi, v[1::7].size))
+            assert np.array_equal(_soft_threshold(v, tau), masked(v, tau))
+
     def test_large_gamma_returns_zero(self):
         _, ctx, _ = make_problem(l=2, rho=5.0, seed=20)
         g0 = grad_h(ctx, np.zeros(ctx.op.B, dtype=complex))
@@ -416,6 +433,23 @@ class TestFista:
         _, ctx, _ = make_problem(l=2, rho=5.0, seed=21)
         _, trace = run_fista(ctx, gamma=5.0, return_trace=True)
         assert np.all(np.diff(trace) >= -1e-9)
+
+    def test_desk_solves_stop_before_the_cap(self):
+        # Desk scale at 10 dB and the gamma criterion 8 tunes there (54.2):
+        # each solve must reach FISTA_TOL, not the 500-iteration cap, or
+        # the FISTA rows are not the l1 estimates they stand for.
+        tr = zc_training(16, 20)
+        op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64), "fft")
+        iterations = []
+        for seed in range(6):
+            rng = np.random.default_rng(900 + seed)
+            meas = synthesize_measurement(draw_channel(2, 16, 16, rng).H, tr.S, 10.0, rng)
+            _, trace = run_fista(ObjectiveContext(op, meas), gamma=54.2, return_trace=True)
+            iterations.append(len(trace) - 1)
+        assert max(iterations) < 500
+        # Step growth and momentum restart together take 42-87 iterations
+        # here; growth alone takes up to 206 and restart alone up to 261.
+        assert max(iterations) < 150
 
     def test_support_matches_eps_threshold(self):
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=22)
