@@ -43,6 +43,9 @@ __all__ = [
 
 _SQRT_2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+# inv_mills switches from log Phi to erfcx below this argument.
+_ERFCX_BELOW = -40.0
 
 
 def log_ndtr(x):
@@ -56,23 +59,32 @@ def log_ndtr(x):
 def inv_mills(x):
     """Inverse Mills ratio phi(x) / Phi(x).
 
-    Strictly positive and strictly decreasing.  The direct ratio underflows
-    once Phi(x) drops past the smallest normal float (x near -38), so the
-    negative branch goes through the scaled complementary error function:
-    lambda(x) = sqrt(2/pi) / erfcx(-x / sqrt(2)).
+    Strictly positive and strictly decreasing.  Computed from log Phi(x) as
+    :func:`likelihood` computes it; see :func:`_inv_mills_from`.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("inv_mills requires finite input")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    neg = x < 0.0
-    out[neg] = _SQRT_2_OVER_PI / special.erfcx(-x[neg] / _SQRT_2)
-    pos = ~neg
-    phi = np.exp(-0.5 * x[pos] ** 2) / np.sqrt(2.0 * np.pi)
-    out[pos] = phi / special.ndtr(x[pos])
+    out = _inv_mills_from(x, special.log_ndtr(x))
     return float(out[0]) if scalar else out
+
+
+def _inv_mills_from(x: np.ndarray, log_cdf: np.ndarray) -> np.ndarray:
+    """phi(x) / Phi(x) for finite x, given log_cdf = log Phi(x).
+
+    exp(-x^2/2 - log sqrt(2 pi) - log Phi(x)) takes one exp pass over the
+    log Phi values a caller already holds.  Below x = -40 the exponent is a
+    difference of two terms near x^2/2 whose rounding grows with x^2, so
+    those (rare) entries go through the scaled complementary error function
+    instead: lambda(x) = sqrt(2/pi) / erfcx(-x / sqrt(2)).
+    """
+    out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_cdf)
+    deep = x < _ERFCX_BELOW
+    if deep.any():
+        out[deep] = _SQRT_2_OVER_PI / special.erfcx(-x[deep] / _SQRT_2)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +137,11 @@ def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:
     ``ctx.op.apply_adjoint(terms.weights)``.
     """
     v = ctx._signs * real_form(u)
-    lam = inv_mills(v)
-    return Likelihood(float(np.sum(special.log_ndtr(v))), v, lam,
-                      complex_form(lam * ctx._signs))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("likelihood requires a finite operator image")
+    log_cdf = special.log_ndtr(v)
+    lam = _inv_mills_from(v, log_cdf)
+    return Likelihood(float(np.sum(log_cdf)), v, lam, complex_form(lam * ctx._signs))
 
 
 def f_loglik(ctx: ObjectiveContext, x: np.ndarray) -> float:

@@ -112,10 +112,6 @@ class SolverReport:
     objective_trace: list
 
 
-def _support_of(x: np.ndarray) -> np.ndarray:
-    return np.nonzero(x)[0]
-
-
 def _descending_prefixes(mags: np.ndarray, count: int):
     """Yield ever longer prefixes of the indices by descending mags.
 
@@ -216,9 +212,30 @@ def bms_threshold(
 # -- restricted concave maximization ---------------------------------------
 
 
-def _real_embed(cols: np.ndarray) -> np.ndarray:
-    """Real form of a complex column block: [[Re, -Im], [Im, Re]]."""
-    return np.block([[cols.real, -cols.imag], [cols.imag, cols.real]])
+def _neg_hessian(cols: np.ndarray, cols_h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """2I + C_R^T diag(d) C_R for the column block C = cols, cols_h = C^H.
+
+    C_R = [[Re C, -Im C], [Im C, Re C]] is the real form of C, and d has one
+    weight per real row: the real-part rows first.  Splitting d into those
+    halves, a = (d_re + d_im)/2 and b = (d_re - d_im)/2, the blocks of
+    C_R^T diag(d) C_R are those of two complex products, H1 = C^H diag(a) C
+    and H2 = C^T diag(b) C (Wirtinger calculus):
+    [[Re(H1 + H2), -Im(H1 + H2)], [Im(H1 - H2), Re(H1 - H2)]].
+    """
+    half = d.size // 2
+    q = cols.shape[1]
+    a = 0.5 * (d[:half] + d[half:])
+    b = 0.5 * (d[:half] - d[half:])
+    h1 = cols_h @ (a[:, None] * cols)
+    h2 = cols.T @ (b[:, None] * cols)
+    plus, minus = h1 + h2, h1 - h2
+    out = np.empty((2 * q, 2 * q))
+    out[:q, :q] = plus.real
+    out[:q, q:] = -plus.imag
+    out[q:, :q] = minus.imag
+    out[q:, q:] = minus.real
+    out[np.diag_indices(2 * q)] += 2.0
+    return out
 
 
 def restricted_maximize(
@@ -232,6 +249,7 @@ def restricted_maximize(
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
     support is a set of indices: their order and repeats do not matter.
+    init, if given, is a full-length vector that vanishes off the support.
     The objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
@@ -251,13 +269,12 @@ def restricted_maximize(
         x = np.zeros(support.size, dtype=complex)
     else:
         init = np.asarray(init, dtype=complex)
-        outside = np.setdiff1d(_support_of(init), support)
-        if outside.size:
+        x = init[support]
+        if np.count_nonzero(init) != np.count_nonzero(x):
             raise ValueError("init has mass outside the requested support")
-        x = init[support].copy()
 
     cols = ctx.op.columns(support)            # (MT, q)
-    cols_r = _real_embed(cols)                # (2MT, 2q)
+    cols_h = cols.conj().T
     rho_term = ctx._signs * ctx._signs        # 2*rho elementwise
 
     def h_at(u_t, x_t):
@@ -273,16 +290,15 @@ def restricted_maximize(
     best = (h_val, x.copy())
 
     for _ in range(max_iters):
-        grad_c = cols.conj().T @ terms.weights - 2.0 * x
+        grad_c = cols_h @ terms.weights - 2.0 * x
         g_r = real_form(grad_c)
         gnorm = np.linalg.norm(g_r)
         if gnorm <= inner_tol:
             full[support] = x
             return (full, trace) if return_trace else full
 
-        # Negative Hessian 2I + A_R^T diag(2 rho lam (v + lam)) A_R is SPD.
-        d_weights = rho_term * terms.lam * (terms.v + terms.lam)
-        neg_hess = 2.0 * np.eye(2 * support.size) + cols_r.T @ (d_weights[:, None] * cols_r)
+        # The negative Hessian is SPD.
+        neg_hess = _neg_hessian(cols, cols_h, rho_term * terms.lam * (terms.v + terms.lam))
         d_r = np.linalg.solve(neg_hess, g_r)
         d_c = complex_form(d_r)
         slope = float(g_r @ d_r)              # > 0: ascent direction
@@ -315,7 +331,7 @@ def restricted_maximize(
             best = (h_val, x.copy())
 
     full[support] = best[1]
-    grad_c = cols.conj().T @ likelihood(ctx, cols @ best[1]).weights - 2.0 * best[1]
+    grad_c = cols_h @ likelihood(ctx, cols @ best[1]).weights - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {max_iters} iterations",
         best=full,
@@ -346,14 +362,22 @@ def _threshold(z, x, budget, bands):
     return idx
 
 
+def _nonzero_within(x, idx):
+    """The indices of idx (sorted) at which x is nonzero."""
+    return idx[x[idx] != 0]
+
+
 def _pursuit_loop(ctx, config, use_bms, step):
     """Shared outer loop: halt on fixed support, revisited support, or cap.
 
-    Each step appends h at its new iterate to the objective trace from
+    Each step takes the iterate with its support, the sorted indices of its
+    nonzeros, and returns the new pair, so no step scans all B entries for
+    them.  It appends h at its new iterate to the objective trace from
     values it already holds, so the trace costs no operator apply.
     """
     bands = _resolve_bands(ctx.op, config) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
+    support = np.zeros(0, dtype=int)
     prev_support = frozenset()
     visited = {prev_support}
     trace = []
@@ -361,8 +385,7 @@ def _pursuit_loop(ctx, config, use_bms, step):
     iterations = 0
     for _ in range(config.max_outer_iters):
         iterations += 1
-        x = step(ctx, config, x, bands, trace)
-        support = _support_of(x)
+        x, support = step(ctx, config, x, support, bands, trace)
         new_support = frozenset(support.tolist())
         if new_support == prev_support:
             halted_by = "support-fixed"
@@ -377,28 +400,37 @@ def _pursuit_loop(ctx, config, use_bms, step):
                         halted_by=halted_by, objective_trace=trace)
 
 
-def _grasp_step(ctx, config, x, bands, trace=None):
-    """One GraSP iteration from x; appends h at the new point to trace."""
+def _grasp_step(ctx, config, x, support, bands, trace=None):
+    """One GraSP iteration from x, whose nonzeros are at support.
+
+    Returns the new iterate and its support; appends h at the new point to
+    trace.
+    """
     L = config.sparsity
     z = grad_h(ctx, x)
     idx = _threshold(z, x, 2 * L, bands)
-    merged = np.union1d(idx, _support_of(x))
+    merged = np.union1d(idx, support)
     if merged.size > 3 * L:
         raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
     b_vec = restricted_maximize(ctx, merged, init=x, inner_tol=config.inner_tol)
-    keep, pruned = hard_threshold(b_vec, L)
+    # b_vec vanishes off merged, so pruning (in place) looks at merged alone.
+    pos, _ = hard_threshold(b_vec[merged], L)
+    keep = merged[pos]
+    pruned = b_vec
+    pruned[np.delete(merged, pos)] = 0.0
+    kept = _nonzero_within(pruned, keep)
     if config.debias:
         x_new, h_trace = restricted_maximize(
-            ctx, _support_of(pruned), init=pruned, inner_tol=config.inner_tol,
-            return_trace=True,
+            ctx, kept, init=pruned, inner_tol=config.inner_tol, return_trace=True,
         )
         h = h_trace[-1]
+        kept = _nonzero_within(x_new, kept)
     else:
         x_new = pruned
-        h = loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned)
+        h = loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned[keep])
     if trace is not None:
         trace.append(h)
-    return x_new
+    return x_new, kept
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -414,8 +446,12 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
     return _pursuit_loop(ctx, config, use_bms, _grasp_step)
 
 
-def _grahtp_step(ctx, config, x, bands, trace=None):
-    """One GraHTP iteration from x; appends h at the new point to trace."""
+def _grahtp_step(ctx, config, x, support, bands, trace=None):
+    """One GraHTP iteration from x, whose nonzeros are at support.
+
+    Returns the new iterate and its support; appends h at the new point to
+    trace.
+    """
     L = config.sparsity
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
@@ -425,18 +461,14 @@ def _grahtp_step(ctx, config, x, bands, trace=None):
     idx = _threshold(z, x, L, bands)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
+    init = np.zeros_like(x)
+    init[idx] = x[idx]
     x_new, h_trace = restricted_maximize(
-        ctx, idx, init=_mask_to(x, idx), inner_tol=config.inner_tol, return_trace=True,
+        ctx, idx, init=init, inner_tol=config.inner_tol, return_trace=True,
     )
     if trace is not None:
         trace.append(h_trace[-1])
-    return x_new
-
-
-def _mask_to(x, idx):
-    out = np.zeros_like(x)
-    out[idx] = x[idx]
-    return out
+    return x_new, _nonzero_within(x_new, idx)
 
 
 def _backtrack_gradient_step(ctx, x, u, h0, g) -> float:
@@ -569,7 +601,7 @@ def run_fista(
 
     x_final = x_prev.copy()
     x_final[np.abs(x_final) <= FISTA_SUPPORT_EPS] = 0.0
-    estimate = SparseEstimate(x_hat=x_final, support=_support_of(x_final))
+    estimate = SparseEstimate(x_hat=x_final, support=np.flatnonzero(x_final))
     return (estimate, trace) if return_trace else estimate
 
 

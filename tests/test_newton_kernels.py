@@ -1,0 +1,269 @@
+"""Differential tests for the pursuits' inner-loop kernels.
+
+Three implementations were replaced, and the earlier ones are the oracles
+here:
+
+* the inverse Mills ratio was a masked two-branch pass of its own (erfcx
+  below zero, phi / Phi above); the likelihood now derives it from the
+  log Phi values it already computes, with erfcx only below -40;
+* the restricted Newton step assembled its negative Hessian from the real
+  (2MT x 2q) embedding of the column block; it now forms two complex
+  q x q products;
+* the pursuit steps found each iterate's support with np.nonzero over all
+  B entries; they now carry it as a sorted index array.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+
+import onebitcs.solvers as solvers_module
+from onebitcs.errors import CapacityError, NumericalError
+from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
+from onebitcs.objective import ObjectiveContext, g_logprior, grad_h, inv_mills, likelihood, loglik
+from onebitcs.operator import build_operator, real_form
+from onebitcs.solvers import (
+    SolverConfig,
+    SolverReport,
+    SparseEstimate,
+    _neg_hessian,
+    _resolve_bands,
+    _threshold,
+    hard_threshold,
+    restricted_maximize,
+    run_fista,
+    run_grahtp,
+    run_grasp,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+RTOL = 1e-12
+
+
+def make_ctx(seed, rho, m=4, n=4, t=6, b=8, paths=2):
+    rng = np.random.default_rng(seed)
+    tr = zc_training(n, t)
+    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
+    H = draw_channel(paths, m, n, rng).H
+    return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
+
+
+# -- inverse Mills ratio -----------------------------------------------------
+
+
+def oracle_inv_mills(x):
+    """phi(x) / Phi(x) by two masked branches: erfcx below 0, the ratio above."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    neg = x < 0.0
+    out[neg] = np.sqrt(2.0 / np.pi) / special.erfcx(-x[neg] / np.sqrt(2.0))
+    pos = ~neg
+    phi = np.exp(-0.5 * x[pos] ** 2) / np.sqrt(2.0 * np.pi)
+    out[pos] = phi / special.ndtr(x[pos])
+    return out
+
+
+@SETTINGS
+@given(st.lists(st.floats(-40.0, 37.0), min_size=1, max_size=64))
+def test_inv_mills_matches_two_branch_oracle(values):
+    x = np.array(values)
+    want = oracle_inv_mills(x)
+    assert np.all(np.abs(inv_mills(x) - want) <= RTOL * want)
+
+
+def test_inv_mills_matches_oracle_on_dense_grid():
+    # Also covers the switch to erfcx at -40 from both sides.
+    x = np.concatenate([np.linspace(-40.0, 37.0, 200001), [-40.0 - 1e-9, -40.0 + 1e-9]])
+    want = oracle_inv_mills(x)
+    assert np.max(np.abs(inv_mills(x) - want) / want) <= RTOL
+
+
+@pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
+def test_likelihood_terms_match_oracles(rho):
+    ctx = make_ctx(3, rho)
+    rng = np.random.default_rng(4)
+    # Images of growing size push the arguments past -40 at the larger rho.
+    for scale in (0.1, 1.0, 10.0):
+        u = scale * (rng.standard_normal(ctx.op.M * ctx.op.T)
+                     + 1j * rng.standard_normal(ctx.op.M * ctx.op.T))
+        terms = likelihood(ctx, u)
+        v = ctx._signs * real_form(u)
+        assert np.array_equal(terms.v, v)
+        assert np.array_equal(terms.lam, inv_mills(v))
+        want = oracle_inv_mills(v)
+        assert np.all(np.abs(terms.lam - want) <= RTOL * want)
+        assert terms.f == loglik(ctx, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_likelihood_rejects_non_finite_image(bad):
+    ctx = make_ctx(5, 10.0)
+    u = np.zeros(ctx.op.M * ctx.op.T, dtype=complex)
+    u[3] = bad
+    with pytest.raises(ValueError):
+        likelihood(ctx, u)
+
+
+@pytest.mark.parametrize("blowup", [1e200, np.nan])
+def test_fista_raises_numerical_error_on_blown_up_images(monkeypatch, blowup):
+    # An operator whose images blow up makes every step-size trial fail;
+    # run_fista gives up with NumericalError carrying its last kept iterate,
+    # not with the likelihood's ValueError.
+    ctx = make_ctx(6, 10.0)
+    real_apply = ctx.op.apply
+    monkeypatch.setattr(ctx.op, "apply", lambda x: blowup * real_apply(x))
+    with pytest.raises(NumericalError) as err:
+        run_fista(ctx, 1.0)
+    assert np.array_equal(err.value.best, np.zeros(ctx.op.B, dtype=complex))
+
+
+# -- negative Hessian --------------------------------------------------------
+
+
+def oracle_real_embed(cols):
+    """Real form of a complex column block: [[Re, -Im], [Im, Re]]."""
+    return np.block([[cols.real, -cols.imag], [cols.imag, cols.real]])
+
+
+def oracle_neg_hessian(cols, d):
+    cols_r = oracle_real_embed(cols)
+    return 2.0 * np.eye(cols_r.shape[1]) + cols_r.T @ (d[:, None] * cols_r)
+
+
+@SETTINGS
+@given(q=st.integers(1, 12), rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_complex_hessian_assembly_matches_real_embedding(q, rows, seed):
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((rows, q)) + 1j * rng.standard_normal((rows, q))
+    d_re = rng.uniform(0.0, 2.0, rows)
+    d_im = rng.uniform(0.0, 2.0, rows)
+    # b = (d_re - d_im)/2 takes both signs.
+    d_re[0], d_im[0] = 1.5, 0.25
+    d_re[1], d_im[1] = 0.25, 1.5
+    d = np.concatenate([d_re, d_im])
+    want = oracle_neg_hessian(cols, d)
+    got = _neg_hessian(cols, cols.conj().T, d)
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def test_complex_hessian_assembly_at_full_scale_columns():
+    ctx = make_ctx(7, 100.0, m=64, n=64, t=80, b=256)
+    support = np.random.default_rng(8).choice(ctx.op.B, 12, replace=False)
+    cols = ctx.op.columns(support)
+    u = cols @ (np.random.default_rng(9).standard_normal(12) * (1 + 1j))
+    terms = likelihood(ctx, u)
+    d = ctx._signs * ctx._signs * terms.lam * (terms.v + terms.lam)
+    want = oracle_neg_hessian(cols, d)
+    got = _neg_hessian(cols, cols.conj().T, d)
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+# -- supports carried as index arrays ----------------------------------------
+
+
+def _oracle_support_of(x):
+    return np.nonzero(x)[0]
+
+
+def oracle_grasp_step(ctx, config, x, bands, trace):
+    L = config.sparsity
+    z = grad_h(ctx, x)
+    idx = _threshold(z, x, 2 * L, bands)
+    merged = np.union1d(idx, _oracle_support_of(x))
+    if merged.size > 3 * L:
+        raise CapacityError("merged support exceeds 3L")
+    b_vec = restricted_maximize(ctx, merged, init=x, inner_tol=config.inner_tol)
+    keep, pruned = hard_threshold(b_vec, L)
+    if config.debias:
+        x_new, h_trace = restricted_maximize(
+            ctx, _oracle_support_of(pruned), init=pruned, inner_tol=config.inner_tol,
+            return_trace=True,
+        )
+        trace.append(h_trace[-1])
+        return x_new
+    trace.append(loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned))
+    return pruned
+
+
+def oracle_grahtp_step(ctx, config, x, bands, trace):
+    L = config.sparsity
+    u = ctx.op.apply(x)
+    at_x = likelihood(ctx, u)
+    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
+    kappa = solvers_module._backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g)
+    idx = _threshold(x + kappa * g, x, L, bands)
+    init = np.zeros_like(x)
+    init[idx] = x[idx]
+    x_new, h_trace = restricted_maximize(
+        ctx, idx, init=init, inner_tol=config.inner_tol, return_trace=True,
+    )
+    trace.append(h_trace[-1])
+    return x_new
+
+
+def oracle_pursuit(ctx, config, use_bms, step):
+    """The outer loop as it was, finding each support with np.nonzero."""
+    bands = _resolve_bands(ctx.op, config) if use_bms else None
+    x = np.zeros(ctx.op.B, dtype=complex)
+    prev_support = frozenset()
+    visited = {prev_support}
+    trace = []
+    halted_by = "max-iters"
+    iterations = 0
+    for _ in range(config.max_outer_iters):
+        iterations += 1
+        x = step(ctx, config, x, bands, trace)
+        support = _oracle_support_of(x)
+        new_support = frozenset(support.tolist())
+        if new_support == prev_support:
+            halted_by = "support-fixed"
+            break
+        if new_support in visited:
+            halted_by = "cycle"
+            break
+        visited.add(new_support)
+        prev_support = new_support
+    return SolverReport(estimate=SparseEstimate(x_hat=x, support=support),
+                        iterations=iterations, halted_by=halted_by, objective_trace=trace)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([1.0, 10.0, 100.0]),
+       case=st.sampled_from([(run_grasp, oracle_grasp_step, False),
+                             (run_grasp, oracle_grasp_step, True),
+                             (run_grahtp, oracle_grahtp_step, False)]),
+       use_bms=st.booleans())
+def test_pursuits_match_nonzero_scanning_oracle(seed, rho, case, use_bms):
+    runner, oracle_step, debias = case
+    ctx = make_ctx(seed, rho, b=16)
+    config = SolverConfig(sparsity=2, debias=debias)
+    got = runner(ctx, config, use_bms)
+    want = oracle_pursuit(ctx, config, use_bms, oracle_step)
+    assert np.array_equal(got.estimate.x_hat, want.estimate.x_hat)
+    assert np.array_equal(got.estimate.support, want.estimate.support)
+    assert (got.iterations, got.halted_by) == (want.iterations, want.halted_by)
+    # The plain GraSP trace sums the prior over the kept entries only.
+    assert np.allclose(got.objective_trace, want.objective_trace, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("step_name, debias", [
+    ("_grasp_step", False), ("_grasp_step", True), ("_grahtp_step", False)])
+def test_steps_return_the_support_of_their_iterate(monkeypatch, step_name, debias):
+    real_step = getattr(solvers_module, step_name)
+    seen = []
+
+    def checked_step(ctx, config, x, support, *rest):
+        assert np.array_equal(support, np.flatnonzero(x))
+        x_new, support_new = real_step(ctx, config, x, support, *rest)
+        seen.append(np.array_equal(support_new, np.flatnonzero(x_new)))
+        return x_new, support_new
+
+    monkeypatch.setattr(solvers_module, step_name, checked_step)
+    runner = run_grasp if step_name == "_grasp_step" else run_grahtp
+    for seed in range(4):
+        ctx = make_ctx(seed, 100.0, b=16)
+        report = runner(ctx, SolverConfig(sparsity=2, debias=debias), use_bms=True)
+        assert np.array_equal(report.estimate.support, np.flatnonzero(report.estimate.x_hat))
+    assert seen and all(seen)

@@ -306,7 +306,8 @@ class TestGrasp:
                 continue
             checked += 1
             bands = _resolve_bands(ctx.op, config)
-            again = _grasp_step(ctx, config, report.estimate.x_hat, bands)
+            again, _ = _grasp_step(ctx, config, report.estimate.x_hat,
+                                   report.estimate.support, bands)
             assert np.array_equal(np.sort(np.nonzero(again)[0]),
                                   report.estimate.support)
         assert checked == 10
