@@ -53,7 +53,8 @@ FISTA_TOL = 1e-6
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 0.1
 ARMIJO_MAX_STEPS = 50
-# Bisections of log(gamma) before tune_gamma gives up.
+# Halvings of gamma, and then bisections of log(gamma), before tune_gamma
+# gives up.
 TUNE_MAX_BISECT = 60
 # Most candidate supports brute_force_map enumerates.
 ORACLE_BUDGET = 10**5
@@ -456,7 +457,7 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g)
+    kappa = _backtrack_gradient_step(ctx, x, u, at_x, g)
     z = x + kappa * g
     idx = _threshold(z, x, L, bands)
     if idx.size > L:
@@ -471,23 +472,47 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     return x_new, _nonzero_within(x_new, idx)
 
 
-def _backtrack_gradient_step(ctx, x, u, h0, g) -> float:
-    """Armijo backtracking for the ascent step size along the gradient.
+def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
+    """Armijo step size for the ascent step along the gradient g at x.
 
-    u = A x and h0 = h(x) are the caller's.  With w = A g formed once, the
-    trial point x + t g has image u + t w, so the search costs one apply
-    however often it backtracks.
+    Returns the largest t = ARMIJO_SHRINK^k, k < ARMIJO_MAX_STEPS, with
+    h(x + t g) >= h(x) + ARMIJO_SLOPE t ||g||^2, or ARMIJO_SHRINK^ARMIJO_MAX_STEPS
+    when none passes: the step that backtracking from t = 1 returns.  h is
+    concave along g, so the passing steps form an interval [0, t*], and the
+    search may start anywhere on the grid: it starts at the line-Newton step
+    ||g||^2 / (w^T D w + 2 ||g||^2), with D the likelihood's curvature at x,
+    and moves up or down from there.
+
+    u = A x and at_x = likelihood(ctx, u) are the caller's.  With w = A g
+    formed once, the trial point x + t g has image u + t w and prior
+    -(||x||^2 + 2t Re<x, g> + t^2 ||g||^2), so a trial costs no operator
+    apply and no pass over the B entries.
     """
     gn2 = float(np.vdot(g, g).real)
     if gn2 == 0.0:
         return 1.0
+    xn2 = float(np.vdot(x, x).real)
+    xg2 = 2.0 * float(np.vdot(x, g).real)
+    h0 = at_x.f - xn2
     w = ctx.op.apply(g)
-    t = 1.0
-    for _ in range(ARMIJO_MAX_STEPS):
-        if loglik(ctx, u + t * w) + g_logprior(x + t * g) >= h0 + ARMIJO_SLOPE * t * gn2:
-            return t
-        t *= ARMIJO_SHRINK
-    return t
+    w_r = real_form(w)
+    curv = float(np.sum(ctx._signs * ctx._signs * at_x.lam * (at_x.v + at_x.lam) * w_r * w_r))
+
+    def passes(k):
+        t = ARMIJO_SHRINK ** k
+        h_t = loglik(ctx, u + t * w) - (xn2 + t * (xg2 + t * gn2))
+        return h_t >= h0 + ARMIJO_SLOPE * t * gn2
+
+    newton = gn2 / (curv + 2.0 * gn2)
+    k = min(max(math.floor(math.log(newton) / math.log(ARMIJO_SHRINK)), 0), ARMIJO_MAX_STEPS - 1)
+    if passes(k):
+        while k > 0 and passes(k - 1):
+            k -= 1
+        return ARMIJO_SHRINK ** k
+    for k in range(k + 1, ARMIJO_MAX_STEPS):
+        if passes(k):
+            return ARMIJO_SHRINK ** k
+    return ARMIJO_SHRINK ** ARMIJO_MAX_STEPS
 
 
 def run_grahtp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -605,13 +630,22 @@ def run_fista(
     return (estimate, trace) if return_trace else estimate
 
 
-def tune_gamma(make_ctx, L: int, trials: int, lo: float = 1e-6, hi: float = 1e6):
-    """Bisect log(gamma) until the mean FISTA eps-support size is near 3L.
+def tune_gamma(make_ctx, L: int, trials: int):
+    """Find gamma at which the mean FISTA eps-support size is within 1 of 3L.
 
-    make_ctx(k) must build the k-th seeded problem instance.  The search
-    premise is that mean support size decreases as gamma grows; the
+    make_ctx(k) must build the k-th seeded problem instance.  For gamma at
+    or above max|grad f(0)| the l1-penalized estimate is exactly zero
+    (Friedman, Hastie & Tibshirani 2010), so the search starts at gamma_max,
+    the largest such threshold over the problems (one adjoint each).  It
+    evaluates gamma_max too (one FISTA iteration per problem), so that the
+    empty start is measured, not assumed.  It then halves gamma until the
+    mean support enters the window [3L-1, 3L+1] or passes above it, and in
+    the latter case bisects log(gamma) between the last two points.  The
+    search premise is that mean support size decreases as gamma grows; the
     evaluation trace is checked against it and violations beyond one support
-    unit raise TuningError, as does a bracket failure on [lo, hi].
+    unit raise TuningError.  So do gamma_max = 0 (no penalty gives a nonzero
+    estimate), a mean above the window at gamma_max, and a window that
+    TUNE_MAX_BISECT halvings or bisections do not reach.
 
     Returns (gamma, achieved_mean).
     """
@@ -619,35 +653,49 @@ def tune_gamma(make_ctx, L: int, trials: int, lo: float = 1e-6, hi: float = 1e6)
         raise ValueError(f"trials must be >= 1, got {trials}")
     ctxs = [make_ctx(k) for k in range(trials)]
     target = 3 * L
-
-    def mean_support(gamma):
-        return float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
-
     evaluations = []
 
-    def record(gamma, mean):
+    def mean_support(gamma):
+        mean = float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
         evaluations.append((gamma, mean))
         return mean
 
-    m_lo = record(lo, mean_support(lo))
-    m_hi = record(hi, mean_support(hi))
-    if not (m_lo >= target and m_hi <= target):
-        raise TuningError(
-            f"no bracket in [{lo}, {hi}]: mean support {m_lo} at lo, {m_hi} at hi"
-        )
+    gamma_max = 0.0
+    for c in ctxs:
+        at_zero = likelihood(c, np.zeros(c.op.M * c.op.T, dtype=complex))
+        gamma_max = max(gamma_max, float(np.max(np.abs(c.op.apply_adjoint(at_zero.weights)))))
+    if gamma_max == 0.0:
+        raise TuningError("the likelihood gradient vanishes at 0 on every problem")
+
+    gamma = gamma_max
+    m = mean_support(gamma)
+    if m > target + 1:
+        raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
+    for _ in range(TUNE_MAX_BISECT):
+        if m >= target - 1:
+            break
+        gamma *= 0.5
+        m = mean_support(gamma)
+    if m < target - 1:
+        raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
+                          f"{TUNE_MAX_BISECT} halvings of gamma_max = {gamma_max}")
 
     result = None
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(TUNE_MAX_BISECT):
-        mid = math.exp(0.5 * (log_lo + log_hi))
-        m = record(mid, mean_support(mid))
-        if target - 1 <= m <= target + 1:
-            result = (mid, m)
-            break
-        if m > target:
-            log_lo = math.log(mid)
-        else:
-            log_hi = math.log(mid)
+    if m <= target + 1:
+        result = (gamma, m)
+    else:
+        # The mean is above the window at gamma and below it at 2 gamma.
+        log_lo, log_hi = math.log(gamma), math.log(2.0 * gamma)
+        for _ in range(TUNE_MAX_BISECT):
+            mid = math.exp(0.5 * (log_lo + log_hi))
+            m = mean_support(mid)
+            if target - 1 <= m <= target + 1:
+                result = (mid, m)
+                break
+            if m > target:
+                log_lo = math.log(mid)
+            else:
+                log_hi = math.log(mid)
 
     for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
         if g2 > g1 and m2 > m1 + 1.0:

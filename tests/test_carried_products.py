@@ -17,7 +17,6 @@ from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement,
 from onebitcs.objective import (
     ObjectiveContext,
     f_loglik,
-    g_logprior,
     grad_h,
     h_objective,
     likelihood,
@@ -159,7 +158,7 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     assert np.array_equal(g, grad_h(ctx, x))
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x.f + g_logprior(x), g)
+    kappa = _backtrack_gradient_step(ctx, x, u, at_x, g)
     assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
 
 

@@ -1,0 +1,128 @@
+"""Tests of tune_gamma's search, which starts at the problems' zero threshold.
+
+For gamma >= max|grad f(0)| the l1-penalized estimate is exactly zero, so
+tune_gamma starts at that threshold and halves down to the target window.
+The oracle below is the earlier search, which bisected log(gamma) over the
+fixed bracket [1e-6, 1e6].
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import onebitcs.solvers as solvers_module
+from onebitcs.errors import TuningError
+from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
+from onebitcs.objective import ObjectiveContext, grad_h
+from onebitcs.operator import build_operator
+from onebitcs.solvers import run_fista, tune_gamma
+
+SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
+FISTA_CAP = 500    # run_fista's default max_iters, which tune_gamma uses
+
+
+def oracle_tune_gamma(make_ctx, L, trials, lo=1e-6, hi=1e6, max_bisect=60):
+    """Bisect log(gamma) over [lo, hi] until the mean support is near 3L."""
+    ctxs = [make_ctx(k) for k in range(trials)]
+    target = 3 * L
+
+    def mean_support(gamma):
+        return float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
+
+    evaluations = []
+
+    def record(gamma, mean):
+        evaluations.append((gamma, mean))
+        return mean
+
+    m_lo = record(lo, mean_support(lo))
+    m_hi = record(hi, mean_support(hi))
+    if not (m_lo >= target and m_hi <= target):
+        raise TuningError(f"no bracket in [{lo}, {hi}]")
+    result = None
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for _ in range(max_bisect):
+        mid = math.exp(0.5 * (log_lo + log_hi))
+        m = record(mid, mean_support(mid))
+        if target - 1 <= m <= target + 1:
+            result = (mid, m)
+            break
+        if m > target:
+            log_lo = math.log(mid)
+        else:
+            log_hi = math.log(mid)
+    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
+        if g2 > g1 and m2 > m1 + 1.0:
+            raise TuningError("support size not decreasing in gamma")
+    if result is None:
+        raise TuningError("window not reached")
+    return result
+
+
+def problems(seed, rho, m=4, n=4, t=6, b=8, paths=1):
+    """make_ctx for seeded problems on one shared operator."""
+    tr = zc_training(n, t)
+    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
+
+    def make_ctx(k):
+        rng = np.random.default_rng([seed, k])
+        H = draw_channel(paths, m, n, rng).H
+        return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
+
+    return make_ctx
+
+
+def zero_threshold(ctx):
+    """max|grad f(0)|; the prior's gradient vanishes at 0."""
+    return float(np.max(np.abs(grad_h(ctx, np.zeros(ctx.op.B, dtype=complex)))))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
+       trials=st.integers(1, 4))
+def test_estimates_vanish_at_the_zero_threshold_and_not_below(seed, rho, trials):
+    make_ctx = problems(seed, rho)
+    ctxs = [make_ctx(k) for k in range(trials)]
+    gamma_max = max(zero_threshold(c) for c in ctxs)
+    assert all(run_fista(c, gamma_max).support.size == 0 for c in ctxs)
+    assert any(run_fista(c, 0.5 * gamma_max).support.size > 0 for c in ctxs)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
+       L=st.integers(1, 2))
+def test_reaches_the_window_where_the_fixed_bracket_does(seed, rho, L):
+    make_ctx = problems(seed, rho, paths=L)
+    _, want = oracle_tune_gamma(make_ctx, L, trials=3)
+    gamma, got = tune_gamma(make_ctx, L, trials=3)
+    assert abs(want - 3 * L) <= 1.0
+    assert abs(got - 3 * L) <= 1.0
+    assert gamma > 0.0
+
+
+@pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
+def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
+    # The criterion-8 problems (tests/test_acceptance.py) at three SNRs.
+    tr = zc_training(16, 20)
+    op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64), "fft")
+
+    def make_ctx(k):
+        rng = np.random.default_rng(800 + k)
+        ch = draw_channel(2, 16, 16, rng)
+        return ObjectiveContext(op, synthesize_measurement(ch.H, tr.S, rho, rng))
+
+    iterations = []
+
+    def counted(ctx, gamma):
+        estimate, trace = run_fista(ctx, gamma, return_trace=True)
+        iterations.append(len(trace) - 1)
+        return estimate
+
+    monkeypatch.setattr(solvers_module, "run_fista", counted)
+    _, achieved = tune_gamma(make_ctx, 2, trials=6)
+    assert abs(achieved - 6.0) <= 1.0
+    assert iterations and max(iterations) < FISTA_CAP

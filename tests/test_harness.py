@@ -385,6 +385,26 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_tuning_error_fails_before_any_trial(self, tmp_path, monkeypatch, capsys, workers):
+        # At -inf dB the signs carry no signal, so no gamma gives a nonzero
+        # FISTA estimate and tuning that point raises TuningError.
+        marker = tmp_path / "trial-ran"
+        real_run_trial = harness._SweepState.run_trial
+
+        def marked_run_trial(self, *args):
+            marker.touch()
+            return real_run_trial(self, *args)
+
+        monkeypatch.setattr(harness._SweepState, "run_trial", marked_run_trial)
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                         "--algos", "fista", "--snr", "10,-inf", "--workers", workers])
+        assert code == 1
+        assert "TuningError" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        assert not marker.exists()
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("M = 4\nmystery = 1\n")

@@ -482,9 +482,13 @@ class TestTuneGamma:
         assert repeat == (gamma, mean)
 
     def test_bracket_failure_raises(self):
-        op, ctx, _ = make_problem(m=4, n=4, t=6, b_rx=8, b_tx=8)
-        with pytest.raises(TuningError):
-            tune_gamma(lambda k: ctx, 1, trials=1, lo=1e5, hi=1e6)
+        for L, rho, reason in [
+            (22, 10.0, "halvings"),    # window [65, 67] above B = 64
+            (1, 0.0, "vanishes"),      # no signal: the gradient at 0 is zero
+        ]:
+            _, ctx, _ = make_problem(m=4, n=4, t=6, b_rx=8, b_tx=8, rho=rho)
+            with pytest.raises(TuningError, match=reason):
+                tune_gamma(lambda k: ctx, L, trials=1)
 
 
 class TestBruteForce:
