@@ -61,13 +61,15 @@ def _apply_overrides(config, args):
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     with open(args.config) as fh:
         config_text = fh.read()
     config = _apply_overrides(parse_config_text(config_text), args)
     os.makedirs(args.out, exist_ok=True)
 
     info: dict = {}
-    records = run_experiment(config, workers=max(1, args.workers), info=info)
+    records = run_experiment(config, workers=args.workers, info=info)
     csv_path = os.path.join(args.out, "results.csv")
     curve_path = os.path.join(args.out, "curve.csv")
     emit_csv(records, csv_path)

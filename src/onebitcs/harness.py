@@ -3,13 +3,13 @@
 Every (snr, trial) cell derives its own RNG stream from the master seed, so
 results are a pure function of the configuration, trials can run in any
 order (or in parallel), and adding an algorithm to a sweep never perturbs
-the measurements the other algorithms see.  Wall-clock runtime is the one
-recorded field that is not reproducible.
+the measurements the other algorithms see.  In parallel, one process pool
+tunes FISTA at every SNR point and then runs the trials.  Wall-clock
+runtime is the one recorded field that is not reproducible.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import sys
 import time
@@ -261,23 +261,38 @@ _SOLVERS = {
 
 
 class _SweepState:
-    """Operators, solver configs, and training shared by all trials."""
+    """Training, operators and solver config shared by a sweep's tuning and trials."""
 
-    def __init__(self, config: ExperimentConfig, gammas: dict | None, training, ops):
+    def __init__(self, config: ExperimentConfig, training, ops):
         self.config = config
-        self.gammas = gammas or {}
         self.training = training
         self.ops = ops
         self.solver_config = config.solver_config()
 
-    def run_trial(self, snr_index: int, trial: int) -> list:
+    def _problem(self, seed: int, snr_index: int):
+        """The channel and its quantized measurement drawn from `seed`."""
+        config = self.config
+        rng = np.random.default_rng(seed)
+        rho = 10.0 ** (config.snr_db[snr_index] / 10.0)
+        channel = draw_channel(config.l, config.m, config.n, rng)
+        return channel, synthesize_measurement(channel.H, self.training.S, rho, rng)
+
+    def tune(self, snr_index: int):
+        """FISTA's (gamma, achieved mean support) at one SNR point, targeting 3L."""
+        config = self.config
+        op = self.ops[config.dims_for("fista")]
+
+        def make_ctx(k):
+            seed = tuning_seed(config.master_seed, snr_index, k)
+            return ObjectiveContext(op, self._problem(seed, snr_index)[1])
+
+        return tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
+
+    def run_trial(self, snr_index: int, trial: int, gamma) -> list:
         config = self.config
         seed = child_seed(config.master_seed, snr_index, trial)
-        rng = np.random.default_rng(seed)
         snr_db = config.snr_db[snr_index]
-        rho = 10.0 ** (snr_db / 10.0)
-        channel = draw_channel(config.l, config.m, config.n, rng)
-        measurement = synthesize_measurement(channel.H, self.training.S, rho, rng)
+        channel, measurement = self._problem(seed, snr_index)
 
         records = []
         for algo in config.algorithms:
@@ -285,8 +300,7 @@ class _SweepState:
             ctx = ObjectiveContext(op, measurement)
             start = time.perf_counter()
             try:
-                x_hat, iterations = _SOLVERS[algo](
-                    ctx, self.solver_config, self.gammas.get(snr_index))
+                x_hat, iterations = _SOLVERS[algo](ctx, self.solver_config, gamma)
             except (ConvergenceError, NumericalError) as err:
                 x_hat = err.best if err.best is not None else np.zeros(op.B, dtype=complex)
                 iterations = -1
@@ -312,94 +326,66 @@ class _SweepState:
 _WORKER_STATE = None
 
 
-def _init_worker(config, gammas):
+def _init_worker(config):
     global _WORKER_STATE
-    _WORKER_STATE = _SweepState(config, gammas, *sweep_operators(config))
-
-
-def _worker_task(args):
-    snr_index, trial = args
-    return _WORKER_STATE.run_trial(snr_index, trial)
-
-
-def _tune_point(config: ExperimentConfig, training, op, snr_index: int):
-    """(gamma, achieved mean support) at one SNR point, targeting 3L."""
-    rho = 10.0 ** (config.snr_db[snr_index] / 10.0)
-
-    def make_ctx(k):
-        rng = np.random.default_rng(tuning_seed(config.master_seed, snr_index, k))
-        channel = draw_channel(config.l, config.m, config.n, rng)
-        meas = synthesize_measurement(channel.H, training.S, rho, rng)
-        return ObjectiveContext(op, meas)
-
-    return tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
+    _WORKER_STATE = _SweepState(config, *sweep_operators(config))
 
 
 def _worker_tune(snr_index):
-    state = _WORKER_STATE
-    op = state.ops[state.config.dims_for("fista")]
-    return _tune_point(state.config, state.training, op, snr_index)
+    return _WORKER_STATE.tune(snr_index)
 
 
-def _tune_fista_gammas(config: ExperimentConfig, training, op, info: dict | None,
-                       workers: int = 1) -> dict:
-    """Per-SNR regularization weights targeting a mean support of 3L.
+def _worker_trial(task):
+    return _WORKER_STATE.run_trial(*task)
 
-    With workers > 1 the SNR points are tuned in a process pool.  Each point
-    draws its problems from its own tuning_seed stream, so the weights are
-    the same as in a serial run.
+
+def _trial_tasks(config: ExperimentConfig, tuned: list, info: dict | None) -> list:
+    """(snr_index, trial, FISTA gamma) for every cell of the sweep.
+
+    `tuned` holds one (gamma, achieved mean support) per SNR point, or
+    nothing when the sweep does not run FISTA; it is recorded in `info`.
     """
-    points = range(len(config.snr_db))
-    if workers > 1 and len(points) > 1:
-        import multiprocessing    # here, so that serial runs never load it
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(points)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker, initargs=(config, None),
-        ) as pool:
-            tuned = list(pool.map(_worker_tune, points))
-    else:
-        tuned = [_tune_point(config, training, op, snr_index) for snr_index in points]
-
-    gammas = {}
-    for snr_index, (gamma, achieved) in enumerate(tuned):
-        gammas[snr_index] = gamma
-        if info is not None:
-            info.setdefault("fista_gamma", {})[float(config.snr_db[snr_index])] = (gamma, achieved)
-    return gammas
+    gammas = [gamma for gamma, _ in tuned] or [None] * len(config.snr_db)
+    if tuned and info is not None:
+        info["fista_gamma"] = {float(snr): result for snr, result in zip(config.snr_db, tuned)}
+    return [
+        (snr_index, trial, gammas[snr_index])
+        for snr_index in range(len(config.snr_db))
+        for trial in range(config.trials)
+    ]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None = None):
     """Run the configured sweep and return records in canonical order.
 
     Rows are sorted by (algorithm, snr_db, trial) regardless of execution
-    order; with workers > 1 the FISTA tuning points and then the trials are
-    distributed over processes.  When an `info` dict is supplied it collects
-    resolved metadata (training root, tuned FISTA weights).
+    order.  FISTA's weight is tuned at every SNR point before any trial
+    runs; each point draws its problems from its own tuning_seed stream.
+    With workers > 1 one process pool, started with the platform's default
+    method, tunes the points and then runs the trials, and the rows are the
+    serial ones.  Where that method is not ``fork`` (Windows, macOS, and
+    Linux from Python 3.14), a script that calls this with workers > 1 must
+    do so under an ``if __name__ == "__main__":`` guard.  When an `info` dict is supplied
+    it collects resolved metadata (training root, tuned FISTA weights).
     """
     training, ops = sweep_operators(config)
     if info is not None:
         info["zc_root"] = training.root
         info["zc_shifts"] = training.shifts
 
-    gammas = None
-    if "fista" in config.algorithms:
-        gammas = _tune_fista_gammas(
-            config, training, ops[config.dims_for("fista")], info, workers)
-
-    tasks = [
-        (snr_index, trial)
-        for snr_index in range(len(config.snr_db))
-        for trial in range(config.trials)
-    ]
+    tuning = range(len(config.snr_db)) if "fista" in config.algorithms else ()
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config, gammas)
+        # Imported here, so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:
-            blocks = list(pool.map(_worker_task, tasks, chunksize=8))
+            tasks = _trial_tasks(config, list(pool.map(_worker_tune, tuning)), info)
+            blocks = list(pool.map(_worker_trial, tasks, chunksize=8))
     else:
-        state = _SweepState(config, gammas, training, ops)
+        state = _SweepState(config, training, ops)
+        tasks = _trial_tasks(config, [state.tune(i) for i in tuning], info)
         blocks = [state.run_trial(*task) for task in tasks]
 
     records = [record for block in blocks for record in block]

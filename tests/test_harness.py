@@ -1,5 +1,6 @@
 """Tests for the sweep runner, serialization, config parsing, and CLI."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -36,6 +37,13 @@ TINY = ExperimentConfig(
     snr_db=(0.0, 10.0, 20.0), trials=2, master_seed=7,
     algorithms=("bmsgrasp", "grasp"),
 )
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's onebitcs."""
+    src = os.path.dirname(os.path.dirname(onebitcs.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
 
 
 class TestNmse:
@@ -125,6 +133,36 @@ class TestRunExperiment:
         assert pooled["fista_gamma"] == serial["fista_gamma"]
         assert [r.nmse for r in pooled_rows] == [r.nmse for r in serial_rows]
 
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="scripts need a __main__ guard where workers do not fork")
+    def test_pooled_sweep_runs_from_an_unguarded_script(self, tmp_path):
+        config = replace(TINY, algorithms=("fista",), snr_db=(0.0, 10.0), trials=1)
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from onebitcs.harness import ExperimentConfig, run_experiment\n"
+            f"config = {config!r}\n"
+            "for r in run_experiment(config, workers=2):\n"
+            "    print(r.algorithm, r.snr_db, r.trial, r.seed, repr(r.nmse), r.iterations)\n"
+        )
+        proc = run_python(str(script))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{r.algorithm} {r.snr_db} {r.trial} {r.seed} {r.nmse!r} {r.iterations}"
+            for r in run_experiment(config)
+        ]
+
+    def test_serial_sweep_does_not_load_multiprocessing(self):
+        # Loading it costs peak memory that no serial run needs.
+        config = replace(TINY, algorithms=("fista", "bmsgrasp"), snr_db=(10.0,), trials=1)
+        proc = run_python("-c", (
+            "import sys\n"
+            "from onebitcs.harness import ExperimentConfig, run_experiment\n"
+            f"assert len(run_experiment({config!r})) == 2\n"
+            "print('multiprocessing' in sys.modules)\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_nmse_finite_and_nonnegative(self):
         for r in run_experiment(TINY):
             assert np.isfinite(r.nmse) and r.nmse >= 0
@@ -208,7 +246,7 @@ class TestConfigValidation:
         solver = config.solver_config()
         assert (solver.sparsity, solver.eta, solver.max_outer_iters, solver.inner_tol,
                 solver.debias) == (2, 0.4, 7, 1e-6, True)
-        state = harness._SweepState(config, None, *harness.sweep_operators(config))
+        state = harness._SweepState(config, *harness.sweep_operators(config))
         assert state.solver_config == solver
 
     def test_rejects_oracle_beyond_enumeration_budget(self):
@@ -373,6 +411,14 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, workers):
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                         "--workers", workers])
+        assert code == 2
+        assert not out.exists()
+
     def test_bad_solver_field_fails_before_output_and_tuning(self, tmp_path, monkeypatch):
         def no_tuning(*args, **kwargs):
             raise RuntimeError("gamma tuning ran")
@@ -441,8 +487,6 @@ class TestCli:
             "st.CHECKS[:] = [c for c in st.CHECKS if c[0] == 'stable special functions']; "
             "sys.exit(st.run_selftest())"
         )
-        src = os.path.dirname(os.path.dirname(onebitcs.__file__))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        proc = run_python("-O", "-c", code)
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL stable special functions")
