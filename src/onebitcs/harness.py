@@ -236,26 +236,21 @@ def sweep_operators(config: ExperimentConfig):
     return training, ops
 
 
-def _pursuit(report):
+def _row(report):
     return report.estimate.x_hat, report.iterations
-
-
-def _fista(ctx, cfg, gamma):
-    estimate, trace = run_fista(ctx, gamma, return_trace=True)
-    return estimate.x_hat, len(trace) - 1
 
 
 # Solver per algorithm name: (ctx, solver config, FISTA gamma) -> (x_hat,
 # iterations).  Each entry looks its solver up among this module's globals
 # when it runs, so a wrapper installed on the module sees every solve.
 _SOLVERS = {
-    "bmsgrasp": lambda ctx, cfg, gamma: _pursuit(run_grasp(ctx, cfg, use_bms=True)),
-    "bmsgrasp-debias": lambda ctx, cfg, gamma: _pursuit(
+    "bmsgrasp": lambda ctx, cfg, gamma: _row(run_grasp(ctx, cfg, use_bms=True)),
+    "bmsgrasp-debias": lambda ctx, cfg, gamma: _row(
         run_grasp(ctx, replace(cfg, debias=True), use_bms=True)),
-    "bmsgrahtp": lambda ctx, cfg, gamma: _pursuit(run_grahtp(ctx, cfg, use_bms=True)),
-    "grasp": lambda ctx, cfg, gamma: _pursuit(run_grasp(ctx, cfg, use_bms=False)),
-    "grahtp": lambda ctx, cfg, gamma: _pursuit(run_grahtp(ctx, cfg, use_bms=False)),
-    "fista": _fista,
+    "bmsgrahtp": lambda ctx, cfg, gamma: _row(run_grahtp(ctx, cfg, use_bms=True)),
+    "grasp": lambda ctx, cfg, gamma: _row(run_grasp(ctx, cfg, use_bms=False)),
+    "grahtp": lambda ctx, cfg, gamma: _row(run_grahtp(ctx, cfg, use_bms=False)),
+    "fista": lambda ctx, cfg, gamma: _row(run_fista(ctx, gamma)),
     "oracle": lambda ctx, cfg, gamma: (brute_force_map(ctx, cfg.sparsity).x_hat, 1),
 }
 

@@ -253,7 +253,6 @@ class CoherenceStructure:
     eta: float
     indptr: np.ndarray    # (B + 1,) offsets into indices
     indices: np.ndarray   # concatenated sorted bands
-    column_norms: np.ndarray
 
     @cached_property
     def bands(self) -> list:
@@ -327,8 +326,7 @@ def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:
     indices = np.concatenate(chunks)
     indptr.flags.writeable = False
     indices.flags.writeable = False
-    structure = CoherenceStructure(eta=float(eta), indptr=indptr, indices=indices,
-                                   column_norms=op.column_norms)
+    structure = CoherenceStructure(eta=float(eta), indptr=indptr, indices=indices)
     op._band_cache[eta] = structure
     return structure
 

@@ -117,8 +117,8 @@ def check_thresholders():
     _, op = _operator(b=4)
     bands = coherence_bands(op, 0.5)     # orthogonal columns: singleton bands
     z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    idx_plain, _ = hard_threshold(z, 3)
-    idx_bms, _ = bms_threshold(z, np.zeros(16, dtype=complex), 3, bands)
+    idx_plain = hard_threshold(z, 3)
+    idx_bms = bms_threshold(z, np.zeros(16, dtype=complex), 3, bands)
     _require(np.array_equal(idx_plain, idx_bms), "BMS on singleton bands differs from plain")
 
 
@@ -128,7 +128,9 @@ def check_solver_round_trip():
     report = run_grasp(ctx, config, use_bms=True)
     support = report.estimate.support
     _require(support.size <= 2, "support exceeds the sparsity")
-    x = restricted_maximize(ctx, support, init=report.estimate.x_hat)
+    values, _ = restricted_maximize(ctx, support, x0=report.estimate.x_hat[support])
+    x = np.zeros(op.B, dtype=complex)
+    x[support] = values
     g = real_form(grad_h(ctx, x))[np.concatenate([support, support + op.B])]
     _require(support.size == 0 or np.linalg.norm(g) <= 1e-6,
              "restricted gradient does not vanish on the support")

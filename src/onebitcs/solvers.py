@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .objective import (
     ObjectiveContext,
     g_logprior,
     grad_h,
-    h_objective,
     likelihood,
     loglik,
 )
@@ -100,11 +100,11 @@ class SolverConfig:
             raise ValueError(f"explicit eta must be in (0, 1), got {self.eta}")
 
 
-@dataclass(frozen=True, eq=False)
-class SolverReport:
-    """Outcome of one pursuit run.
+class SolverReport(NamedTuple):
+    """Outcome of one solver run.
 
-    halted_by is one of "support-fixed", "max-iters", "cycle".
+    halted_by is one of "support-fixed", "max-iters", "cycle" for the
+    pursuits, and "converged" or "max-iters" for FISTA.
     """
 
     estimate: SparseEstimate
@@ -135,16 +135,12 @@ def _descending_prefixes(mags: np.ndarray, count: int):
 
 
 def hard_threshold(z: np.ndarray, budget: int):
-    """Best budget-term approximation of z.
+    """Support of the best budget-term approximation of z.
 
-    Returns (sorted selected indices, thresholded copy).  Ties in magnitude
-    are broken toward the lowest index.
+    Returns the sorted selected indices.  Ties in magnitude are broken
+    toward the lowest index.
     """
-    z = np.asarray(z)
-    keep = np.sort(next(_descending_prefixes(np.abs(z), budget))[: max(budget, 0)])
-    out = np.zeros_like(z)
-    out[keep] = z[keep]
-    return keep, out
+    return np.sort(next(_descending_prefixes(np.abs(z), budget))[: max(budget, 0)])
 
 
 def _band_admits(candidates, mags, current_x, bands: CoherenceStructure) -> np.ndarray:
@@ -188,11 +184,10 @@ def bms_threshold(
     of the scan order at once; the prefix grows fourfold until it admits
     `budget` candidates or covers every index.
 
-    Returns (sorted selected indices, z restricted to them).
+    Returns the sorted selected indices.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    z = np.asarray(z)
     current_x = np.asarray(current_x)
     mags = np.abs(z)
     admitted = []
@@ -204,10 +199,7 @@ def bms_threshold(
         found += admitted[-1].size
         if found >= budget:
             break
-    keep = np.sort(np.concatenate(admitted)[:budget])
-    out = np.zeros_like(z)
-    out[keep] = z[keep]
-    return keep, out
+    return np.sort(np.concatenate(admitted)[:budget])
 
 
 # -- restricted concave maximization ---------------------------------------
@@ -242,37 +234,36 @@ def _neg_hessian(cols: np.ndarray, cols_h: np.ndarray, d: np.ndarray) -> np.ndar
 def restricted_maximize(
     ctx: ObjectiveContext,
     support,
-    init: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
     inner_tol: float = 1e-8,
     max_iters: int = 100,
-    return_trace: bool = False,
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
-    support is a set of indices: their order and repeats do not matter.
-    init, if given, is a full-length vector that vanishes off the support.
-    The objective is strictly concave (the prior contributes -2I to the
+    Without x0, support is a set of indices: their order and repeats do not
+    matter, and the ascent starts at zero.  x0, if given, holds the start's
+    values at support, which must then be sorted and free of repeats.  The
+    objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
     drops to inner_tol.  Works entirely through the restricted column block
-    of the operator, so the cost per iteration is O(M*T*|support|^2).
+    of the operator, so the cost per iteration is O(M*T*|support|^2) and
+    nothing of length B is formed.
 
-    Returns the full-length maximizer (zeros off the support), or raises
-    ConvergenceError carrying the best iterate if the cap is hit.
+    Returns (the maximizer's values at the sorted support, the trace of h
+    over the iterates), or raises ConvergenceError carrying the best
+    iterate as a full-length vector if the cap is hit.
     """
-    support = np.unique(np.asarray(support, dtype=int))
-    B = ctx.op.B
-    full = np.zeros(B, dtype=complex)
-    if support.size == 0:
-        return (full, [h_objective(ctx, full)]) if return_trace else full
-
-    if init is None:
+    if x0 is None:
+        support = np.unique(np.asarray(support, dtype=int))
         x = np.zeros(support.size, dtype=complex)
     else:
-        init = np.asarray(init, dtype=complex)
-        x = init[support]
-        if np.count_nonzero(init) != np.count_nonzero(x):
-            raise ValueError("init has mass outside the requested support")
+        support = np.asarray(support, dtype=int)
+        if np.any(support[1:] <= support[:-1]):
+            raise ValueError("support must be sorted and free of repeats when x0 is given")
+        x = np.array(x0, dtype=complex)
+        if x.shape != support.shape:
+            raise ValueError(f"x0 has shape {x.shape}, support {support.shape}")
 
     cols = ctx.op.columns(support)            # (MT, q)
     cols_h = cols.conj().T
@@ -295,8 +286,7 @@ def restricted_maximize(
         g_r = real_form(grad_c)
         gnorm = np.linalg.norm(g_r)
         if gnorm <= inner_tol:
-            full[support] = x
-            return (full, trace) if return_trace else full
+            return x, trace
 
         # The negative Hessian is SPD.
         neg_hess = _neg_hessian(cols, cols_h, rho_term * terms.lam * (terms.v + terms.lam))
@@ -331,6 +321,7 @@ def restricted_maximize(
         if h_val > best[0]:
             best = (h_val, x.copy())
 
+    full = np.zeros(ctx.op.B, dtype=complex)
     full[support] = best[1]
     grad_c = cols_h @ likelihood(ctx, cols @ best[1]).weights - 2.0 * best[1]
     raise ConvergenceError(
@@ -356,16 +347,14 @@ def _resolve_bands(op, config: SolverConfig):
 
 
 def _threshold(z, x, budget, bands):
-    if bands is not None:
-        idx, _ = bms_threshold(z, x, budget, bands)
-    else:
-        idx, _ = hard_threshold(z, budget)
-    return idx
+    return hard_threshold(z, budget) if bands is None else bms_threshold(z, x, budget, bands)
 
 
-def _nonzero_within(x, idx):
-    """The indices of idx (sorted) at which x is nonzero."""
-    return idx[x[idx] != 0]
+def _scatter(B, idx, values):
+    """The length-B iterate with values at idx, and the indices of its nonzeros."""
+    x = np.zeros(B, dtype=complex)
+    x[idx] = values
+    return x, idx[values != 0]
 
 
 def _pursuit_loop(ctx, config, use_bms, step):
@@ -413,25 +402,18 @@ def _grasp_step(ctx, config, x, support, bands, trace=None):
     merged = np.union1d(idx, support)
     if merged.size > 3 * L:
         raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
-    b_vec = restricted_maximize(ctx, merged, init=x, inner_tol=config.inner_tol)
-    # b_vec vanishes off merged, so pruning (in place) looks at merged alone.
-    pos, _ = hard_threshold(b_vec[merged], L)
-    keep = merged[pos]
-    pruned = b_vec
-    pruned[np.delete(merged, pos)] = 0.0
-    kept = _nonzero_within(pruned, keep)
+    b, _ = restricted_maximize(ctx, merged, x0=x[merged], inner_tol=config.inner_tol)
+    pos = hard_threshold(b, L)
+    keep, vals = merged[pos], b[pos]
     if config.debias:
-        x_new, h_trace = restricted_maximize(
-            ctx, kept, init=pruned, inner_tol=config.inner_tol, return_trace=True,
-        )
+        keep, vals = keep[vals != 0], vals[vals != 0]
+        vals, h_trace = restricted_maximize(ctx, keep, x0=vals, inner_tol=config.inner_tol)
         h = h_trace[-1]
-        kept = _nonzero_within(x_new, kept)
     else:
-        x_new = pruned
-        h = loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned[keep])
+        h = loglik(ctx, ctx.op.columns(keep) @ vals) + g_logprior(vals)
     if trace is not None:
         trace.append(h)
-    return x_new, kept
+    return _scatter(x.size, keep, vals)
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -462,14 +444,10 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     idx = _threshold(z, x, L, bands)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
-    init = np.zeros_like(x)
-    init[idx] = x[idx]
-    x_new, h_trace = restricted_maximize(
-        ctx, idx, init=init, inner_tol=config.inner_tol, return_trace=True,
-    )
+    vals, h_trace = restricted_maximize(ctx, idx, x0=x[idx], inner_tol=config.inner_tol)
     if trace is not None:
         trace.append(h_trace[-1])
-    return x_new, _nonzero_within(x_new, idx)
+    return _scatter(x.size, idx, vals)
 
 
 def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
@@ -537,12 +515,7 @@ def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return v * (1.0 - tau / np.maximum(np.abs(v), tau))
 
 
-def run_fista(
-    ctx: ObjectiveContext,
-    gamma: float,
-    max_iters: int = 500,
-    return_trace: bool = False,
-):
+def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> SolverReport:
     """Maximize f(x) - gamma * ||x||_1 by monotone accelerated proximal ascent.
 
     Gradient steps on the log-likelihood are followed by the complex soft
@@ -557,9 +530,12 @@ def run_fista(
     (O'Donoghue & Candes 2015).  Most solves therefore stop at FISTA_TOL,
     well before max_iters.  A x is carried along with every iterate, and the
     momentum point's image is the same linear combination of images, so an
-    iteration costs one adjoint and one apply per step-size trial.  Returns
-    the final estimate with its eps-support (|x_b| > 1e-8); entries at or
-    below the eps threshold are zeroed so the support contains supp(x_hat).
+    iteration costs one adjoint and one apply per step-size trial.
+
+    Returns a SolverReport whose estimate carries its eps-support
+    (|x_b| > 1e-8; entries at or below the eps threshold are zeroed so the
+    support contains supp(x_hat)), halted_by "converged" or "max-iters",
+    and the objective at the start and after every iteration.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -580,6 +556,7 @@ def run_fista(
     trace = [obj_prev]
     z_prev = x_prev
     passes = 0    # iterations in a row whose first step-size trial passed
+    halted_by = "max-iters"
 
     for _ in range(max_iters):
         at_y = likelihood(ctx, u_y)
@@ -622,12 +599,14 @@ def run_fista(
         converged = np.linalg.norm(z - z_prev) <= FISTA_TOL * max(1.0, np.linalg.norm(z))
         x_prev, u_prev, obj_prev, z_prev = x_new, u_new, obj_new, z
         if converged:
+            halted_by = "converged"
             break
 
     x_final = x_prev.copy()
     x_final[np.abs(x_final) <= FISTA_SUPPORT_EPS] = 0.0
     estimate = SparseEstimate(x_hat=x_final, support=np.flatnonzero(x_final))
-    return (estimate, trace) if return_trace else estimate
+    return SolverReport(estimate=estimate, iterations=len(trace) - 1,
+                        halted_by=halted_by, objective_trace=trace)
 
 
 def tune_gamma(make_ctx, L: int, trials: int):
@@ -656,7 +635,7 @@ def tune_gamma(make_ctx, L: int, trials: int):
     evaluations = []
 
     def mean_support(gamma):
-        mean = float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
+        mean = float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
         evaluations.append((gamma, mean))
         return mean
 
@@ -727,11 +706,11 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
             f"{math.comb(B, k)} candidate supports exceed the budget {ORACLE_BUDGET}"
         )
     best_val = -np.inf
-    best_x = None
-    best_support = None
+    best_values = best_support = None
     for support in itertools.combinations(range(B), k):
-        x = restricted_maximize(ctx, support)
-        val = h_objective(ctx, x)
-        if val > best_val:
-            best_val, best_x, best_support = val, x, support
-    return SparseEstimate(x_hat=best_x, support=np.array(best_support, dtype=int))
+        values, trace = restricted_maximize(ctx, support)
+        if trace[-1] > best_val:
+            best_val, best_values, best_support = trace[-1], values, support
+    x_hat = np.zeros(B, dtype=complex)
+    x_hat[list(best_support)] = best_values
+    return SparseEstimate(x_hat=x_hat, support=np.array(best_support, dtype=int))

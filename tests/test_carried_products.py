@@ -137,10 +137,10 @@ def test_fista_matches_oracle(seed, rho, fraction):
     gamma = gamma_for(ctx, fraction)
     scale = abs(f_loglik(ctx, np.zeros(ctx.op.B, dtype=complex)))
     want_x, _ = oracle_run_fista(ctx, gamma)
-    got = run_fista(ctx, gamma)
+    got = run_fista(ctx, gamma).estimate
     assert penalized(ctx, gamma, got.x_hat) >= penalized(ctx, gamma, want_x) - 1e-9 * scale
     want_x, _ = oracle_run_fista(ctx, gamma, max_iters=20_000)
-    got = run_fista(ctx, gamma, max_iters=20_000)
+    got = run_fista(ctx, gamma, max_iters=20_000).estimate
     want = penalized(ctx, gamma, want_x)
     assert abs(penalized(ctx, gamma, got.x_hat) - want) <= 1e-6 * abs(want)
 
@@ -171,8 +171,7 @@ def test_fista_costs_one_adjoint_per_iteration(monkeypatch):
         applies, adjoints = count_operator_calls(ctx.op)
         ctx.op.spectral_norm_estimate()
         applies.calls = adjoints.calls = trials.calls = 0
-        _, trace = run_fista(ctx, gamma, return_trace=True)
-        iterations = len(trace) - 1
+        iterations = run_fista(ctx, gamma).iterations
         assert adjoints.calls == iterations
         # One apply per step-size trial; a trial is one soft-threshold call.
         assert iterations <= trials.calls

@@ -31,7 +31,7 @@ def oracle_tune_gamma(make_ctx, L, trials, lo=1e-6, hi=1e6, max_bisect=60):
     target = 3 * L
 
     def mean_support(gamma):
-        return float(np.mean([run_fista(c, gamma).support.size for c in ctxs]))
+        return float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
 
     evaluations = []
 
@@ -88,8 +88,8 @@ def test_estimates_vanish_at_the_zero_threshold_and_not_below(seed, rho, trials)
     make_ctx = problems(seed, rho)
     ctxs = [make_ctx(k) for k in range(trials)]
     gamma_max = max(zero_threshold(c) for c in ctxs)
-    assert all(run_fista(c, gamma_max).support.size == 0 for c in ctxs)
-    assert any(run_fista(c, 0.5 * gamma_max).support.size > 0 for c in ctxs)
+    assert all(run_fista(c, gamma_max).estimate.support.size == 0 for c in ctxs)
+    assert any(run_fista(c, 0.5 * gamma_max).estimate.support.size > 0 for c in ctxs)
 
 
 @SETTINGS
@@ -118,9 +118,9 @@ def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
     iterations = []
 
     def counted(ctx, gamma):
-        estimate, trace = run_fista(ctx, gamma, return_trace=True)
-        iterations.append(len(trace) - 1)
-        return estimate
+        report = run_fista(ctx, gamma)
+        iterations.append(report.iterations)
+        return report
 
     monkeypatch.setattr(solvers_module, "run_fista", counted)
     _, achieved = tune_gamma(make_ctx, 2, trials=6)

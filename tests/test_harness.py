@@ -206,6 +206,20 @@ class TestRunExperiment:
         run_experiment(config)
         assert calls == ["run_grasp", "run_grasp", "run_fista"]
 
+    def test_fista_rows_carry_the_reported_iterations(self, monkeypatch):
+        reports = []
+        run_fista = harness.run_fista
+
+        def recorded(ctx, gamma):
+            reports.append(run_fista(ctx, gamma))
+            return reports[-1]
+
+        monkeypatch.setattr(harness, "run_fista", recorded)
+        records = run_experiment(replace(TINY, algorithms=("fista",)))
+        # One algorithm, run serially: the rows come in the order of the solves.
+        assert [r.iterations for r in records] == [rep.iterations for rep in reports]
+        assert all(rep.halted_by == "converged" for rep in reports)
+
 
 class TestConfigValidation:
     def test_rejects_undersized_dictionary(self):

@@ -167,6 +167,14 @@ def _oracle_support_of(x):
     return np.nonzero(x)[0]
 
 
+def oracle_restricted(ctx, support, init, inner_tol):
+    """The restricted maximizer from init as a full-length vector, and its h trace."""
+    values, h_trace = restricted_maximize(ctx, support, x0=init[support], inner_tol=inner_tol)
+    x = np.zeros(ctx.op.B, dtype=complex)
+    x[support] = values
+    return x, h_trace
+
+
 def oracle_grasp_step(ctx, config, x, bands, trace):
     L = config.sparsity
     z = grad_h(ctx, x)
@@ -174,13 +182,13 @@ def oracle_grasp_step(ctx, config, x, bands, trace):
     merged = np.union1d(idx, _oracle_support_of(x))
     if merged.size > 3 * L:
         raise CapacityError("merged support exceeds 3L")
-    b_vec = restricted_maximize(ctx, merged, init=x, inner_tol=config.inner_tol)
-    keep, pruned = hard_threshold(b_vec, L)
+    b_vec, _ = oracle_restricted(ctx, merged, x, config.inner_tol)
+    keep = hard_threshold(b_vec, L)
+    pruned = np.zeros_like(b_vec)
+    pruned[keep] = b_vec[keep]
     if config.debias:
-        x_new, h_trace = restricted_maximize(
-            ctx, _oracle_support_of(pruned), init=pruned, inner_tol=config.inner_tol,
-            return_trace=True,
-        )
+        x_new, h_trace = oracle_restricted(ctx, _oracle_support_of(pruned), pruned,
+                                           config.inner_tol)
         trace.append(h_trace[-1])
         return x_new
     trace.append(loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned))
@@ -194,11 +202,7 @@ def oracle_grahtp_step(ctx, config, x, bands, trace):
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     kappa = solvers_module._backtrack_gradient_step(ctx, x, u, at_x, g)
     idx = _threshold(x + kappa * g, x, L, bands)
-    init = np.zeros_like(x)
-    init[idx] = x[idx]
-    x_new, h_trace = restricted_maximize(
-        ctx, idx, init=init, inner_tol=config.inner_tol, return_trace=True,
-    )
+    x_new, h_trace = oracle_restricted(ctx, idx, x, config.inner_tol)
     trace.append(h_trace[-1])
     return x_new
 

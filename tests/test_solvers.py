@@ -58,10 +58,7 @@ def transcribed_band_max(z, x_hat, L, band_sets):
         if not J or abs(z[i]) > max(abs(z[j]) for j in J):
             S.add(i)
         remaining.discard(i)
-    idx = np.array(sorted(S), dtype=int)
-    out = np.zeros_like(z)
-    out[idx] = z[idx]
-    return idx, out
+    return np.array(sorted(S), dtype=int)
 
 
 def hand_bands(band_sets, B):
@@ -70,21 +67,25 @@ def hand_bands(band_sets, B):
         eta=0.5,
         indptr=np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.intp),
         indices=np.concatenate(rows),
-        column_norms=np.ones(B),
     )
+
+
+def solve_full(ctx, support, **kwargs):
+    """restricted_maximize's maximizer as a full-length vector."""
+    values, _ = restricted_maximize(ctx, support, **kwargs)
+    x = np.zeros(ctx.op.B, dtype=complex)
+    x[np.unique(np.asarray(support, dtype=int))] = values
+    return x
 
 
 class TestHardThreshold:
     def test_keeps_largest(self):
         z = np.array([1.0, -4.0, 2.0, 0.5]).astype(complex)
-        idx, out = hard_threshold(z, 2)
-        assert np.array_equal(idx, [1, 2])
-        assert np.array_equal(out, [0, -4.0, 2.0, 0])
+        assert np.array_equal(hard_threshold(z, 2), [1, 2])
 
     def test_tie_breaks_to_lowest_index(self):
         z = np.array([1.0, 1.0, 1.0]).astype(complex)
-        idx, _ = hard_threshold(z, 2)
-        assert np.array_equal(idx, [0, 1])
+        assert np.array_equal(hard_threshold(z, 2), [0, 1])
 
 
 class TestBmsThreshold:
@@ -99,12 +100,9 @@ class TestBmsThreshold:
         z = mags * phases
         x_hat = np.zeros(8, dtype=complex)
         bands = hand_bands(band_sets, 8)
-        idx, out = bms_threshold(z, x_hat, 2, bands)
+        idx = bms_threshold(z, x_hat, 2, bands)
         assert np.array_equal(idx, [0, 3])
-        assert np.array_equal(out[idx], z[idx])
-        ref_idx, ref_out = transcribed_band_max(z, x_hat, 2, band_sets)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(out, ref_out)
+        assert np.array_equal(idx, transcribed_band_max(z, x_hat, 2, band_sets))
 
     def test_differing_estimate_values_empty_the_byproduct_set(self):
         band_sets = {0: {0, 1}, 1: {0, 1, 2}, 2: {1, 2}, 3: {3},
@@ -112,7 +110,7 @@ class TestBmsThreshold:
         z = np.array([5.0, 4.0, 3.0, 2.5, 2.0, 1.0, 0.5, 0.4]).astype(complex)
         x_hat = np.zeros(8, dtype=complex)
         x_hat[1] = 1.0 + 0j
-        idx, _ = bms_threshold(z, x_hat, 2, hand_bands(band_sets, 8))
+        idx = bms_threshold(z, x_hat, 2, hand_bands(band_sets, 8))
         assert np.array_equal(idx, [0, 1])
 
     def test_ground_truth_beats_byproduct(self):
@@ -121,13 +119,13 @@ class TestBmsThreshold:
         band_sets = {0: {0, 1}, 1: {0, 1}, 2: {2}, 3: {3}}
         z = np.array([3.0, 2.9, 0.5, 0.1]).astype(complex)
         x_hat = np.zeros(4, dtype=complex)
-        idx, _ = bms_threshold(z, x_hat, 2, hand_bands(band_sets, 4))
+        idx = bms_threshold(z, x_hat, 2, hand_bands(band_sets, 4))
         assert 0 in idx and 1 not in idx
 
     def test_exact_score_ties_reject_both(self):
         band_sets = {0: {0, 1}, 1: {0, 1}}
         z = np.array([1.0 + 0j, 1j])          # equal magnitudes, exactly
-        idx, _ = bms_threshold(z, np.zeros(2, dtype=complex), 1,
+        idx = bms_threshold(z, np.zeros(2, dtype=complex), 1,
                                hand_bands(band_sets, 2))
         assert idx.size == 0
 
@@ -144,10 +142,8 @@ class TestBmsThreshold:
             x_hat[hot[:2]] = rng.standard_normal() + 1j * rng.standard_normal()
             x_hat[hot[2]] = x_hat[hot[0]]     # force a shared value
             for L in (1, 2, 4):
-                got_idx, got_out = bms_threshold(z, x_hat, L, bands)
-                want_idx, want_out = transcribed_band_max(z, x_hat, L, band_sets)
-                assert np.array_equal(got_idx, want_idx)
-                assert np.array_equal(got_out, want_out)
+                assert np.array_equal(bms_threshold(z, x_hat, L, bands),
+                                      transcribed_band_max(z, x_hat, L, band_sets))
 
     def test_singleton_bands_degenerate_to_plain_thresholding(self):
         op, _, _ = make_problem(m=4, n=4, t=6, b_rx=4, b_tx=4)
@@ -157,9 +153,7 @@ class TestBmsThreshold:
             z = rng.standard_normal(op.B) + 1j * rng.standard_normal(op.B)
             x_hat = rng.standard_normal(op.B) + 1j * rng.standard_normal(op.B)
             for L in (1, 3, 7):
-                plain_idx, _ = hard_threshold(z, L)
-                bms_idx, _ = bms_threshold(z, x_hat, L, bands)
-                assert np.array_equal(plain_idx, bms_idx)
+                assert np.array_equal(hard_threshold(z, L), bms_threshold(z, x_hat, L, bands))
 
     def test_exclusion_property_around_the_argmax(self):
         # When the global argmax i shares its estimate value with its whole
@@ -172,7 +166,7 @@ class TestBmsThreshold:
             z = rng.standard_normal(op.B) + 1j * rng.standard_normal(op.B)
             i = int(np.argmax(np.abs(z)))
             x_hat = np.zeros(op.B, dtype=complex)
-            idx, _ = bms_threshold(z, x_hat, 4, bands)
+            idx = bms_threshold(z, x_hat, 4, bands)
             cluster = set(bands.bands[i].tolist())
             assert len(cluster.intersection(idx.tolist())) <= 1
             assert i in idx
@@ -181,13 +175,14 @@ class TestBmsThreshold:
 class TestRestrictedMaximize:
     def test_empty_support_returns_zero(self):
         _, ctx, _ = make_problem()
-        x = restricted_maximize(ctx, [])
-        assert np.all(x == 0)
+        values, trace = restricted_maximize(ctx, [])
+        assert values.shape == (0,)
+        assert trace == [h_objective(ctx, np.zeros(ctx.op.B, dtype=complex))]
 
     def test_gradient_norm_contract(self):
         _, ctx, _ = make_problem(l=2, rho=5.0, seed=3)
         support = [2, 17, 40]
-        x = restricted_maximize(ctx, support, inner_tol=1e-8)
+        x = solve_full(ctx, support, inner_tol=1e-8)
         g = real_form(grad_h(ctx, x))
         sel = np.array(support)
         restricted = np.concatenate([g[sel], g[sel + ctx.op.B]])
@@ -214,38 +209,40 @@ class TestRestrictedMaximize:
         flat = (fine_re[:, None] + 1j * fine_im[None, :]).ravel()
         best = flat[np.argmax(h_batch(flat))]
 
-        x = restricted_maximize(ctx, [b])
-        assert abs(x[b] - best) <= 1e-3
+        values, _ = restricted_maximize(ctx, [b])
+        assert abs(values[0] - best) <= 1e-3
 
     def test_trace_is_nondecreasing(self):
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=4)
-        _, trace = restricted_maximize(ctx, [3, 30, 61], return_trace=True)
+        _, trace = restricted_maximize(ctx, [3, 30, 61])
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9)
 
     def test_unique_maximizer_from_any_start(self):
-        op, ctx, _ = make_problem(l=2, rho=2.0, seed=5)
+        _, ctx, _ = make_problem(l=2, rho=2.0, seed=5)
         support = [7, 23]
-        x1 = restricted_maximize(ctx, support)
-        init = np.zeros(op.B, dtype=complex)
-        init[support] = [3 - 2j, -1 + 4j]
-        x2 = restricted_maximize(ctx, support, init=init)
+        x1, _ = restricted_maximize(ctx, support)
+        x2, _ = restricted_maximize(ctx, support, x0=np.array([3 - 2j, -1 + 4j]))
         assert np.max(np.abs(x1 - x2)) < 1e-6
 
     def test_support_is_a_set(self):
         # Repeated or unordered indices name the same support, and so the
         # same maximizer, bit for bit.
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=8)
-        x = restricted_maximize(ctx, [3, 9])
+        x, trace = restricted_maximize(ctx, [3, 9])
         for support in ([3, 3, 9], [9, 3], [9, 3, 9, 3]):
-            assert np.array_equal(restricted_maximize(ctx, support), x)
+            got, got_trace = restricted_maximize(ctx, support)
+            assert np.array_equal(got, x) and got_trace == trace
 
-    def test_rejects_init_off_support(self):
-        op, ctx, _ = make_problem()
-        init = np.zeros(op.B, dtype=complex)
-        init[5] = 1.0
-        with pytest.raises(ValueError):
-            restricted_maximize(ctx, [1, 2], init=init)
+    def test_rejects_x0_not_matching_a_sorted_support(self):
+        # x0 holds the start's values at support, so support must name each
+        # of them once, in order; the check costs O(|support|), not O(B).
+        _, ctx, _ = make_problem()
+        for support, x0 in (([2, 1], [1.0, 0.0]),            # unsorted
+                            ([1, 1, 2], [1.0, 1.0, 0.0]),    # repeated
+                            ([1, 2], [0.0, 0.0, 1.0])):      # a value off the support
+            with pytest.raises(ValueError):
+                restricted_maximize(ctx, support, x0=np.array(x0, dtype=complex))
 
     def test_iteration_cap_carries_best_iterate(self):
         op, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
@@ -426,14 +423,23 @@ class TestFista:
         _, ctx, _ = make_problem(l=2, rho=5.0, seed=20)
         g0 = grad_h(ctx, np.zeros(ctx.op.B, dtype=complex))
         gamma = 1.01 * float(np.max(np.abs(g0)))
-        est = run_fista(ctx, gamma)
+        est = run_fista(ctx, gamma).estimate
         assert np.all(est.x_hat == 0)
         assert est.support.size == 0
 
     def test_objective_trace_is_nondecreasing(self):
         _, ctx, _ = make_problem(l=2, rho=5.0, seed=21)
-        _, trace = run_fista(ctx, gamma=5.0, return_trace=True)
+        trace = run_fista(ctx, gamma=5.0).objective_trace
         assert np.all(np.diff(trace) >= -1e-9)
+
+    def test_report_says_why_it_stopped(self):
+        _, ctx, _ = make_problem(l=2, rho=5.0, seed=21)
+        report = run_fista(ctx, gamma=5.0)
+        assert report.halted_by == "converged"
+        assert report.iterations == len(report.objective_trace) - 1 < 500
+        capped = run_fista(ctx, gamma=5.0, max_iters=3)
+        assert (capped.halted_by, capped.iterations) == ("max-iters", 3)
+        assert len(capped.objective_trace) == 4
 
     def test_desk_solves_stop_before_the_cap(self):
         # Desk scale at 10 dB and the gamma criterion 8 tunes there (54.2):
@@ -445,8 +451,7 @@ class TestFista:
         for seed in range(6):
             rng = np.random.default_rng(900 + seed)
             meas = synthesize_measurement(draw_channel(2, 16, 16, rng).H, tr.S, 10.0, rng)
-            _, trace = run_fista(ObjectiveContext(op, meas), gamma=54.2, return_trace=True)
-            iterations.append(len(trace) - 1)
+            iterations.append(run_fista(ObjectiveContext(op, meas), gamma=54.2).iterations)
         assert max(iterations) < 500
         # Step growth and momentum restart together take 42-87 iterations
         # here; growth alone takes up to 206 and restart alone up to 261.
@@ -454,7 +459,7 @@ class TestFista:
 
     def test_support_matches_eps_threshold(self):
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=22)
-        est = run_fista(ctx, gamma=3.0)
+        est = run_fista(ctx, gamma=3.0).estimate
         nz = np.nonzero(est.x_hat)[0]
         assert np.array_equal(nz, est.support)
         assert np.all(np.abs(est.x_hat[nz]) > 1e-8)
@@ -500,8 +505,7 @@ class TestBruteForce:
         oracle = brute_force_map(ctx, 1)
         values = []
         for b in range(ctx.op.B):
-            x = restricted_maximize(ctx, [b])
-            values.append(h_objective(ctx, x))
+            values.append(h_objective(ctx, solve_full(ctx, [b])))
         assert np.array_equal(oracle.support, [int(np.argmax(values))])
         assert abs(h_objective(ctx, oracle.x_hat) - max(values)) < 1e-12
 
