@@ -189,17 +189,18 @@ class SensingOperator:
         """Stack of columns A[:, idx] as an (M*T, len(idx)) matrix.
 
         Entry (t*M + m, k) is G[t, bt] * A_RX[m, br] for idx[k] = (br, bt),
-        the same products :meth:`column` forms through np.kron.
+        the same products :meth:`column` forms through np.kron.  The block
+        is the transpose of a row-major (len(idx), M*T) array, so each
+        column is contiguous: the restricted solve reads it row by row as
+        C^T.
         """
         idx = np.asarray(idx, dtype=int)
         bad = idx[(idx < 0) | (idx >= self.B)]
         if bad.size:
             raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
         br, bt = idx % self.B_RX, idx // self.B_RX
-        # C order, so the block feeds BLAS with the layout (and so the
-        # rounding) of a column-by-column fill.
-        block = np.multiply(self.G[:, None, bt], self.A_RX[None, :, br], order="C")
-        return block.reshape(self.M * self.T, idx.size)
+        rows = np.multiply(self.G.T[bt, :, None], self.A_RX.T[br, None, :])
+        return rows.reshape(idx.size, self.M * self.T).T
 
     # -- coherence geometry ------------------------------------------------
 

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .errors import CapacityError, ConvergenceError, NumericalError, TuningError
 from .objective import (
     ObjectiveContext,
+    _inv_mills_from,
     g_logprior,
     grad_h,
     likelihood,
@@ -205,29 +207,40 @@ def bms_threshold(
 # -- restricted concave maximization ---------------------------------------
 
 
-def _neg_hessian(cols: np.ndarray, cols_h: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """2I + C_R^T diag(d) C_R for the column block C = cols, cols_h = C^H.
+def _folded_block(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """K^T for K = diag(s) C_R, the sign-folded real form of the block C = cols.
 
-    C_R = [[Re C, -Im C], [Im C, Re C]] is the real form of C, and d has one
-    weight per real row: the real-part rows first.  Splitting d into those
-    halves, a = (d_re + d_im)/2 and b = (d_re - d_im)/2, the blocks of
-    C_R^T diag(d) C_R are those of two complex products, H1 = C^H diag(a) C
-    and H2 = C^T diag(b) C (Wirtinger calculus):
-    [[Re(H1 + H2), -Im(H1 + H2)], [Im(H1 - H2), Re(H1 - H2)]].
+    C_R = [[Re C, -Im C], [Im C, Re C]] maps x_R to (C x)_R, so K x_R is the
+    likelihood argument v = s .* (C x)_R.  K^T = C_R^T diag(s) has rows
+    [Re C^T, Im C^T] over [-Im C^T, Re C^T], each column scaled by its sign.
+    It is stored C-contiguous, (2q, 2MT), so that both K^T y and K x read it
+    along its rows.
     """
-    half = d.size // 2
-    q = cols.shape[1]
-    a = 0.5 * (d[:half] + d[half:])
-    b = 0.5 * (d[:half] - d[half:])
-    h1 = cols_h @ (a[:, None] * cols)
-    h2 = cols.T @ (b[:, None] * cols)
-    plus, minus = h1 + h2, h1 - h2
-    out = np.empty((2 * q, 2 * q))
-    out[:q, :q] = plus.real
-    out[:q, q:] = -plus.imag
-    out[q:, :q] = minus.imag
-    out[q:, q:] = minus.real
-    out[np.diag_indices(2 * q)] += 2.0
+    ct = cols.T
+    q, n = ct.shape
+    s_re, s_im = signs[:n], signs[n:]
+    kt = np.empty((2 * q, 2 * n))
+    np.multiply(ct.real, s_re, out=kt[:q, :n])
+    np.multiply(ct.imag, s_im, out=kt[:q, n:])
+    np.multiply(ct.imag, -s_re, out=kt[q:, :n])
+    np.multiply(ct.real, s_im, out=kt[q:, n:])
+    return kt
+
+
+def _folded_neg_hessian(kt: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """2I + K^T diag(curv) K for the sign-folded block kt = K^T.
+
+    With curv = lam .* (v + lam), the likelihood's curvature in v, this is
+    the negative Hessian of h over x_R: SPD, with eigenvalues at least 2.
+    It is summed over the real-part and the imaginary-part measurements, so
+    that the scaled copy of K^T it forms is half of K^T, the size of the
+    complex column block: at full scale a whole copy raised the peak memory
+    of a sweep by about 1 MB.
+    """
+    n = kt.shape[1] // 2
+    out = (kt[:, :n] * curv[:n]) @ kt[:, :n].T
+    out += (kt[:, n:] * curv[n:]) @ kt[:, n:].T
+    out.flat[:: out.shape[0] + 1] += 2.0
     return out
 
 
@@ -246,61 +259,64 @@ def restricted_maximize(
     objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
-    drops to inner_tol.  Works entirely through the restricted column block
-    of the operator, so the cost per iteration is O(M*T*|support|^2) and
-    nothing of length B is formed.
+    drops to inner_tol.
+
+    The whole solve runs on the iterate's real form x_R and on one real
+    block built once, K^T = (diag(s) C_R)^T for the restricted columns C
+    (see _folded_block): v = K x_R is the likelihood argument, the gradient
+    is K^T lam - 2 x_R, the Newton direction solves the negative Hessian
+    K^T diag(lam .* (v + lam)) K + 2I against it, and an Armijo trial
+    needs only log Phi at v + t K d.  The cost per iteration is
+    O(M*T*|support|^2), and nothing of length B is formed.
 
     Returns (the maximizer's values at the sorted support, the trace of h
     over the iterates), or raises ConvergenceError carrying the best
-    iterate as a full-length vector if the cap is hit.
+    iterate as a full-length vector if the cap is hit.  A non-finite image
+    raises ValueError, as :func:`likelihood` does.
     """
     if x0 is None:
         support = np.unique(np.asarray(support, dtype=int))
-        x = np.zeros(support.size, dtype=complex)
+        x = np.zeros(2 * support.size)
     else:
         support = np.asarray(support, dtype=int)
         if np.any(support[1:] <= support[:-1]):
             raise ValueError("support must be sorted and free of repeats when x0 is given")
-        x = np.array(x0, dtype=complex)
-        if x.shape != support.shape:
-            raise ValueError(f"x0 has shape {x.shape}, support {support.shape}")
+        x0 = np.asarray(x0, dtype=complex)
+        if x0.shape != support.shape:
+            raise ValueError(f"x0 has shape {x0.shape}, support {support.shape}")
+        x = real_form(x0)
 
-    cols = ctx.op.columns(support)            # (MT, q)
-    cols_h = cols.conj().T
-    rho_term = ctx._signs * ctx._signs        # 2*rho elementwise
+    kt = _folded_block(ctx.op.columns(support), ctx._signs)
 
-    def h_at(u_t, x_t):
-        # Every trial point carries its likelihood terms, so the accepted
-        # one supplies the next iteration's gradient and curvature.
-        terms = likelihood(ctx, u_t)
-        xr = real_form(x_t)
-        return terms, terms.f - float(xr @ xr)
+    def h_at(v_t, x_t):
+        # The accepted trial's log Phi values give the next iteration's
+        # inverse Mills ratios.
+        if not np.isfinite(v_t).all():
+            raise ValueError("likelihood requires a finite operator image")
+        log_cdf = special.log_ndtr(v_t)
+        return log_cdf, float(log_cdf.sum()) - float(x_t @ x_t)
 
-    u = cols @ x
-    terms, h_val = h_at(u, x)
+    v = kt.T @ x
+    log_cdf, h_val = h_at(v, x)
     trace = [h_val]
-    best = (h_val, x.copy())
+    best = (h_val, x)
 
     for _ in range(max_iters):
-        grad_c = cols_h @ terms.weights - 2.0 * x
-        g_r = real_form(grad_c)
-        gnorm = np.linalg.norm(g_r)
-        if gnorm <= inner_tol:
-            return x, trace
+        lam = _inv_mills_from(v, log_cdf)
+        grad = kt @ lam - 2.0 * x
+        if math.sqrt(grad @ grad) <= inner_tol:
+            return complex_form(x), trace
 
-        # The negative Hessian is SPD.
-        neg_hess = _neg_hessian(cols, cols_h, rho_term * terms.lam * (terms.v + terms.lam))
-        d_r = np.linalg.solve(neg_hess, g_r)
-        d_c = complex_form(d_r)
-        slope = float(g_r @ d_r)              # > 0: ascent direction
-
-        w = cols @ d_c
+        d = np.linalg.solve(_folded_neg_hessian(kt, lam * (v + lam)), grad)
+        slope = float(grad @ d)               # > 0: ascent direction
+        w = kt.T @ d
         noise_floor = 1e-12 * (1.0 + abs(h_val))
         t = 1.0
         accepted = False
         if slope > noise_floor:
             for _ in range(ARMIJO_MAX_STEPS):
-                trial, h_t = h_at(u + t * w, x + t * d_c)
+                v_t, x_t = v + t * w, x + t * d
+                trial, h_t = h_at(v_t, x_t)
                 if h_t >= h_val + ARMIJO_SLOPE * t * slope:
                     accepted = True
                     break
@@ -310,24 +326,23 @@ def restricted_maximize(
             # noise of h, making backtracking comparisons meaningless; the
             # raw Newton step still contracts the gradient quadratically,
             # so take it unless it measurably descends.
-            t = 1.0
-            trial, h_t = h_at(u + w, x + d_c)
+            v_t, x_t = v + w, x + d
+            trial, h_t = h_at(v_t, x_t)
             if h_t < h_val - noise_floor:
                 break
-        x = x + t * d_c
-        u = u + t * w
-        terms, h_val = trial, h_t
+        x, v, log_cdf, h_val = x_t, v_t, trial, h_t
         trace.append(h_val)
         if h_val > best[0]:
-            best = (h_val, x.copy())
+            best = (h_val, x)
 
     full = np.zeros(ctx.op.B, dtype=complex)
-    full[support] = best[1]
-    grad_c = cols_h @ likelihood(ctx, cols @ best[1]).weights - 2.0 * best[1]
+    full[support] = complex_form(best[1])
+    v = kt.T @ best[1]
+    grad = kt @ _inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {max_iters} iterations",
         best=full,
-        grad_norm=float(np.linalg.norm(real_form(grad_c))),
+        grad_norm=float(np.linalg.norm(grad)),
     )
 
 
@@ -454,8 +469,9 @@ def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
     """Armijo step size for the ascent step along the gradient g at x.
 
     Returns the largest t = ARMIJO_SHRINK^k, k < ARMIJO_MAX_STEPS, with
-    h(x + t g) >= h(x) + ARMIJO_SLOPE t ||g||^2, or ARMIJO_SHRINK^ARMIJO_MAX_STEPS
-    when none passes: the step that backtracking from t = 1 returns.  h is
+    h(x + t g) >= h(x) + ARMIJO_SLOPE t ||g||^2: the step that backtracking
+    from t = 1 returns.  When none passes, raises ConvergenceError carrying
+    x, so that the caller can salvage the current iterate.  h is
     concave along g, so the passing steps form an interval [0, t*], and the
     search may start anywhere on the grid: it starts at the line-Newton step
     ||g||^2 / (w^T D w + 2 ||g||^2), with D the likelihood's curvature at x,
@@ -490,7 +506,11 @@ def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
     for k in range(k + 1, ARMIJO_MAX_STEPS):
         if passes(k):
             return ARMIJO_SHRINK ** k
-    return ARMIJO_SHRINK ** ARMIJO_MAX_STEPS
+    raise ConvergenceError(
+        f"no gradient step {ARMIJO_SHRINK}^k, k < {ARMIJO_MAX_STEPS}, passes the Armijo test",
+        best=x,
+        grad_norm=math.sqrt(gn2),
+    )
 
 
 def run_grahtp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onebitcs.solvers as solvers_module
+from onebitcs.errors import ConvergenceError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
 from onebitcs.objective import (
     ObjectiveContext,
@@ -160,6 +161,20 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     assert np.array_equal(g, grad_h(ctx, x))
     kappa = _backtrack_gradient_step(ctx, x, u, at_x, g)
     assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
+
+
+def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
+    ctx = make_ctx(3, 10.0)
+    x = np.zeros(ctx.op.B, dtype=complex)
+    x[[2, 5]] = [1.0 - 0.5j, 0.25j]
+    u = ctx.op.apply(x)
+    at_x = likelihood(ctx, u)
+    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
+    monkeypatch.setattr(solvers_module, "loglik", lambda ctx, u: -np.inf)
+    with pytest.raises(ConvergenceError) as err:
+        _backtrack_gradient_step(ctx, x, u, at_x, g)
+    assert np.array_equal(err.value.best, x)
+    assert err.value.grad_norm == pytest.approx(np.linalg.norm(g))
 
 
 def test_fista_costs_one_adjoint_per_iteration(monkeypatch):

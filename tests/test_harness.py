@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import onebitcs
+import onebitcs.solvers as solvers_module
 from onebitcs import harness
 from onebitcs.cli import cli_main
 from onebitcs.harness import (
@@ -219,6 +220,16 @@ class TestRunExperiment:
         # One algorithm, run serially: the rows come in the order of the solves.
         assert [r.iterations for r in records] == [rep.iterations for rep in reports]
         assert all(rep.halted_by == "converged" for rep in reports)
+
+    def test_grahtp_row_is_salvaged_when_no_gradient_step_passes(self, monkeypatch, capsys):
+        # Every step-size trial fails, so the first GraHTP step search raises
+        # ConvergenceError with the zero start, which the row keeps.
+        monkeypatch.setattr(solvers_module, "loglik", lambda ctx, u: -np.inf)
+        records = run_experiment(replace(TINY, algorithms=("grahtp", "grasp")))
+        grahtp = [r for r in records if r.algorithm == "grahtp"]
+        assert grahtp and all(r.iterations == -1 and r.nmse == 1.0 for r in grahtp)
+        assert all(r.iterations > 0 for r in records if r.algorithm == "grasp")
+        assert "passes the Armijo test" in capsys.readouterr().err
 
 
 class TestConfigValidation:

@@ -7,11 +7,18 @@ here:
   below zero, phi / Phi above); the likelihood now derives it from the
   log Phi values it already computes, with erfcx only below -40;
 * the restricted Newton step assembled its negative Hessian from the real
-  (2MT x 2q) embedding of the column block; it now forms two complex
-  q x q products;
+  (2MT x 2q) embedding of the column block, and then from two complex
+  q x q products; the whole restricted solve, which ran in complex storage
+  with the full likelihood at every trial, now runs on one sign-folded
+  real block;
 * the pursuit steps found each iterate's support with np.nonzero over all
   B entries; they now carry it as a sorted index array.
+
+The GraHTP gradient step search returned its smallest step when no step
+passed; it now raises ConvergenceError with the current iterate.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,15 +27,16 @@ from hypothesis import strategies as st
 from scipy import special
 
 import onebitcs.solvers as solvers_module
-from onebitcs.errors import CapacityError, NumericalError
+from onebitcs.errors import CapacityError, ConvergenceError, NumericalError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
 from onebitcs.objective import ObjectiveContext, g_logprior, grad_h, inv_mills, likelihood, loglik
-from onebitcs.operator import build_operator, real_form
+from onebitcs.operator import build_operator, complex_form, real_form
 from onebitcs.solvers import (
     SolverConfig,
     SolverReport,
     SparseEstimate,
-    _neg_hessian,
+    _folded_block,
+    _folded_neg_hessian,
     _resolve_bands,
     _threshold,
     hard_threshold,
@@ -132,32 +140,192 @@ def oracle_neg_hessian(cols, d):
     return 2.0 * np.eye(cols_r.shape[1]) + cols_r.T @ (d[:, None] * cols_r)
 
 
+def folded_hessian(cols, signs, curv):
+    """The sign-folded assembly from the column block, signs and curvature."""
+    return _folded_neg_hessian(_folded_block(cols, signs), curv)
+
+
 @SETTINGS
 @given(q=st.integers(1, 12), rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
-def test_complex_hessian_assembly_matches_real_embedding(q, rows, seed):
+def test_folded_hessian_assembly_matches_real_embedding(q, rows, seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((rows, q)) + 1j * rng.standard_normal((rows, q))
-    d_re = rng.uniform(0.0, 2.0, rows)
-    d_im = rng.uniform(0.0, 2.0, rows)
-    # b = (d_re - d_im)/2 takes both signs.
-    d_re[0], d_im[0] = 1.5, 0.25
-    d_re[1], d_im[1] = 0.25, 1.5
-    d = np.concatenate([d_re, d_im])
-    want = oracle_neg_hessian(cols, d)
-    got = _neg_hessian(cols, cols.conj().T, d)
+    # Signs of both polarities and of unequal sizes: the assembly must not
+    # rely on |s| being the same everywhere.
+    signs = rng.choice([-1.0, 1.0], 2 * rows) * rng.uniform(0.5, 2.0, 2 * rows)
+    curv = rng.uniform(0.0, 2.0, 2 * rows)
+    want = oracle_neg_hessian(cols, signs * signs * curv)
+    got = folded_hessian(cols, signs, curv)
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
 
-def test_complex_hessian_assembly_at_full_scale_columns():
+def test_folded_hessian_assembly_at_full_scale_columns():
     ctx = make_ctx(7, 100.0, m=64, n=64, t=80, b=256)
     support = np.random.default_rng(8).choice(ctx.op.B, 12, replace=False)
     cols = ctx.op.columns(support)
     u = cols @ (np.random.default_rng(9).standard_normal(12) * (1 + 1j))
     terms = likelihood(ctx, u)
-    d = ctx._signs * ctx._signs * terms.lam * (terms.v + terms.lam)
-    want = oracle_neg_hessian(cols, d)
-    got = _neg_hessian(cols, cols.conj().T, d)
+    curv = terms.lam * (terms.v + terms.lam)
+    want = oracle_neg_hessian(cols, ctx._signs * ctx._signs * curv)
+    got = folded_hessian(cols, ctx._signs, curv)
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def test_folded_block_gives_the_likelihood_argument_and_gradient():
+    ctx = make_ctx(10, 10.0)
+    support = np.array([1, 4, 6])
+    cols = ctx.op.columns(support)
+    kt = _folded_block(cols, ctx._signs)
+    assert kt.flags.c_contiguous and kt.shape == (6, 2 * ctx.op.M * ctx.op.T)
+    x = np.array([0.3 - 1j, -2.0 + 0.5j, 1j])
+    terms = likelihood(ctx, cols @ x)
+    assert np.allclose(kt.T @ real_form(x), terms.v, rtol=0.0, atol=1e-13)
+    assert np.allclose(kt @ terms.lam, real_form(cols.conj().T @ terms.weights),
+                       rtol=0.0, atol=1e-12)
+
+
+# -- the restricted solve ----------------------------------------------------
+
+
+def oracle_complex_neg_hessian(cols, cols_h, d):
+    """2I + C_R^T diag(d) C_R from two complex products (Wirtinger calculus).
+
+    With a = (d_re + d_im)/2 and b = (d_re - d_im)/2 over the two halves of
+    d, H1 = C^H diag(a) C and H2 = C^T diag(b) C give the blocks
+    [[Re(H1 + H2), -Im(H1 + H2)], [Im(H1 - H2), Re(H1 - H2)]].
+    """
+    half = d.size // 2
+    q = cols.shape[1]
+    a = 0.5 * (d[:half] + d[half:])
+    b = 0.5 * (d[:half] - d[half:])
+    h1 = cols_h @ (a[:, None] * cols)
+    h2 = cols.T @ (b[:, None] * cols)
+    plus, minus = h1 + h2, h1 - h2
+    out = np.empty((2 * q, 2 * q))
+    out[:q, :q] = plus.real
+    out[:q, q:] = -plus.imag
+    out[q:, :q] = minus.imag
+    out[q:, q:] = minus.real
+    out[np.diag_indices(2 * q)] += 2.0
+    return out
+
+
+def oracle_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, max_iters=100):
+    """The restricted Newton solve in complex storage, with the full
+    likelihood at every Armijo trial and the complex Hessian assembly."""
+    if x0 is None:
+        support = np.unique(np.asarray(support, dtype=int))
+        x = np.zeros(support.size, dtype=complex)
+    else:
+        support = np.asarray(support, dtype=int)
+        x = np.array(x0, dtype=complex)
+    cols = ctx.op.columns(support)
+    cols_h = cols.conj().T
+    rho_term = ctx._signs * ctx._signs
+
+    def h_at(u_t, x_t):
+        terms = likelihood(ctx, u_t)
+        xr = real_form(x_t)
+        return terms, terms.f - float(xr @ xr)
+
+    u = cols @ x
+    terms, h_val = h_at(u, x)
+    trace = [h_val]
+    best = (h_val, x.copy())
+    for _ in range(max_iters):
+        g_r = real_form(cols_h @ terms.weights - 2.0 * x)
+        if np.linalg.norm(g_r) <= inner_tol:
+            return x, trace
+        neg_hess = oracle_complex_neg_hessian(
+            cols, cols_h, rho_term * terms.lam * (terms.v + terms.lam))
+        d_r = np.linalg.solve(neg_hess, g_r)
+        d_c = complex_form(d_r)
+        slope = float(g_r @ d_r)
+        w = cols @ d_c
+        noise_floor = 1e-12 * (1.0 + abs(h_val))
+        t = 1.0
+        accepted = False
+        if slope > noise_floor:
+            for _ in range(50):
+                trial, h_t = h_at(u + t * w, x + t * d_c)
+                if h_t >= h_val + 0.1 * t * slope:
+                    accepted = True
+                    break
+                t *= 0.5
+        if not accepted:
+            t = 1.0
+            trial, h_t = h_at(u + w, x + d_c)
+            if h_t < h_val - noise_floor:
+                break
+        x = x + t * d_c
+        u = u + t * w
+        terms, h_val = trial, h_t
+        trace.append(h_val)
+        if h_val > best[0]:
+            best = (h_val, x.copy())
+    full = np.zeros(ctx.op.B, dtype=complex)
+    full[support] = best[1]
+    raise ConvergenceError("cap", best=full)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
+       size=st.integers(0, 6), scale=st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+def test_restricted_solve_matches_complex_oracle(seed, rho, size, scale):
+    ctx = make_ctx(seed, rho, b=16)
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(ctx.op.B, size=size, replace=False))
+    x0 = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    got, got_trace = restricted_maximize(ctx, support, x0=x0)
+    want, want_trace = oracle_restricted_maximize(ctx, support, x0=x0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+    assert len(got_trace) == len(want_trace)
+    # Far from the maximizer a Newton step cancels terms as large as the
+    # start's h, so h agrees to 1e-12 of the trace's scale; at the
+    # maximizer h is stationary, and agrees to 1e-12 of itself.
+    h_scale = np.max(np.abs(want_trace))
+    assert np.all(np.abs(np.subtract(got_trace, want_trace)) <= 1e-12 * h_scale)
+    assert abs(got_trace[-1] - want_trace[-1]) <= 1e-12 * abs(want_trace[-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_restricted_solve_rejects_non_finite_image(monkeypatch, bad):
+    ctx = make_ctx(11, 10.0)
+    with pytest.raises(ValueError, match="finite"):
+        restricted_maximize(ctx, [1, 2], x0=np.array([bad, 1.0 + 0j]))
+    # So does an image that overflows.
+    real_columns = ctx.op.columns
+    monkeypatch.setattr(ctx.op, "columns", lambda idx: 1e306 * real_columns(idx))
+    with pytest.raises(ValueError, match="finite"):
+        restricted_maximize(ctx, [1, 2], x0=np.array([1e3 + 0j, -1e3j]))
+
+
+def test_restricted_solve_stays_in_restricted_storage(monkeypatch):
+    # B = 65536 columns over only M*T = 24 measurements: a length-B array
+    # would dwarf every array of the solve.
+    ctx = make_ctx(12, 10.0, b=256)
+    B = ctx.op.B
+
+    def forbidden(*_):
+        raise AssertionError("the restricted solve applied the operator")
+
+    monkeypatch.setattr(ctx.op, "apply", forbidden)
+    monkeypatch.setattr(ctx.op, "apply_adjoint", forbidden)
+    support = np.array([5, 700, 40000, 65000])
+    x0 = np.array([1.0, -1j, 0.5 + 0.5j, 0.0])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        values, trace = restricted_maximize(ctx, support, x0=x0)
+        _, peak = tracemalloc.get_traced_memory()
+        with pytest.raises(ConvergenceError) as err:
+            restricted_maximize(ctx, support, x0=x0, max_iters=1)
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (4,) and len(trace) > 1
+    assert peak < 8 * B
+    assert err.value.best.shape == (B,)
+    assert set(np.flatnonzero(err.value.best).tolist()) <= set(support.tolist())
 
 
 # -- supports carried as index arrays ----------------------------------------

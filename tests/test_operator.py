@@ -56,12 +56,11 @@ class TestBuildAndShapes:
 
     @pytest.mark.parametrize("idx", [[], [5, 5, 0], [63, 17, 0, 17], list(range(64))])
     def test_columns_stack_column_bitwise(self, idx):
-        # The restricted solves are bitwise reproducible only if the block
-        # holds the same values in the same (C) layout as a column-by-column
-        # fill.
+        # The block holds the same values as a column-by-column fill, each
+        # column contiguous: the restricted solve reads the block as C^T.
         op, _ = make_pair(m=4, n=3, t=5, b_rx=8, b_tx=8)
         block = op.columns(idx)
-        assert block.shape == (op.M * op.T, len(idx)) and block.flags.c_contiguous
+        assert block.shape == (op.M * op.T, len(idx)) and block.T.flags.c_contiguous
         for k, b in enumerate(idx):
             assert np.array_equal(block[:, k], op.column(b))
 
