@@ -10,6 +10,7 @@ runtime is the one recorded field that is not reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 import time
@@ -318,11 +319,41 @@ class _SweepState:
         return records
 
 
+# Thread-count functions of the OpenBLAS that numpy's wheels bundle (the
+# scipy-openblas build with 64-bit integers).
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+def _blas_threads(count: int | None = None) -> int | None:
+    """The thread count of numpy's OpenBLAS, set to `count` when one is given.
+
+    Returns the count in force before the call, or None, changing nothing,
+    where numpy's extension module resolves no _BLAS_THREAD_SYMBOLS (another
+    BLAS, or other names).  Sweeps pin one thread: a second one saves their
+    products little wall time for a second core's worth of CPU, and pool
+    workers would each start one thread per core.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = (getattr(lib, name) for name in _BLAS_THREAD_SYMBOLS)
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    previous = get()
+    if count is not None:
+        set_(count)
+    return previous
+
+
 _WORKER_STATE = None
 
 
 def _init_worker(config):
     global _WORKER_STATE
+    _blas_threads(1)
     _WORKER_STATE = _SweepState(config, *sweep_operators(config))
 
 
@@ -360,8 +391,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     method, tunes the points and then runs the trials, and the rows are the
     serial ones.  Where that method is not ``fork`` (Windows, macOS, and
     Linux from Python 3.14), a script that calls this with workers > 1 must
-    do so under an ``if __name__ == "__main__":`` guard.  When an `info` dict is supplied
-    it collects resolved metadata (training root, tuned FISTA weights).
+    do so under an ``if __name__ == "__main__":`` guard.  Each process of
+    the sweep runs numpy's BLAS on one thread, and the caller's thread
+    count is back when this returns or raises.  When an `info` dict is
+    supplied it collects resolved metadata (training root, tuned FISTA
+    weights, and blas_threads: 1, or "unpinned" where the count cannot be
+    set).
     """
     training, ops = sweep_operators(config)
     if info is not None:
@@ -369,19 +404,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
         info["zc_shifts"] = training.shifts
 
     tuning = range(len(config.snr_db)) if "fista" in config.algorithms else ()
-    if workers > 1:
-        # Imported here, so that serial runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    previous = _blas_threads(1)
+    if info is not None:
+        info["blas_threads"] = "unpinned" if previous is None else 1
+    try:
+        if workers > 1:
+            # Imported here, so that serial runs never load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            tasks = _trial_tasks(config, list(pool.map(_worker_tune, tuning)), info)
-            blocks = list(pool.map(_worker_trial, tasks, chunksize=8))
-    else:
-        state = _SweepState(config, training, ops)
-        tasks = _trial_tasks(config, [state.tune(i) for i in tuning], info)
-        blocks = [state.run_trial(*task) for task in tasks]
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(config,)
+            ) as pool:
+                tasks = _trial_tasks(config, list(pool.map(_worker_tune, tuning)), info)
+                blocks = list(pool.map(_worker_trial, tasks, chunksize=8))
+        else:
+            state = _SweepState(config, training, ops)
+            tasks = _trial_tasks(config, [state.tune(i) for i in tuning], info)
+            blocks = [state.run_trial(*task) for task in tasks]
+    finally:
+        if previous is not None:
+            _blas_threads(previous)
 
     records = [record for block in blocks for record in block]
     records.sort(key=lambda r: (r.algorithm, r.snr_db, r.trial))

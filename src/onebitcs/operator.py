@@ -44,13 +44,6 @@ DENSE_CACHE_LIMIT = 2**26
 # Coherences at or below this are treated as exact zeros when selecting eta.
 ORTHO_TOL = 1e-12
 
-# OpenBLAS runs a complex matrix product of this many multiply-adds or more on
-# every core.  Just above it the second core saves no wall time, and after the
-# call it spins: at desk scale (B_RX = B_TX = 64, M = 16) the operator's
-# products sit at exactly this size, and FISTA rows took about 1.5x the CPU
-# time of the single-threaded FFT path.
-_BLAS_THREADED_WORK = 2**16
-
 
 def vec(X: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
@@ -60,17 +53,6 @@ def vec(X: np.ndarray) -> np.ndarray:
 def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec` for a rows x cols matrix."""
     return np.asarray(x).reshape(rows, cols, order="F")
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; below twice _BLAS_THREADED_WORK, as two single-threaded row halves."""
-    if not _BLAS_THREADED_WORK <= a.size * b.shape[1] < 2 * _BLAS_THREADED_WORK:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    half = a.shape[0] // 2
-    np.matmul(a[:half], b, out=out[:half])
-    np.matmul(a[half:], b, out=out[half:])
-    return out
 
 
 def real_form(x: np.ndarray) -> np.ndarray:
@@ -164,8 +146,7 @@ class SensingOperator:
         # x.reshape(B_TX, B_RX) is X^T, and the (T, M) result is unvec(A x)^T.
         # Contracting B_RX first costs B*M + T*B_TX*M multiplies, not B*T +
         # T*B_RX*M: fewer whenever M < T, as in the shipped configs.
-        XA = _matmul(x.reshape(self.B_TX, self.B_RX), self.A_RX.T)
-        return _matmul(self.G, XA).reshape(-1)
+        return (self.G @ (x.reshape(self.B_TX, self.B_RX) @ self.A_RX.T)).reshape(-1)
 
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """A^H @ c for a length-M*T measurement-space vector."""
@@ -177,8 +158,25 @@ class SensingOperator:
         if self.mode == "dense":
             return self.dense_A.conj().T @ c
         # Transposed, so the result needs no column-major copy: C order is vec.
-        return _matmul(_matmul(self._G_H, c.reshape(self.T, self.M)),
-                       self._A_RX_conj).reshape(-1)
+        return (self._G_H @ c.reshape(self.T, self.M) @ self._A_RX_conj).reshape(-1)
+
+    def image(self, idx, values) -> np.ndarray:
+        """A @ x for the x that holds values at the indices idx and is zero elsewhere.
+
+        One product of two blocks of len(idx) factor columns, C-ordered like
+        :meth:`apply`: O(M*T*len(idx)) work, where apply costs O(M*B).
+        """
+        idx = np.asarray(idx, dtype=int)
+        values = np.asarray(values)
+        if values.shape != idx.shape or idx.ndim != 1:
+            raise ValueError(
+                f"idx {idx.shape} and values {values.shape} must be vectors of one length"
+            )
+        bad = idx[(idx < 0) | (idx >= self.B)]
+        if bad.size:
+            raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
+        br, bt = idx % self.B_RX, idx // self.B_RX
+        return ((self.G[:, bt] * values) @ self.A_RX[:, br].T).reshape(-1)
 
     def column(self, b: int) -> np.ndarray:
         """Column b of A, assembled from the two factors in O(M*T)."""

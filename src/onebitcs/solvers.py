@@ -21,7 +21,6 @@ from .objective import (
     ObjectiveContext,
     _inv_mills_from,
     g_logprior,
-    grad_h,
     likelihood,
     loglik,
 )
@@ -58,8 +57,10 @@ ARMIJO_MAX_STEPS = 50
 # Halvings of gamma, and then bisections of log(gamma), before tune_gamma
 # gives up.
 TUNE_MAX_BISECT = 60
-# Most candidate supports brute_force_map enumerates.
+# Most candidate supports brute_force_map enumerates, and the relative margin
+# by which a later support's maximum must beat the best one to replace it.
 ORACLE_BUDGET = 10**5
+ORACLE_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +406,20 @@ def _pursuit_loop(ctx, config, use_bms, step):
                         halted_by=halted_by, objective_trace=trace)
 
 
+def _gradient_at(ctx, x, support):
+    """A x, the likelihood there and the gradient of h at x, whose nonzeros are at support.
+
+    A x is the support-sized image, and the prior's term -2x touches only
+    the support; the adjoint is the one pass over all B entries.
+    """
+    x_s = x[support]
+    u = ctx.op.image(support, x_s)
+    at_x = likelihood(ctx, u)
+    g = ctx.op.apply_adjoint(at_x.weights)
+    g[support] -= 2.0 * x_s
+    return u, at_x, g
+
+
 def _grasp_step(ctx, config, x, support, bands, trace=None):
     """One GraSP iteration from x, whose nonzeros are at support.
 
@@ -412,7 +427,7 @@ def _grasp_step(ctx, config, x, support, bands, trace=None):
     trace.
     """
     L = config.sparsity
-    z = grad_h(ctx, x)
+    _, _, z = _gradient_at(ctx, x, support)
     idx = _threshold(z, x, 2 * L, bands)
     merged = np.union1d(idx, support)
     if merged.size > 3 * L:
@@ -425,7 +440,7 @@ def _grasp_step(ctx, config, x, support, bands, trace=None):
         vals, h_trace = restricted_maximize(ctx, keep, x0=vals, inner_tol=config.inner_tol)
         h = h_trace[-1]
     else:
-        h = loglik(ctx, ctx.op.columns(keep) @ vals) + g_logprior(vals)
+        h = loglik(ctx, ctx.op.image(keep, vals)) + g_logprior(vals)
     if trace is not None:
         trace.append(h)
     return _scatter(x.size, keep, vals)
@@ -451,11 +466,10 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     trace.
     """
     L = config.sparsity
-    u = ctx.op.apply(x)
-    at_x = likelihood(ctx, u)
-    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x, g)
-    z = x + kappa * g
+    u, at_x, g = _gradient_at(ctx, x, support)
+    kappa = _backtrack_gradient_step(ctx, x, support, u, at_x, g)
+    z = kappa * g
+    z[support] += x[support]
     idx = _threshold(z, x, L, bands)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
@@ -465,7 +479,7 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     return _scatter(x.size, idx, vals)
 
 
-def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
+def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     """Armijo step size for the ascent step along the gradient g at x.
 
     Returns the largest t = ARMIJO_SHRINK^k, k < ARMIJO_MAX_STEPS, with
@@ -477,16 +491,17 @@ def _backtrack_gradient_step(ctx, x, u, at_x, g) -> float:
     ||g||^2 / (w^T D w + 2 ||g||^2), with D the likelihood's curvature at x,
     and moves up or down from there.
 
-    u = A x and at_x = likelihood(ctx, u) are the caller's.  With w = A g
-    formed once, the trial point x + t g has image u + t w and prior
-    -(||x||^2 + 2t Re<x, g> + t^2 ||g||^2), so a trial costs no operator
-    apply and no pass over the B entries.
+    x is zero off support.  u = A x and at_x = likelihood(ctx, u) are the
+    caller's.  With w = A g formed once, the trial point x + t g has image
+    u + t w and prior -(||x||^2 + 2t Re<x, g> + t^2 ||g||^2), so a trial
+    costs no operator apply and no pass over the B entries.
     """
     gn2 = float(np.vdot(g, g).real)
     if gn2 == 0.0:
         return 1.0
-    xn2 = float(np.vdot(x, x).real)
-    xg2 = 2.0 * float(np.vdot(x, g).real)
+    x_s = x[support]
+    xn2 = float(np.vdot(x_s, x_s).real)
+    xg2 = 2.0 * float(np.vdot(x_s, g[support]).real)
     h0 = at_x.f - xn2
     w = ctx.op.apply(g)
     w_r = real_form(w)
@@ -716,6 +731,11 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
     Every size-min(L, B) support is maximized over exactly; smaller supports
     are subsets of enumerated ones and cannot beat them, so the best
     enumerated solve is the global optimum over all supports of size <= L.
+
+    Supports are enumerated in lexicographic order, and a later one replaces
+    the best so far only when its maximum beats the best h by more than
+    ORACLE_TIE_TOL * (1 + |h|).  Supports whose maxima agree to within
+    rounding therefore resolve to the first of them, whatever the rounding.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -729,7 +749,7 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
     best_values = best_support = None
     for support in itertools.combinations(range(B), k):
         values, trace = restricted_maximize(ctx, support)
-        if trace[-1] > best_val:
+        if best_support is None or trace[-1] > best_val + ORACLE_TIE_TOL * (1.0 + abs(best_val)):
             best_val, best_values, best_support = trace[-1], values, support
     x_hat = np.zeros(B, dtype=complex)
     x_hat[list(best_support)] = best_values

@@ -159,7 +159,7 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     assert np.array_equal(g, grad_h(ctx, x))
-    kappa = _backtrack_gradient_step(ctx, x, u, at_x, g)
+    kappa = _backtrack_gradient_step(ctx, x, np.flatnonzero(x), u, at_x, g)
     assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
 
 
@@ -172,7 +172,7 @@ def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     monkeypatch.setattr(solvers_module, "loglik", lambda ctx, u: -np.inf)
     with pytest.raises(ConvergenceError) as err:
-        _backtrack_gradient_step(ctx, x, u, at_x, g)
+        _backtrack_gradient_step(ctx, x, np.array([2, 5]), u, at_x, g)
     assert np.array_equal(err.value.best, x)
     assert err.value.grad_norm == pytest.approx(np.linalg.norm(g))
 
@@ -223,8 +223,8 @@ def test_grahtp_step_costs_two_applies(monkeypatch):
 @pytest.mark.parametrize("runner, debias, applies_per_iteration", [
     (run_grasp, False, 1), (run_grasp, True, 1), (run_grahtp, False, 2)])
 def test_pursuit_trace_costs_no_apply(runner, debias, applies_per_iteration):
-    # Only the steps' own gradients and step searches apply the operator;
-    # the trace takes h from the restricted solves and column blocks.
+    # At most the steps' own gradients and step searches apply the operator;
+    # the trace takes h from the restricted solves and support images.
     for seed in range(4):
         ctx = make_ctx(seed, 100.0, b=16)
         applies, _ = count_operator_calls(ctx.op)

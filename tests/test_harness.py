@@ -232,6 +232,62 @@ class TestRunExperiment:
         assert "passes the Armijo test" in capsys.readouterr().err
 
 
+@pytest.fixture
+def blas_threads():
+    """Two BLAS threads for the test; the count in force before is restored after."""
+    previous = harness._blas_threads(2)
+    if previous is None:
+        pytest.skip("numpy's BLAS exposes no thread control")
+    yield
+    harness._blas_threads(previous)
+
+
+class TestBlasThreads:
+    def spied_grasp(self, monkeypatch, seen, fail=False):
+        run_grasp = harness.run_grasp
+
+        def spy(*args, **kwargs):
+            seen.append(harness._blas_threads())
+            if fail:
+                raise RuntimeError("solver failed")
+            return run_grasp(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_grasp", spy)
+
+    def test_serial_sweep_runs_on_one_thread_and_restores_the_count(
+            self, monkeypatch, blas_threads):
+        seen = []
+        self.spied_grasp(monkeypatch, seen)
+        info = {}
+        run_experiment(TINY, info=info)
+        assert seen and set(seen) == {1}
+        assert info["blas_threads"] == 1
+        assert harness._blas_threads() == 2
+
+    def test_count_is_restored_when_the_sweep_raises(self, monkeypatch, blas_threads):
+        seen = []
+        self.spied_grasp(monkeypatch, seen, fail=True)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            run_experiment(TINY)
+        assert seen == [1]
+        assert harness._blas_threads() == 2
+
+    def test_worker_initializer_leaves_one_thread(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(harness, "_WORKER_STATE", None)
+        harness._init_worker(replace(TINY, trials=1))
+        assert harness._blas_threads() == 1
+
+    def test_sweep_without_thread_control_gives_the_same_rows(self, monkeypatch):
+        pinned = run_experiment(TINY)
+        monkeypatch.setattr(harness, "_BLAS_THREAD_SYMBOLS", ("no_such_get", "no_such_set"))
+        assert harness._blas_threads(1) is None
+        info = {}
+        unpinned = run_experiment(TINY, info=info)
+        assert info["blas_threads"] == "unpinned"
+        assert [replace(r, runtime_ms=0.0) for r in unpinned] == [
+            replace(r, runtime_ms=0.0) for r in pinned]
+
+
 class TestConfigValidation:
     def test_rejects_undersized_dictionary(self):
         with pytest.raises(ValueError):
@@ -421,6 +477,18 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "curve.csv"))
         meta = open(os.path.join(out, "metadata.txt")).read()
         assert "zc_root" in meta and "# config (verbatim)" in meta
+
+    def test_metadata_records_blas_threads(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+
+        def metadata(out):
+            assert cli_main(["run", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
+            return (out / "metadata.txt").read_text().splitlines()
+
+        want = "unpinned" if harness._blas_threads() is None else "1"
+        assert f"blas_threads = {want}" in metadata(tmp_path / "default")
+        monkeypatch.setattr(harness, "_BLAS_THREAD_SYMBOLS", ("no_such_get", "no_such_set"))
+        assert "blas_threads = unpinned" in metadata(tmp_path / "unresolved")
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

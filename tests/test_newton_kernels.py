@@ -368,7 +368,7 @@ def oracle_grahtp_step(ctx, config, x, bands, trace):
     u = ctx.op.apply(x)
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
-    kappa = solvers_module._backtrack_gradient_step(ctx, x, u, at_x, g)
+    kappa = solvers_module._backtrack_gradient_step(ctx, x, _oracle_support_of(x), u, at_x, g)
     idx = _threshold(x + kappa * g, x, L, bands)
     x_new, h_trace = oracle_restricted(ctx, idx, x, config.inner_tol)
     trace.append(h_trace[-1])

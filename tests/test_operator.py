@@ -1,7 +1,11 @@
 """Tests for the Kronecker sensing operator and its coherence structure."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebitcs.errors import CapacityError, DegenerateOperatorError
 from onebitcs.model import dft_dictionary, zc_training
@@ -103,6 +107,8 @@ class TestApplication:
     def test_zero_maps_to_zero(self):
         op, _ = make_pair()
         assert np.all(op.apply(np.zeros(op.B, dtype=complex)) == 0)
+        empty = op.image(np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
+        assert empty.shape == (op.M * op.T,) and np.all(empty == 0)
 
     def test_fft_matches_dense_on_random_vectors(self):
         op_fft, op_dense = make_pair()
@@ -177,6 +183,44 @@ class TestApplication:
             op.apply(np.zeros(op.B + 1, dtype=complex))
         with pytest.raises(ValueError):
             op.apply_adjoint(np.zeros(op.M * op.T + 1, dtype=complex))
+        with pytest.raises(ValueError, match="one length"):
+            op.image([0, 1], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            op.image([-1], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            op.image([op.B], [1.0])
+
+
+@functools.cache
+def image_operators(scale):
+    """(factored, dense or None) operators at desk scale or at full scale.
+
+    At full scale (B = 65536) the dense matrix exceeds the cache limit.
+    """
+    if scale == "desk":
+        return make_pair(m=16, n=16, t=20, b_rx=64, b_tx=64)
+    tr = zc_training(64, 80)
+    return build_operator(tr.S, dft_dictionary(64, 256), dft_dictionary(64, 256), "fft"), None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scale=st.sampled_from(["desk", "full"]), data=st.data())
+def test_image_matches_apply_and_dense_operator(scale, data):
+    op, dense = image_operators(scale)
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, op.B - 1), max_size=40))), dtype=int)
+    values = rand_complex(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), idx.size)
+    x = np.zeros(op.B, dtype=complex)
+    x[idx] = values
+    if dense is not None:
+        want = dense.apply(x)
+    else:
+        # The columns of the dense matrix, each formed as a Kronecker product.
+        want = sum((v * op.column(b) for b, v in zip(idx, values)),
+                   np.zeros(op.M * op.T, dtype=complex))
+    got = op.image(idx, values)
+    assert got.shape == (op.M * op.T,)
+    for ref in (want, op.apply(x)):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestCoherence:

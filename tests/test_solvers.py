@@ -10,6 +10,7 @@ from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement,
 from onebitcs.objective import ObjectiveContext, grad_h, h_objective
 from onebitcs.operator import (
     CoherenceStructure,
+    SensingOperator,
     build_operator,
     coherence_bands,
     real_form,
@@ -325,6 +326,22 @@ class TestGrasp:
         assert (h_objective(ctx, debias.estimate.x_hat)
                 >= h_objective(ctx, plain.estimate.x_hat) - 1e-9)
 
+    def test_never_applies_the_operator(self, monkeypatch):
+        # The gradient images the iterate through its support; only the
+        # adjoint runs over all B entries.
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=21, b_rx=16, b_tx=16, on_grid=False)
+        configs = [(SolverConfig(sparsity=2, debias=debias), use_bms)
+                   for debias in (False, True) for use_bms in (False, True)]
+        want = [run_grasp(ctx, config, use_bms) for config, use_bms in configs]
+
+        def no_apply(self, x):
+            raise AssertionError("run_grasp applied the operator")
+
+        monkeypatch.setattr(SensingOperator, "apply", no_apply)
+        for (config, use_bms), report in zip(configs, want):
+            got = run_grasp(ctx, config, use_bms)
+            assert np.array_equal(got.estimate.x_hat, report.estimate.x_hat)
+
     def test_valid_halt_reasons(self):
         _, ctx, _ = make_problem(l=2, rho=1.0, seed=15, on_grid=False)
         report = run_grasp(ctx, SolverConfig(sparsity=2, max_outer_iters=3), use_bms=False)
@@ -522,3 +539,28 @@ class TestBruteForce:
         _, ctx, _ = make_problem(m=4, n=4, t=6, b_rx=16, b_tx=16)
         with pytest.raises(CapacityError):
             brute_force_map(ctx, 3)
+
+    @pytest.mark.parametrize("nudged, shift", [((4,), 1e-14), ((0,), -1e-14)])
+    def test_rounding_level_ties_keep_the_first_support(self, monkeypatch, nudged, shift):
+        # Acceptance criterion 3's seed 82: supports {0} and {4} have the
+        # same maximum h to 17 digits.  Moving either maximum by a
+        # rounding-level amount, in the direction that would reorder them,
+        # leaves the oracle's answer at the first support in enumeration.
+        tr = zc_training(2, 4)
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(2, 2), "fft")
+        rng = np.random.default_rng(82)
+        meas = synthesize_measurement(draw_channel(1, 4, 2, rng).H, tr.S, 10.0, rng)
+        ctx = ObjectiveContext(op, meas)
+        h = {b: restricted_maximize(ctx, [b])[1][-1] for b in range(op.B)}
+        assert abs(h[0] - h[4]) <= 1e-14 * abs(h[0])
+        assert all(h[b] < h[0] - 1.0 for b in h if b not in (0, 4))
+        real_solve = solvers_module.restricted_maximize
+
+        def nudged_solve(ctx, support, *args, **kwargs):
+            values, trace = real_solve(ctx, support, *args, **kwargs)
+            if tuple(support) == nudged:
+                trace = trace[:-1] + [trace[-1] + shift]
+            return values, trace
+
+        monkeypatch.setattr(solvers_module, "restricted_maximize", nudged_solve)
+        assert np.array_equal(brute_force_map(ctx, 1).support, [0])
