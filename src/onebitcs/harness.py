@@ -83,7 +83,6 @@ class ExperimentConfig:
     operator_mode: str = "auto"
     max_outer_iters: int = 50
     inner_tol: float = 1e-8
-    debias: bool = False
     b_rx_overrides: dict = field(default_factory=dict)
     b_tx_overrides: dict = field(default_factory=dict)
 
@@ -124,13 +123,12 @@ class ExperimentConfig:
         self.solver_config()      # checks eta, max_outer_iters and inner_tol
 
     def solver_config(self) -> SolverConfig:
-        """The pursuit settings of this sweep."""
+        """The pursuit settings of this sweep; only `bmsgrasp-debias` debiases."""
         return SolverConfig(
             sparsity=self.l,
             eta=self.eta,
             max_outer_iters=self.max_outer_iters,
             inner_tol=self.inner_tol,
-            debias=self.debias,
         )
 
     def dims_for(self, algo: str) -> tuple[int, int]:
@@ -540,7 +538,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     Recognized keys: M, N, T, L, B_rx, B_tx, B_rx.<algo>, B_tx.<algo>,
     snr_db, trials, seed, algorithms, eta, operator_mode, max_outer_iters,
-    inner_tol, debias.  Lists are comma-separated; '#' starts a comment.
+    inner_tol.  Lists are comma-separated; '#' starts a comment.
     """
     values = {}
     rx_overrides = {}
@@ -562,10 +560,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values["algorithms"] = tuple(v.strip() for v in value.split(","))
         elif key == "eta":
             values["eta"] = "auto" if value == "auto" else float(value)
-        elif key == "debias":
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise ValueError(f"line {lineno}: debias must be boolean, got {value!r}")
-            values["debias"] = value.lower() in ("true", "1")
         elif key.startswith("B_rx.") or key.startswith("B_tx."):
             prefix, algo = key.split(".", 1)
             target = rx_overrides if prefix == "B_rx" else tx_overrides

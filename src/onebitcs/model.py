@@ -9,7 +9,7 @@ and imaginary parts of each sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,9 @@ class ChannelRealization:
     """A geometric multipath channel and its dense matrix.
 
     H = sum_l gains[l] * a_rx(aoas[l]) a_tx(aods[l])^H, an M x N matrix of
-    rank at most num_paths.
+    rank at most L = gains.size.
     """
 
-    num_paths: int
     gains: np.ndarray      # (L,) complex
     aoas: np.ndarray       # (L,) radians in [-pi/2, pi/2]
     aods: np.ndarray       # (L,) radians in [-pi/2, pi/2]
@@ -60,12 +59,11 @@ class QuantizedMeasurement:
     """Sign-quantized vectorized receive block.
 
     y_hat has entries in {+-1 +- 1j}; rho is the linear SNR the block was
-    generated at.  y_unquantized is kept for tests only.
+    generated at.
     """
 
     y_hat: np.ndarray      # (M*T,) complex, entries in {+-1 +- 1j}
     rho: float
-    y_unquantized: np.ndarray | None = field(default=None, repr=False)
 
 
 def steering_vector(angle: float, num_antennas: int) -> np.ndarray:
@@ -97,66 +95,32 @@ def draw_channel(L: int, M: int, N: int, rng: np.random.Generator) -> ChannelRea
     H = np.zeros((M, N), dtype=complex)
     for g, ar, at in zip(gains, aoas, aods):
         H += g * np.outer(steering_vector(ar, M), steering_vector(at, N).conj())
-    return ChannelRealization(num_paths=L, gains=gains, aoas=aoas, aods=aods, H=H)
+    return ChannelRealization(gains=gains, aoas=aoas, aods=aods, H=H)
 
 
-def _default_root(T: int) -> int:
-    root = 2
-    while math.gcd(root, T) != 1:
-        root += 1
-    return root
-
-
-def zc_training(
-    N: int,
-    T: int,
-    root: int | None = None,
-    shifts=None,
-) -> TrainingSequence:
+def zc_training(N: int, T: int) -> TrainingSequence:
     """Build an N x T training block from circularly shifted ZC sequences.
 
+    The root is the smallest integer greater than 1 that is coprime with T.
     The base sequence is z[n] = exp(-1j*pi*root*n^2/T) for even T and
     exp(-1j*pi*root*n*(n+1)/T) for odd T.  Row i of S is z circularly
-    shifted by shifts[i].
-
-    Parameters
-    ----------
-    N, T : int
-        Number of rows (transmit antennas) and sequence length, N <= T.
-    root : int, optional
-        ZC root, must be coprime with T.  Defaults to the smallest integer
-        greater than 1 that is coprime with T.
-    shifts : sequence of int or numpy.random.Generator, optional
-        Per-row circular shifts (must be distinct mod T), or an RNG to draw
-        distinct shifts at random.  Defaults to 0..N-1.
+    shifted by i, for N <= T transmit antennas.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > T:
         raise ValueError(f"need N <= T, got N={N}, T={T}")
-    if root is None:
-        root = _default_root(T)
-    if math.gcd(root, T) != 1:
-        raise ValueError(f"root={root} is not coprime with T={T}")
-
-    if shifts is None:
-        shift_list = list(range(N))
-    elif isinstance(shifts, np.random.Generator):
-        shift_list = list(shifts.choice(T, size=N, replace=False))
-    else:
-        shift_list = [int(s) for s in shifts]
-    if len(shift_list) != N:
-        raise ValueError(f"need {N} shifts, got {len(shift_list)}")
-    if len({s % T for s in shift_list}) != N:
-        raise ValueError("shifts must be distinct mod T")
+    root = 2
+    while math.gcd(root, T) != 1:
+        root += 1
 
     n = np.arange(T)
     if T % 2 == 0:
         z = np.exp(-1j * np.pi * root * n * n / T)
     else:
         z = np.exp(-1j * np.pi * root * n * (n + 1) / T)
-    S = np.stack([np.roll(z, s) for s in shift_list])
-    return TrainingSequence(S=S, root=int(root), shifts=tuple(int(s) for s in shift_list))
+    S = np.stack([np.roll(z, s) for s in range(N)])
+    return TrainingSequence(S=S, root=root, shifts=tuple(range(N)))
 
 
 def quantize(Y: np.ndarray) -> np.ndarray:
@@ -194,7 +158,7 @@ def synthesize_measurement(
     noise = (rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))) / np.sqrt(2.0)
     Y = np.sqrt(rho) * (H @ S) + noise
     y = Y.reshape(-1, order="F")
-    return QuantizedMeasurement(y_hat=quantize(y), rho=float(rho), y_unquantized=y)
+    return QuantizedMeasurement(y_hat=quantize(y), rho=float(rho))
 
 
 def dft_dictionary(num_antennas: int, num_bins: int) -> np.ndarray:

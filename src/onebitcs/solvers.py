@@ -254,9 +254,8 @@ def restricted_maximize(
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
-    Without x0, support is a set of indices: their order and repeats do not
-    matter, and the ascent starts at zero.  x0, if given, holds the start's
-    values at support, which must then be sorted and free of repeats.  The
+    support must be sorted and free of repeats.  x0, if given, holds the
+    start's values at support; the ascent starts at zero otherwise.  The
     objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
@@ -270,18 +269,17 @@ def restricted_maximize(
     needs only log Phi at v + t K d.  The cost per iteration is
     O(M*T*|support|^2), and nothing of length B is formed.
 
-    Returns (the maximizer's values at the sorted support, the trace of h
-    over the iterates), or raises ConvergenceError carrying the best
+    Returns (the maximizer's values at support, the trace of h over the
+    iterates), or raises ConvergenceError carrying the best
     iterate as a full-length vector if the cap is hit.  A non-finite image
     raises ValueError, as :func:`likelihood` does.
     """
+    support = np.asarray(support, dtype=int)
+    if np.any(support[1:] <= support[:-1]):
+        raise ValueError("support must be sorted and free of repeats")
     if x0 is None:
-        support = np.unique(np.asarray(support, dtype=int))
         x = np.zeros(2 * support.size)
     else:
-        support = np.asarray(support, dtype=int)
-        if np.any(support[1:] <= support[:-1]):
-            raise ValueError("support must be sorted and free of repeats when x0 is given")
         x0 = np.asarray(x0, dtype=complex)
         if x0.shape != support.shape:
             raise ValueError(f"x0 has shape {x0.shape}, support {support.shape}")

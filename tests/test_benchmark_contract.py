@@ -1,19 +1,24 @@
-"""The sweep benchmark's wrappers still read what the solvers return.
+"""The sweep benchmark still builds its workloads and reads what the solvers return.
 
-``sweepbench/tracing.py`` wraps the harness's solver entry points from
-outside the program and duck-types their results: a pursuit's SolverReport
-through ``.estimate``, FISTA's result as ``result[0]`` when it is a tuple.
-A return type that breaks either would otherwise show only when the
-benchmark runs.  The benchmark's modules are imported as they are.
+``sweepbench/run.py`` builds each workload's ExperimentConfig from keyword
+arguments and its reference check calls ``build_operator(..., mode="fft")``;
+a field or option it sets that the program drops would otherwise show only
+when the benchmark runs.  ``sweepbench/tracing.py`` wraps the harness's
+solver entry points from outside the program and duck-types their results:
+a pursuit's SolverReport through ``.estimate``, FISTA's result as
+``result[0]`` when it is a tuple.  The benchmark's modules are imported as
+they are.
 """
 
 import contextlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from onebitcs import build_operator, dft_dictionary, zc_training
 from onebitcs.harness import ExperimentConfig, run_experiment
 
 BENCH = str(Path(__file__).resolve().parent.parent / "sweepbench")
@@ -32,6 +37,33 @@ def tracing():
         yield tracing
     finally:
         sys.path.remove(BENCH)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    saved = list(sys.path)
+    sys.path.insert(0, BENCH)
+    try:
+        spec = importlib.util.spec_from_file_location("sweepbench_run", Path(BENCH) / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module     # its dataclasses resolve their module
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop("sweepbench_run", None)
+        sys.path[:] = saved
+
+
+def test_benchmark_workloads_build(bench_run):
+    assert sorted(bench_run.WORKLOADS) == ["desk-fista", "desk-pursuit", "full-bms"]
+    for name, workload in bench_run.WORKLOADS.items():
+        config = workload.config
+        assert isinstance(config, ExperimentConfig), name
+        for dims in {config.dims_for(algo) for algo in config.algorithms}:
+            op = build_operator(zc_training(config.n, config.t).S,
+                                dft_dictionary(config.m, dims[0]),
+                                dft_dictionary(config.n, dims[1]), mode="fft")
+            assert op.B == dims[0] * dims[1], name
 
 
 @pytest.mark.parametrize("traced", [False, True])

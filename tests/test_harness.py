@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from onebitcs.harness import (
 )
 from onebitcs.model import dft_dictionary, zc_training
 from onebitcs.operator import build_operator
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = ExperimentConfig(
     m=4, n=4, t=6, l=1, b_rx=8, b_tx=8,
@@ -323,10 +326,10 @@ class TestConfigValidation:
             replace(TINY, **{name: value})
 
     def test_solver_config_carries_the_sweep_settings(self):
-        config = replace(TINY, l=2, eta=0.4, max_outer_iters=7, inner_tol=1e-6, debias=True)
+        config = replace(TINY, l=2, eta=0.4, max_outer_iters=7, inner_tol=1e-6)
         solver = config.solver_config()
-        assert (solver.sparsity, solver.eta, solver.max_outer_iters, solver.inner_tol,
-                solver.debias) == (2, 0.4, 7, 1e-6, True)
+        assert (solver.sparsity, solver.eta, solver.max_outer_iters,
+                solver.inner_tol) == (2, 0.4, 7, 1e-6)
         state = harness._SweepState(config, *harness.sweep_operators(config))
         assert state.solver_config == solver
 
@@ -422,7 +425,6 @@ eta = auto
 operator_mode = auto
 max_outer_iters = 50
 inner_tol = 1e-8
-debias = false
 """
 
 
@@ -436,11 +438,16 @@ class TestConfigParsing:
         assert config.dims_for("bmsgrasp") == (8, 8)
         assert config.master_seed == 7
         assert config.eta == "auto"
-        assert config.debias is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text(CONFIG_TEXT + "\nmystery = 3\n")
+
+    def test_debias_is_not_a_config_key(self):
+        # The algorithm name alone picks the estimator: bmsgrasp-debias is
+        # the one way a sweep debiases, and no key changes what a name means.
+        with pytest.raises(ValueError, match="unknown config key 'debias'"):
+            parse_config_text(CONFIG_TEXT + "debias = true\n")
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -460,6 +467,11 @@ class TestConfigParsing:
         path = tmp_path / "sweep.cfg"
         path.write_text(CONFIG_TEXT)
         assert load_config(path) == parse_config_text(CONFIG_TEXT)
+
+    @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        config = load_config(path)
+        assert config.algorithms and set(config.algorithms) <= set(ALGORITHMS)
 
 
 class TestCli:
@@ -549,6 +561,14 @@ class TestCli:
         bad.write_text("M = 4\nmystery = 1\n")
         code = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_debias_key_fails_before_output(self, tmp_path, capsys):
+        path = tmp_path / "debias.cfg"
+        path.write_text(CONFIG_TEXT + "debias = true\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "unknown config key 'debias'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli_main([]) == 2

@@ -296,7 +296,8 @@ def test_restricted_solve_rejects_non_finite_image(monkeypatch, bad):
     # So does an image that overflows.
     real_columns = ctx.op.columns
     monkeypatch.setattr(ctx.op, "columns", lambda idx: 1e306 * real_columns(idx))
-    with pytest.raises(ValueError, match="finite"):
+    # The overflowing product itself would warn before the check raises.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
         restricted_maximize(ctx, [1, 2], x0=np.array([1e3 + 0j, -1e3j]))
 
 

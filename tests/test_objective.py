@@ -185,9 +185,13 @@ class TestLoglik:
         tr = zc_training(op.N, op.T)
         ch = draw_channel(2, op.M, op.N, np.random.default_rng(3))
         m1 = synthesize_measurement(ch.H, tr.S, 4.0, np.random.default_rng(4))
-        scaled = QuantizedMeasurement(
-            y_hat=quantize(7.5 * m1.y_unquantized), rho=m1.rho
-        )
+        # The same generator redraws the noise, and so the unquantized block.
+        rng4 = np.random.default_rng(4)
+        shape = (op.M, op.T)
+        noise = (rng4.standard_normal(shape) + 1j * rng4.standard_normal(shape)) / np.sqrt(2.0)
+        y = (2.0 * (ch.H @ tr.S) + noise).reshape(-1, order="F")
+        assert np.array_equal(quantize(y), m1.y_hat)
+        scaled = QuantizedMeasurement(y_hat=quantize(7.5 * y), rho=m1.rho)
         ctx1, ctx2 = ObjectiveContext(op, m1), ObjectiveContext(op, scaled)
         x = rng.standard_normal(op.B) + 1j * rng.standard_normal(op.B)
         assert f_loglik(ctx1, x) == f_loglik(ctx2, x)
