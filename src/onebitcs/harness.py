@@ -49,15 +49,21 @@ __all__ = [
     "load_config",
 ]
 
-ALGORITHMS = (
-    "bmsgrasp",
-    "bmsgrasp-debias",
-    "bmsgrahtp",
-    "grasp",
-    "grahtp",
-    "fista",
-    "oracle",
-)
+# Solver per algorithm name: (ctx, solver config, FISTA gamma) -> SolverReport.
+# Each entry looks its solver up among this module's globals when it runs, so
+# a wrapper installed on the module sees every solve.
+_SOLVERS = {
+    "bmsgrasp": lambda ctx, cfg, gamma: run_grasp(ctx, cfg, use_bms=True),
+    "bmsgrasp-debias": lambda ctx, cfg, gamma: run_grasp(
+        ctx, replace(cfg, debias=True), use_bms=True),
+    "bmsgrahtp": lambda ctx, cfg, gamma: run_grahtp(ctx, cfg, use_bms=True),
+    "grasp": lambda ctx, cfg, gamma: run_grasp(ctx, cfg, use_bms=False),
+    "grahtp": lambda ctx, cfg, gamma: run_grahtp(ctx, cfg, use_bms=False),
+    "fista": lambda ctx, cfg, gamma: run_fista(ctx, gamma),
+    "oracle": lambda ctx, cfg, gamma: brute_force_map(ctx, cfg.sparsity),
+}
+
+ALGORITHMS = tuple(_SOLVERS)
 
 CSV_HEADER = "algorithm,snr_db,trial,seed,nmse,iterations,runtime_ms,support_hit"
 CURVE_HEADER = "algorithm,snr_db,trials,mean_nmse_db,median_nmse_db,p10_nmse_db,p90_nmse_db"
@@ -93,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"need N <= T, got N={self.n}, T={self.t}")
         if not self.snr_db:
             raise ValueError("snr_db grid is empty")
+        if any(math.isnan(s) or s == math.inf for s in self.snr_db):
+            raise ValueError(f"snr_db points must be finite or -inf, got {self.snr_db}")
         if not self.algorithms:
             raise ValueError("algorithms list is empty")
         if len(set(self.snr_db)) != len(self.snr_db):
@@ -235,25 +243,6 @@ def sweep_operators(config: ExperimentConfig):
     return training, ops
 
 
-def _row(report):
-    return report.estimate.x_hat, report.iterations
-
-
-# Solver per algorithm name: (ctx, solver config, FISTA gamma) -> (x_hat,
-# iterations).  Each entry looks its solver up among this module's globals
-# when it runs, so a wrapper installed on the module sees every solve.
-_SOLVERS = {
-    "bmsgrasp": lambda ctx, cfg, gamma: _row(run_grasp(ctx, cfg, use_bms=True)),
-    "bmsgrasp-debias": lambda ctx, cfg, gamma: _row(
-        run_grasp(ctx, replace(cfg, debias=True), use_bms=True)),
-    "bmsgrahtp": lambda ctx, cfg, gamma: _row(run_grahtp(ctx, cfg, use_bms=True)),
-    "grasp": lambda ctx, cfg, gamma: _row(run_grasp(ctx, cfg, use_bms=False)),
-    "grahtp": lambda ctx, cfg, gamma: _row(run_grahtp(ctx, cfg, use_bms=False)),
-    "fista": lambda ctx, cfg, gamma: _row(run_fista(ctx, gamma)),
-    "oracle": lambda ctx, cfg, gamma: (brute_force_map(ctx, cfg.sparsity).x_hat, 1),
-}
-
-
 class _SweepState:
     """Training, operators and solver config shared by a sweep's tuning and trials."""
 
@@ -294,7 +283,8 @@ class _SweepState:
             ctx = ObjectiveContext(op, measurement)
             start = time.perf_counter()
             try:
-                x_hat, iterations = _SOLVERS[algo](ctx, self.solver_config, gamma)
+                report = _SOLVERS[algo](ctx, self.solver_config, gamma)
+                x_hat, iterations = report.estimate.x_hat, report.iterations
             except (ConvergenceError, NumericalError) as err:
                 x_hat = err.best if err.best is not None else np.zeros(op.B, dtype=complex)
                 iterations = -1

@@ -54,6 +54,8 @@ FISTA_TOL = 1e-6
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 0.1
 ARMIJO_MAX_STEPS = 50
+# Newton iterations a restricted solve takes before it gives up.
+NEWTON_MAX_ITERS = 100
 # Halvings of gamma, and then bisections of log(gamma), before tune_gamma
 # gives up.
 TUNE_MAX_BISECT = 60
@@ -107,7 +109,8 @@ class SolverReport(NamedTuple):
     """Outcome of one solver run.
 
     halted_by is one of "support-fixed", "max-iters", "cycle" for the
-    pursuits, and "converged" or "max-iters" for FISTA.
+    pursuits, "converged" or "max-iters" for FISTA, and "enumerated" for
+    the oracle.
     """
 
     estimate: SparseEstimate
@@ -250,7 +253,6 @@ def restricted_maximize(
     support,
     x0: np.ndarray | None = None,
     inner_tol: float = 1e-8,
-    max_iters: int = 100,
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
@@ -259,7 +261,7 @@ def restricted_maximize(
     objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
-    drops to inner_tol.
+    drops to inner_tol, for at most NEWTON_MAX_ITERS iterations.
 
     The whole solve runs on the iterate's real form x_R and on one real
     block built once, K^T = (diag(s) C_R)^T for the restricted columns C
@@ -270,9 +272,9 @@ def restricted_maximize(
     O(M*T*|support|^2), and nothing of length B is formed.
 
     Returns (the maximizer's values at support, the trace of h over the
-    iterates), or raises ConvergenceError carrying the best
-    iterate as a full-length vector if the cap is hit.  A non-finite image
-    raises ValueError, as :func:`likelihood` does.
+    iterates), or raises ConvergenceError carrying the best iterate's
+    values at support if the cap is hit.  A non-finite image raises
+    ValueError, as :func:`likelihood` does.
     """
     support = np.asarray(support, dtype=int)
     if np.any(support[1:] <= support[:-1]):
@@ -300,7 +302,7 @@ def restricted_maximize(
     trace = [h_val]
     best = (h_val, x)
 
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         lam = _inv_mills_from(v, log_cdf)
         grad = kt @ lam - 2.0 * x
         if math.sqrt(grad @ grad) <= inner_tol:
@@ -334,13 +336,11 @@ def restricted_maximize(
         if h_val > best[0]:
             best = (h_val, x)
 
-    full = np.zeros(ctx.op.B, dtype=complex)
-    full[support] = complex_form(best[1])
     v = kt.T @ best[1]
     grad = kt @ _inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
     raise ConvergenceError(
-        f"restricted maximize did not reach tol {inner_tol} in {max_iters} iterations",
-        best=full,
+        f"restricted maximize did not reach tol {inner_tol} in {NEWTON_MAX_ITERS} iterations",
+        best=complex_form(best[1]),
         grad_norm=float(np.linalg.norm(grad)),
     )
 
@@ -376,8 +376,9 @@ def _pursuit_loop(ctx, config, use_bms, step):
 
     Each step takes the iterate with its support, the sorted indices of its
     nonzeros, and returns the new pair, so no step scans all B entries for
-    them.  It appends h at its new iterate to the objective trace from
-    values it already holds, so the trace costs no operator apply.
+    them, and h at the new iterate from values it already holds, so the
+    trace costs no operator apply.  A step's ConvergenceError is re-raised
+    carrying the current iterate: at most L nonzeros, zeros at first.
     """
     bands = _resolve_bands(ctx.op, config) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
@@ -389,7 +390,12 @@ def _pursuit_loop(ctx, config, use_bms, step):
     iterations = 0
     for _ in range(config.max_outer_iters):
         iterations += 1
-        x, support = step(ctx, config, x, support, bands, trace)
+        try:
+            x, support, h = step(ctx, config, x, support, bands)
+        except ConvergenceError as err:
+            err.best = x
+            raise
+        trace.append(h)
         new_support = frozenset(support.tolist())
         if new_support == prev_support:
             halted_by = "support-fixed"
@@ -418,11 +424,10 @@ def _gradient_at(ctx, x, support):
     return u, at_x, g
 
 
-def _grasp_step(ctx, config, x, support, bands, trace=None):
+def _grasp_step(ctx, config, x, support, bands):
     """One GraSP iteration from x, whose nonzeros are at support.
 
-    Returns the new iterate and its support; appends h at the new point to
-    trace.
+    Returns the new iterate, its support and h there.
     """
     L = config.sparsity
     _, _, z = _gradient_at(ctx, x, support)
@@ -439,9 +444,7 @@ def _grasp_step(ctx, config, x, support, bands, trace=None):
         h = h_trace[-1]
     else:
         h = loglik(ctx, ctx.op.image(keep, vals)) + g_logprior(vals)
-    if trace is not None:
-        trace.append(h)
-    return _scatter(x.size, keep, vals)
+    return *_scatter(x.size, keep, vals), h
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -457,11 +460,10 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
     return _pursuit_loop(ctx, config, use_bms, _grasp_step)
 
 
-def _grahtp_step(ctx, config, x, support, bands, trace=None):
+def _grahtp_step(ctx, config, x, support, bands):
     """One GraHTP iteration from x, whose nonzeros are at support.
 
-    Returns the new iterate and its support; appends h at the new point to
-    trace.
+    Returns the new iterate, its support and h there.
     """
     L = config.sparsity
     u, at_x, g = _gradient_at(ctx, x, support)
@@ -472,9 +474,7 @@ def _grahtp_step(ctx, config, x, support, bands, trace=None):
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
     vals, h_trace = restricted_maximize(ctx, idx, x0=x[idx], inner_tol=config.inner_tol)
-    if trace is not None:
-        trace.append(h_trace[-1])
-    return _scatter(x.size, idx, vals)
+    return *_scatter(x.size, idx, vals), h_trace[-1]
 
 
 def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
@@ -482,8 +482,8 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
 
     Returns the largest t = ARMIJO_SHRINK^k, k < ARMIJO_MAX_STEPS, with
     h(x + t g) >= h(x) + ARMIJO_SLOPE t ||g||^2: the step that backtracking
-    from t = 1 returns.  When none passes, raises ConvergenceError carrying
-    x, so that the caller can salvage the current iterate.  h is
+    from t = 1 returns.  When none passes, raises ConvergenceError; the
+    pursuit loop adds the iterate to salvage.  h is
     concave along g, so the passing steps form an interval [0, t*], and the
     search may start anywhere on the grid: it starts at the line-Newton step
     ||g||^2 / (w^T D w + 2 ||g||^2), with D the likelihood's curvature at x,
@@ -521,7 +521,6 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
             return ARMIJO_SHRINK ** k
     raise ConvergenceError(
         f"no gradient step {ARMIJO_SHRINK}^k, k < {ARMIJO_MAX_STEPS}, passes the Armijo test",
-        best=x,
         grad_norm=math.sqrt(gn2),
     )
 
@@ -723,7 +722,7 @@ def tune_gamma(make_ctx, L: int, trials: int):
 # -- exhaustive oracle -------------------------------------------------------
 
 
-def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
+def brute_force_map(ctx: ObjectiveContext, L: int) -> SolverReport:
     """Exact sparse MAP solution by support enumeration (test scale only).
 
     Every size-min(L, B) support is maximized over exactly; smaller supports
@@ -734,6 +733,8 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
     the best so far only when its maximum beats the best h by more than
     ORACLE_TIE_TOL * (1 + |h|).  Supports whose maxima agree to within
     rounding therefore resolve to the first of them, whatever the rounding.
+    The report's trace is the best h.  A ConvergenceError of a restricted
+    solve is re-raised carrying the best estimate so far (zeros at first).
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -745,10 +746,17 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SparseEstimate:
         )
     best_val = -np.inf
     best_values = best_support = None
+    x_hat = np.zeros(B, dtype=complex)
     for support in itertools.combinations(range(B), k):
-        values, trace = restricted_maximize(ctx, support)
+        try:
+            values, trace = restricted_maximize(ctx, support)
+        except ConvergenceError as err:
+            if best_support is not None:
+                x_hat[list(best_support)] = best_values
+            err.best = x_hat
+            raise
         if best_support is None or trace[-1] > best_val + ORACLE_TIE_TOL * (1.0 + abs(best_val)):
             best_val, best_values, best_support = trace[-1], values, support
-    x_hat = np.zeros(B, dtype=complex)
     x_hat[list(best_support)] = best_values
-    return SparseEstimate(x_hat=x_hat, support=np.array(best_support, dtype=int))
+    estimate = SparseEstimate(x_hat=x_hat, support=np.array(best_support, dtype=int))
+    return SolverReport(estimate, iterations=1, halted_by="enumerated", objective_trace=[best_val])

@@ -125,7 +125,7 @@ def test_criterion_3_oracle_optimality():
         ch = draw_channel(1, 4, 2, rng)
         meas = synthesize_measurement(ch.H, tr.S, 10.0, rng)
         ctx = ObjectiveContext(op, meas)
-        oracle = brute_force_map(ctx, 1)
+        oracle = brute_force_map(ctx, 1).estimate
         h_star = h_objective(ctx, oracle.x_hat)
         config = SolverConfig(sparsity=1)
         values = []

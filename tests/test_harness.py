@@ -15,7 +15,6 @@ import onebitcs.solvers as solvers_module
 from onebitcs import harness
 from onebitcs.cli import cli_main
 from onebitcs.harness import (
-    _SOLVERS,
     ALGORITHMS,
     ExperimentConfig,
     TrialRecord,
@@ -33,6 +32,7 @@ from onebitcs.harness import (
 )
 from onebitcs.model import dft_dictionary, zc_training
 from onebitcs.operator import build_operator
+from onebitcs.solvers import SolverReport
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,9 +189,6 @@ class TestRunExperiment:
         records = run_experiment(config)
         assert len(records) == 2
 
-    def test_solver_table_covers_algorithms(self):
-        assert sorted(_SOLVERS) == sorted(ALGORITHMS)
-
     def test_solvers_are_looked_up_when_called(self, monkeypatch):
         # Wrappers installed on the harness module after import must see
         # every solve, so the table may not hold the solver functions.
@@ -226,13 +223,69 @@ class TestRunExperiment:
 
     def test_grahtp_row_is_salvaged_when_no_gradient_step_passes(self, monkeypatch, capsys):
         # Every step-size trial fails, so the first GraHTP step search raises
-        # ConvergenceError with the zero start, which the row keeps.
+        # ConvergenceError; the pursuit adds the zero start, which the row keeps.
         monkeypatch.setattr(solvers_module, "loglik", lambda ctx, u: -np.inf)
         records = run_experiment(replace(TINY, algorithms=("grahtp", "grasp")))
         grahtp = [r for r in records if r.algorithm == "grahtp"]
         assert grahtp and all(r.iterations == -1 and r.nmse == 1.0 for r in grahtp)
         assert all(r.iterations > 0 for r in records if r.algorithm == "grasp")
         assert "passes the Armijo test" in capsys.readouterr().err
+
+    def test_salvaged_pursuit_row_keeps_at_most_l_entries(self, monkeypatch, capsys):
+        # A warm-started restricted solve gets one Newton iteration and
+        # fails, so every GraSP solve fails in its second merged-support
+        # solve, and the row keeps the first iterate: L entries, not the
+        # merged support's 2L or more.
+        real_solve = solvers_module.restricted_maximize
+        cap = solvers_module.NEWTON_MAX_ITERS
+        estimates = []
+        real_reconstruct = harness.reconstruct_channel
+
+        def solve(ctx, support, x0=None, **kwargs):
+            warm = x0 is not None and np.any(x0)
+            monkeypatch.setattr(solvers_module, "NEWTON_MAX_ITERS", 1 if warm else cap)
+            return real_solve(ctx, support, x0=x0, **kwargs)
+
+        def reconstruct(op, x_hat):
+            estimates.append(x_hat)
+            return real_reconstruct(op, x_hat)
+
+        monkeypatch.setattr(solvers_module, "restricted_maximize", solve)
+        monkeypatch.setattr(harness, "reconstruct_channel", reconstruct)
+        config = replace(TINY, algorithms=("grasp",), l=2)
+        records = run_experiment(config)
+        assert all(r.iterations == -1 for r in records)
+        assert len(estimates) == len(records)
+        assert all(0 < np.count_nonzero(x) <= config.l for x in estimates)
+        assert "restricted maximize did not reach tol" in capsys.readouterr().err
+
+    def test_every_row_is_read_from_a_solver_report(self, monkeypatch):
+        assert ALGORITHMS == ("bmsgrasp", "bmsgrasp-debias", "bmsgrahtp", "grasp", "grahtp",
+                              "fista", "oracle")
+        reports, estimates = [], []
+        real_reconstruct = harness.reconstruct_channel
+
+        def recorded(fn):
+            def solver(*args, **kwargs):
+                reports.append(fn(*args, **kwargs))
+                return reports[-1]
+            return solver
+
+        def reconstruct(op, x_hat):
+            estimates.append(x_hat)
+            return real_reconstruct(op, x_hat)
+
+        for name in ("run_grasp", "run_grahtp", "run_fista", "brute_force_map"):
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
+        monkeypatch.setattr(harness, "reconstruct_channel", reconstruct)
+        records = run_experiment(replace(TINY, algorithms=ALGORITHMS, snr_db=(10.0,), trials=1))
+        # One trial, run serially: the solves come in the order of ALGORITHMS.
+        assert len(reports) == len(estimates) == len(records) == len(ALGORITHMS)
+        iterations = {r.algorithm: r.iterations for r in records}
+        for algo, report, x_hat in zip(ALGORITHMS, reports, estimates):
+            assert isinstance(report, SolverReport), algo
+            assert x_hat is report.estimate.x_hat, algo
+            assert iterations[algo] == report.iterations > 0, algo
 
 
 @pytest.fixture
@@ -514,6 +567,16 @@ class TestCli:
         code = cli_main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
                          flag, value])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "inf"])
+    def test_nan_or_inf_snr_fails_before_output(self, tmp_path, capsys, snr):
+        # -inf dB is a valid point (no signal); NaN and +inf are not.
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                         "--snr", snr])
+        assert code == 2
+        assert "finite or -inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])

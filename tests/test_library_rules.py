@@ -1,11 +1,28 @@
 """Static rules for the library source."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import onebitcs
+from onebitcs import solvers
 
 SOURCES = sorted(Path(onebitcs.__file__).parent.glob("*.py"))
+
+# The solvers' public parameters and SolverConfig's fields.  ROADMAP counts
+# the settable solver values among them (10): SolverConfig's five fields,
+# restricted_maximize's x0 and inner_tol, run_fista's max_iters, and
+# tune_gamma's L and trials.  A new knob fails here until both are edited.
+SOLVER_PARAMETERS = {
+    "run_grasp": ("ctx", "config", "use_bms"),
+    "run_grahtp": ("ctx", "config", "use_bms"),
+    "run_fista": ("ctx", "gamma", "max_iters"),
+    "restricted_maximize": ("ctx", "support", "x0", "inner_tol"),
+    "tune_gamma": ("make_ctx", "L", "trials"),
+    "brute_force_map": ("ctx", "L"),
+}
+SOLVER_CONFIG_FIELDS = ("sparsity", "eta", "max_outer_iters", "inner_tol", "debias")
 
 
 def test_library_has_no_assert():
@@ -17,3 +34,11 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_solver_surface_is_pinned():
+    got = {name: tuple(inspect.signature(getattr(solvers, name)).parameters)
+           for name in SOLVER_PARAMETERS}
+    assert got == SOLVER_PARAMETERS
+    fields = tuple(field.name for field in dataclasses.fields(solvers.SolverConfig))
+    assert fields == SOLVER_CONFIG_FIELDS

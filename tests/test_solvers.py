@@ -240,13 +240,16 @@ class TestRestrictedMaximize:
             with pytest.raises(ValueError, match="sorted"):
                 restricted_maximize(ctx, support)
 
-    def test_iteration_cap_carries_best_iterate(self):
-        op, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
+    def test_iteration_cap_carries_best_iterate(self, monkeypatch):
+        # The best iterate comes back as values at the support, as the
+        # maximizer does.
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
+        monkeypatch.setattr(solvers_module, "NEWTON_MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as err:
-            restricted_maximize(ctx, [1, 2, 3], max_iters=1)
+            restricted_maximize(ctx, [1, 2, 3])
         best = err.value.best
-        assert best is not None and best.shape == (op.B,)
-        assert set(np.nonzero(best)[0].tolist()) <= {1, 2, 3}
+        assert best is not None and best.shape == (3,)
+        assert err.value.grad_norm > 0
 
 
 class _Spy:
@@ -299,8 +302,8 @@ class TestGrasp:
                 continue
             checked += 1
             bands = _resolve_bands(ctx.op, config)
-            again, _ = _grasp_step(ctx, config, report.estimate.x_hat,
-                                   report.estimate.support, bands)
+            again, _, _ = _grasp_step(ctx, config, report.estimate.x_hat,
+                                      report.estimate.support, bands)
             assert np.array_equal(np.sort(np.nonzero(again)[0]),
                                   report.estimate.support)
         assert checked == 10
@@ -336,6 +339,36 @@ class TestGrasp:
         for (config, use_bms), report in zip(configs, want):
             got = run_grasp(ctx, config, use_bms)
             assert np.array_equal(got.estimate.x_hat, report.estimate.x_hat)
+
+    @pytest.mark.parametrize("failing_solve", [1, 2])
+    def test_failed_step_hands_back_its_start(self, monkeypatch, failing_solve):
+        # GraSP without debiasing solves once per iteration, on the merged
+        # support.  When that solve fails, the error carries the iterate the
+        # step started from (zeros in the first iteration, the first iterate
+        # in the second), with at most L nonzeros, not the merged solve's
+        # values.
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=11)
+        config = SolverConfig(sparsity=2)
+        start = np.zeros(ctx.op.B, dtype=complex)
+        if failing_solve == 2:
+            first = run_grasp(ctx, SolverConfig(sparsity=2, max_outer_iters=1), use_bms=True)
+            start = first.estimate.x_hat
+        real_solve = solvers_module.restricted_maximize
+        supports = []
+
+        def solve(ctx, support, **kwargs):
+            supports.append(support)
+            if len(supports) == failing_solve:
+                monkeypatch.setattr(solvers_module, "NEWTON_MAX_ITERS", 1)
+            return real_solve(ctx, support, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "restricted_maximize", solve)
+        with pytest.raises(ConvergenceError, match="restricted maximize") as err:
+            run_grasp(ctx, config, use_bms=True)
+        assert len(supports) == failing_solve and supports[-1].size > config.sparsity
+        assert np.array_equal(err.value.best, start)
+        assert np.count_nonzero(err.value.best) == (0 if failing_solve == 1 else 2)
+        assert err.value.grad_norm > 0
 
     def test_valid_halt_reasons(self):
         _, ctx, _ = make_problem(l=2, rho=1.0, seed=15, on_grid=False)
@@ -514,17 +547,44 @@ class TestBruteForce:
 
     def test_matches_direct_enumeration(self):
         _, ctx, _ = self.tiny_instance(30)
-        oracle = brute_force_map(ctx, 1)
+        report = brute_force_map(ctx, 1)
+        oracle = report.estimate
         values = []
         for b in range(ctx.op.B):
             values.append(h_objective(ctx, solve_full(ctx, [b])))
         assert np.array_equal(oracle.support, [int(np.argmax(values))])
         assert abs(h_objective(ctx, oracle.x_hat) - max(values)) < 1e-12
+        assert (report.iterations, report.halted_by) == (1, "enumerated")
+        assert len(report.objective_trace) == 1
+        assert abs(report.objective_trace[0] - max(values)) <= 1e-12 * abs(max(values))
+
+    @pytest.mark.parametrize("failing", ["first", "after-best"])
+    def test_failed_support_hands_back_the_best_so_far(self, monkeypatch, failing):
+        _, ctx, _ = self.tiny_instance(30)
+        oracle = brute_force_map(ctx, 1).estimate
+        best = int(oracle.support[0])
+        assert best < ctx.op.B - 1
+        if failing == "first":
+            fail_at, want = 0, np.zeros(ctx.op.B, dtype=complex)
+        else:
+            fail_at, want = best + 1, oracle.x_hat
+        real_solve = solvers_module.restricted_maximize
+
+        def solve(ctx, support, *args, **kwargs):
+            if tuple(support) == (fail_at,):
+                raise ConvergenceError("forced", best=np.ones(1, dtype=complex), grad_norm=1.0)
+            return real_solve(ctx, support, *args, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "restricted_maximize", solve)
+        with pytest.raises(ConvergenceError, match="forced") as err:
+            brute_force_map(ctx, 1)
+        assert np.array_equal(err.value.best, want)
+        assert err.value.grad_norm == 1.0
 
     def test_oracle_dominates_heuristics(self):
         for seed in range(20):
             _, ctx, _ = self.tiny_instance(seed)
-            best = h_objective(ctx, brute_force_map(ctx, 1).x_hat)
+            best = h_objective(ctx, brute_force_map(ctx, 1).estimate.x_hat)
             for use_bms in (False, True):
                 for runner in (run_grasp, run_grahtp):
                     report = runner(ctx, SolverConfig(sparsity=1), use_bms=use_bms)
@@ -558,4 +618,4 @@ class TestBruteForce:
             return values, trace
 
         monkeypatch.setattr(solvers_module, "restricted_maximize", nudged_solve)
-        assert np.array_equal(brute_force_map(ctx, 1).support, [0])
+        assert np.array_equal(brute_force_map(ctx, 1).estimate.support, [0])
