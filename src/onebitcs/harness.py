@@ -85,10 +85,10 @@ class ExperimentConfig:
     trials: int
     master_seed: int = 0
     algorithms: tuple = ("bmsgrasp-debias",)
-    eta: object = "auto"
+    eta: object = SolverConfig.eta
     operator_mode: str = "auto"
-    max_outer_iters: int = 50
-    inner_tol: float = 1e-8
+    max_outer_iters: int = SolverConfig.max_outer_iters
+    inner_tol: float = SolverConfig.inner_tol
     b_rx_overrides: dict = field(default_factory=dict)
     b_tx_overrides: dict = field(default_factory=dict)
 
@@ -119,8 +119,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{algo}: need B_rx >= M and B_tx >= N, got ({brx}, {btx})"
                 )
-        if self.operator_mode not in ("dense", "fft", "auto"):
-            raise ValueError(f"operator_mode must be dense/fft/auto, got {self.operator_mode!r}")
+        if self.operator_mode not in ("auto", "fft"):
+            raise ValueError(f"operator_mode must be auto or fft, got {self.operator_mode!r}")
         if "oracle" in self.algorithms:
             brx, btx = self.dims_for("oracle")
             if math.comb(brx * btx, self.l) > ORACLE_BUDGET:
@@ -152,7 +152,8 @@ class TrialRecord:
     """One (algorithm, snr, trial) result row.
 
     iterations is -1 when the solver failed and the row holds a salvaged
-    estimate; support_hit stays None outside on-grid scenarios.
+    estimate.  support_hit is None in every sweep row; the field keeps the
+    CSV schema's last column.
     """
 
     algorithm: str
@@ -225,11 +226,10 @@ def sweep_operators(config: ExperimentConfig):
     """The training block and one operator per distinct dictionary size pair.
 
     Returns (training, ops), with ops keyed by ``config.dims_for(algo)`` in
-    the order the algorithms first use them.  operator_mode "auto" selects
-    the factored operator.
+    the order the algorithms first use them.  Every operator is the factored
+    one; both operator_mode values select it.
     """
     training = zc_training(config.n, config.t)
-    mode = "fft" if config.operator_mode == "auto" else config.operator_mode
     ops = {}
     for algo in config.algorithms:
         dims = config.dims_for(algo)
@@ -238,7 +238,6 @@ def sweep_operators(config: ExperimentConfig):
                 training.S,
                 dft_dictionary(config.m, dims[0]),
                 dft_dictionary(config.n, dims[1]),
-                mode=mode,
             )
     return training, ops
 
@@ -246,10 +245,9 @@ def sweep_operators(config: ExperimentConfig):
 class _SweepState:
     """Training, operators and solver config shared by a sweep's tuning and trials."""
 
-    def __init__(self, config: ExperimentConfig, training, ops):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.training = training
-        self.ops = ops
+        self.training, self.ops = sweep_operators(config)
         self.solver_config = config.solver_config()
 
     def _problem(self, seed: int, snr_index: int):
@@ -264,12 +262,9 @@ class _SweepState:
         """FISTA's (gamma, achieved mean support) at one SNR point, targeting 3L."""
         config = self.config
         op = self.ops[config.dims_for("fista")]
-
-        def make_ctx(k):
-            seed = tuning_seed(config.master_seed, snr_index, k)
-            return ObjectiveContext(op, self._problem(seed, snr_index)[1])
-
-        return tune_gamma(make_ctx, config.l, FISTA_TUNING_TRIALS)
+        seeds = (tuning_seed(config.master_seed, snr_index, k) for k in range(FISTA_TUNING_TRIALS))
+        ctxs = [ObjectiveContext(op, self._problem(seed, snr_index)[1]) for seed in seeds]
+        return tune_gamma(ctxs, config.l)
 
     def run_trial(self, snr_index: int, trial: int, gamma) -> list:
         config = self.config
@@ -342,7 +337,7 @@ _WORKER_STATE = None
 def _init_worker(config):
     global _WORKER_STATE
     _blas_threads(1)
-    _WORKER_STATE = _SweepState(config, *sweep_operators(config))
+    _WORKER_STATE = _SweepState(config)
 
 
 def _worker_tune(snr_index):
@@ -386,10 +381,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     weights, and blas_threads: 1, or "unpinned" where the count cannot be
     set).
     """
-    training, ops = sweep_operators(config)
+    state = _SweepState(config)
     if info is not None:
-        info["zc_root"] = training.root
-        info["zc_shifts"] = training.shifts
+        info["zc_root"] = state.training.root
+        info["zc_shifts"] = state.training.shifts
 
     tuning = range(len(config.snr_db)) if "fista" in config.algorithms else ()
     previous = _blas_threads(1)
@@ -406,7 +401,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
                 tasks = _trial_tasks(config, list(pool.map(_worker_tune, tuning)), info)
                 blocks = list(pool.map(_worker_trial, tasks, chunksize=8))
         else:
-            state = _SweepState(config, training, ops)
             tasks = _trial_tasks(config, [state.tune(i) for i in tuning], info)
             blocks = [state.run_trial(*task) for task in tasks]
     finally:
@@ -528,11 +522,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     Recognized keys: M, N, T, L, B_rx, B_tx, B_rx.<algo>, B_tx.<algo>,
     snr_db, trials, seed, algorithms, eta, operator_mode, max_outer_iters,
-    inner_tol.  Lists are comma-separated; '#' starts a comment.
+    inner_tol.  Each key may appear once.  Lists are comma-separated; '#'
+    starts a comment.
     """
     values = {}
     rx_overrides = {}
     tx_overrides = {}
+    set_on = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -541,6 +537,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         if key in _CONFIG_SCALARS:
             attr, conv = _CONFIG_SCALARS[key]
             values[attr] = conv(value)

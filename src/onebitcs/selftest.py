@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .harness import ExperimentConfig, sweep_operators
-from .model import draw_channel, quantize, synthesize_measurement
+from .model import dft_dictionary, draw_channel, quantize, synthesize_measurement
 from .objective import ObjectiveContext, grad_h, h_objective, inv_mills, log_ndtr
-from .operator import coherence_bands, real_form, select_eta
+from .operator import build_operator, coherence_bands, real_form, select_eta
 from .solvers import bms_threshold, hard_threshold, restricted_maximize, run_grasp
 
 
@@ -21,15 +21,14 @@ def _require(condition, message: str) -> None:
         raise AssertionError(message)
 
 
-def _config(b=8, mode="auto"):
+def _config(b=8):
     """A sweep with M = N = 4, T = 8, L = 2 and B_rx = B_tx = b."""
-    return ExperimentConfig(m=4, n=4, t=8, l=2, b_rx=b, b_tx=b, snr_db=(0.0,), trials=1,
-                            operator_mode=mode)
+    return ExperimentConfig(m=4, n=4, t=8, l=2, b_rx=b, b_tx=b, snr_db=(0.0,), trials=1)
 
 
-def _operator(b=8, mode="auto"):
-    """The sweep's training and operator for _config(b, mode)."""
-    training, ops = sweep_operators(_config(b, mode))
+def _operator(b=8):
+    """The sweep's training and operator for _config(b)."""
+    training, ops = sweep_operators(_config(b))
     return training, ops[(b, b)]
 
 
@@ -55,8 +54,8 @@ def check_steering_and_quantize():
 
 def check_operator_paths():
     _, _, rng = _make_problem()
-    _, dense = _operator(mode="dense")
-    _, factored = _operator()
+    training, factored = _operator()
+    dense = build_operator(training.S, dft_dictionary(4, 8), dft_dictionary(4, 8), mode="dense")
     for _ in range(5):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         c = rng.standard_normal(32) + 1j * rng.standard_normal(32)

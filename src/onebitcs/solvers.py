@@ -383,30 +383,26 @@ def _pursuit_loop(ctx, config, use_bms, step):
     bands = _resolve_bands(ctx.op, config) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     support = np.zeros(0, dtype=int)
-    prev_support = frozenset()
-    visited = {prev_support}
+    visited = [()]
     trace = []
     halted_by = "max-iters"
-    iterations = 0
     for _ in range(config.max_outer_iters):
-        iterations += 1
         try:
             x, support, h = step(ctx, config, x, support, bands)
         except ConvergenceError as err:
             err.best = x
             raise
         trace.append(h)
-        new_support = frozenset(support.tolist())
-        if new_support == prev_support:
+        new_support = tuple(support.tolist())
+        if new_support == visited[-1]:
             halted_by = "support-fixed"
             break
         if new_support in visited:
             halted_by = "cycle"
             break
-        visited.add(new_support)
-        prev_support = new_support
+        visited.append(new_support)
     estimate = SparseEstimate(x_hat=x, support=support)
-    return SolverReport(estimate=estimate, iterations=iterations,
+    return SolverReport(estimate=estimate, iterations=len(trace),
                         halted_by=halted_by, objective_trace=trace)
 
 
@@ -641,12 +637,12 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
                         halted_by=halted_by, objective_trace=trace)
 
 
-def tune_gamma(make_ctx, L: int, trials: int):
+def tune_gamma(ctxs, L: int):
     """Find gamma at which the mean FISTA eps-support size is within 1 of 3L.
 
-    make_ctx(k) must build the k-th seeded problem instance.  For gamma at
-    or above max|grad f(0)| the l1-penalized estimate is exactly zero
-    (Friedman, Hastie & Tibshirani 2010), so the search starts at gamma_max,
+    ctxs is a non-empty list of problem contexts.  For gamma at or above
+    max|grad f(0)| the l1-penalized estimate is exactly zero (Friedman,
+    Hastie & Tibshirani 2010), so the search starts at gamma_max,
     the largest such threshold over the problems (one adjoint each).  It
     evaluates gamma_max too (one FISTA iteration per problem), so that the
     empty start is measured, not assumed.  It then halves gamma until the
@@ -660,9 +656,8 @@ def tune_gamma(make_ctx, L: int, trials: int):
 
     Returns (gamma, achieved_mean).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    ctxs = [make_ctx(k) for k in range(trials)]
+    if not ctxs:
+        raise ValueError("tune_gamma needs at least one problem")
     target = 3 * L
     evaluations = []
 

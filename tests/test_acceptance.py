@@ -229,7 +229,7 @@ def test_criterion_8_fista_tuning():
         meas = synthesize_measurement(ch.H, tr.S, 10.0, rng)
         return ObjectiveContext(op, meas)
 
-    gamma, achieved = tune_gamma(make_ctx, 2, trials=6)
+    gamma, achieved = tune_gamma([make_ctx(k) for k in range(6)], 2)
     elapsed = time.perf_counter() - t0
     ok = abs(achieved - 6.0) <= 1.0 and elapsed < 600.0
     report(8, ok, f"gamma {gamma:.3g} gives mean support {achieved:.2f} "

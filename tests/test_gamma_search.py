@@ -98,7 +98,7 @@ def test_estimates_vanish_at_the_zero_threshold_and_not_below(seed, rho, trials)
 def test_reaches_the_window_where_the_fixed_bracket_does(seed, rho, L):
     make_ctx = problems(seed, rho, paths=L)
     _, want = oracle_tune_gamma(make_ctx, L, trials=3)
-    gamma, got = tune_gamma(make_ctx, L, trials=3)
+    gamma, got = tune_gamma([make_ctx(k) for k in range(3)], L)
     assert abs(want - 3 * L) <= 1.0
     assert abs(got - 3 * L) <= 1.0
     assert gamma > 0.0
@@ -123,6 +123,6 @@ def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
         return report
 
     monkeypatch.setattr(solvers_module, "run_fista", counted)
-    _, achieved = tune_gamma(make_ctx, 2, trials=6)
+    _, achieved = tune_gamma([make_ctx(k) for k in range(6)], 2)
     assert abs(achieved - 6.0) <= 1.0
     assert iterations and max(iterations) < FISTA_CAP

@@ -122,6 +122,13 @@ class TestRunExperiment:
         for ra, rb in zip(solo, grasp_rows):
             assert ra.seed == rb.seed and ra.nmse == rb.nmse
 
+    def test_both_operator_modes_give_identical_rows(self):
+        config = replace(TINY, algorithms=("bmsgrasp", "fista"), snr_db=(10.0,))
+        auto, fft = ([replace(r, runtime_ms=0.0)
+                      for r in run_experiment(replace(config, operator_mode=mode))]
+                     for mode in ("auto", "fft"))
+        assert auto == fft
+
     def test_workers_match_serial(self):
         serial = run_experiment(TINY)
         parallel = run_experiment(TINY, workers=2)
@@ -372,6 +379,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="algorithms"):
             replace(TINY, algorithms=("grasp", "bmsgrasp", "grasp"))
 
+    def test_rejects_dense_operator_mode(self):
+        # The dense matrix is only the tests' reference, built through
+        # build_operator(..., mode="dense"); sweeps run the factored operator.
+        with pytest.raises(ValueError, match="operator_mode"):
+            replace(TINY, operator_mode="dense")
+
     @pytest.mark.parametrize("name, value", [
         ("max_outer_iters", 0), ("inner_tol", 0.0), ("inner_tol", -1.0)])
     def test_rejects_bad_solver_field(self, name, value):
@@ -383,7 +396,7 @@ class TestConfigValidation:
         solver = config.solver_config()
         assert (solver.sparsity, solver.eta, solver.max_outer_iters,
                 solver.inner_tol) == (2, 0.4, 7, 1e-6)
-        state = harness._SweepState(config, *harness.sweep_operators(config))
+        state = harness._SweepState(config)
         assert state.solver_config == solver
 
     def test_rejects_oracle_beyond_enumeration_budget(self):
@@ -501,6 +514,17 @@ class TestConfigParsing:
         # the one way a sweep debiases, and no key changes what a name means.
         with pytest.raises(ValueError, match="unknown config key 'debias'"):
             parse_config_text(CONFIG_TEXT + "debias = true\n")
+
+    @pytest.mark.parametrize("key", ["M", "B_rx.grasp"])
+    def test_repeated_key_rejected(self, key):
+        # Otherwise the later line would silently win over the earlier one.
+        text = CONFIG_TEXT + f"{key} = 8\n"
+        first = 1 + next(i for i, line in enumerate(text.splitlines())
+                         if line.startswith(f"{key} "))
+        last = len(text.splitlines())
+        with pytest.raises(ValueError,
+                           match=f"line {last}: key '{key}' is already set on line {first}"):
+            parse_config_text(text)
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -631,6 +655,17 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "unknown config key 'debias'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        CONFIG_TEXT + "M = 8\n",
+        CONFIG_TEXT.replace("operator_mode = auto", "operator_mode = dense"),
+    ], ids=["repeated-key", "dense-operator-mode"])
+    def test_rejected_config_fails_before_output(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_missing_subcommand_is_usage_error(self):

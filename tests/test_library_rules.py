@@ -6,23 +6,34 @@ import inspect
 from pathlib import Path
 
 import onebitcs
-from onebitcs import solvers
+from onebitcs import harness, solvers
 
 SOURCES = sorted(Path(onebitcs.__file__).parent.glob("*.py"))
 
 # The solvers' public parameters and SolverConfig's fields.  ROADMAP counts
-# the settable solver values among them (10): SolverConfig's five fields,
+# the settable solver values among them (9): SolverConfig's five fields,
 # restricted_maximize's x0 and inner_tol, run_fista's max_iters, and
-# tune_gamma's L and trials.  A new knob fails here until both are edited.
+# tune_gamma's L.  A new knob fails here until both are edited.
 SOLVER_PARAMETERS = {
     "run_grasp": ("ctx", "config", "use_bms"),
     "run_grahtp": ("ctx", "config", "use_bms"),
     "run_fista": ("ctx", "gamma", "max_iters"),
     "restricted_maximize": ("ctx", "support", "x0", "inner_tol"),
-    "tune_gamma": ("make_ctx", "L", "trials"),
+    "tune_gamma": ("ctxs", "L"),
     "brute_force_map": ("ctx", "L"),
 }
 SOLVER_CONFIG_FIELDS = ("sparsity", "eta", "max_outer_iters", "inner_tol", "debias")
+
+# A sweep's knobs: ExperimentConfig's fields (16, as ROADMAP counts them) and
+# the config keys that set one scalar field (11 of ROADMAP's 16 keys).  A new
+# knob fails here until both are edited.
+EXPERIMENT_CONFIG_FIELDS = (
+    "m", "n", "t", "l", "b_rx", "b_tx", "snr_db", "trials", "master_seed", "algorithms",
+    "eta", "operator_mode", "max_outer_iters", "inner_tol", "b_rx_overrides",
+    "b_tx_overrides",
+)
+CONFIG_SCALAR_KEYS = ("M", "N", "T", "L", "B_rx", "B_tx", "trials", "seed", "operator_mode",
+                      "max_outer_iters", "inner_tol")
 
 
 def test_library_has_no_assert():
@@ -42,3 +53,9 @@ def test_solver_surface_is_pinned():
     assert got == SOLVER_PARAMETERS
     fields = tuple(field.name for field in dataclasses.fields(solvers.SolverConfig))
     assert fields == SOLVER_CONFIG_FIELDS
+
+
+def test_sweep_surface_is_pinned():
+    fields = tuple(field.name for field in dataclasses.fields(harness.ExperimentConfig))
+    assert fields == EXPERIMENT_CONFIG_FIELDS
+    assert tuple(harness._CONFIG_SCALARS) == CONFIG_SCALAR_KEYS

@@ -526,10 +526,14 @@ class TestTuneGamma:
             meas = synthesize_measurement(ch.H, tr.S, 10.0, rng)
             return ObjectiveContext(op, meas)
 
-        gamma, mean = tune_gamma(make_ctx, 1, trials=4)
+        gamma, mean = tune_gamma([make_ctx(k) for k in range(4)], 1)
         assert 2.0 <= mean <= 4.0
-        repeat = tune_gamma(make_ctx, 1, trials=4)
+        repeat = tune_gamma([make_ctx(k) for k in range(4)], 1)
         assert repeat == (gamma, mean)
+
+    def test_empty_problem_list_raises(self):
+        with pytest.raises(ValueError, match="at least one problem"):
+            tune_gamma([], 1)
 
     def test_bracket_failure_raises(self):
         for L, rho, reason in [
@@ -538,7 +542,7 @@ class TestTuneGamma:
         ]:
             _, ctx, _ = make_problem(m=4, n=4, t=6, b_rx=8, b_tx=8, rho=rho)
             with pytest.raises(TuningError, match=reason):
-                tune_gamma(lambda k: ctx, L, trials=1)
+                tune_gamma([ctx], L)
 
 
 class TestBruteForce:
