@@ -19,7 +19,6 @@ from .harness import (
 )
 from .operator import select_eta
 from .selftest import run_selftest
-from .solvers import _resolve_bands
 
 USAGE_ERROR = 2
 
@@ -98,13 +97,12 @@ def _cmd_run(args) -> int:
 def _cmd_gram(args) -> int:
     config = load_config(args.config)
     _, ops = sweep_operators(config)
-    solver_config = config.solver_config()
     for dims, op in ops.items():
         print(f"dims B_rx={dims[0]} B_tx={dims[1]} (B={op.B}):")
         norms = op.column_norms
         print(f"  column norms: min={norms.min():.6g} max={norms.max():.6g}")
         # The bands the band-aware solvers use, at the configured or selected eta.
-        bands = _resolve_bands(op, solver_config)
+        bands = op.bands_at(config.eta)
         if bands is None:
             print("  eta: not applicable (all columns orthogonal); "
                   "band thresholding degenerates to plain hard thresholding")

@@ -164,8 +164,10 @@ def grad_h(ctx: ObjectiveContext, x: np.ndarray) -> np.ndarray:
     """Gradient of f + g in complex storage.
 
     The returned vector's real and imaginary parts are the two halves of
-    the real-form gradient A_R^T (inv_mills(v) .* s) - 2 x_R; solvers use
-    this convention throughout.  Costs one apply and one adjoint.
+    the real-form gradient A_R^T (inv_mills(v) .* s) - 2 x_R.  It is the
+    reference gradient of the self-test and the tests; no solver calls it,
+    since each forms the gradient from an image it already holds.  Costs
+    one apply and one adjoint.
     """
     x = np.asarray(x, dtype=complex)
     return ctx.op.apply_adjoint(likelihood(ctx, ctx.op.apply(x)).weights) - 2.0 * x

@@ -74,10 +74,11 @@ class SensingOperator:
     """Immutable sensing operator, applied through its two factors.
 
     Built through :func:`build_operator`.  All stored arrays are marked
-    read-only; derived coherence structure is cached on first use, so the
-    object is safe to share across threads and solver runs.  Mode "dense"
-    also materializes A and applies it as one matrix: it is the reference
-    the factored path is tested against.
+    read-only.  The factor Grams and the spectral norm are cached on first
+    use, and so are the coherence bands, per eta, by :meth:`bands_at`
+    alone; the object is safe to share across threads and solver runs.
+    Mode "dense" also materializes A and applies it as one matrix: it is
+    the reference the factored path is tested against.
     """
 
     def __init__(self, S: np.ndarray, A_RX: np.ndarray, A_TX: np.ndarray, mode: str):
@@ -130,8 +131,7 @@ class SensingOperator:
 
         self._mu_rx = None
         self._mu_g = None
-        self._band_cache: dict[float, CoherenceStructure] = {}
-        self._eta_selection = None
+        self._bands = {}    # eta as configured -> bands_at(eta)
         self._spectral_norm = None
 
     # -- application ------------------------------------------------------
@@ -228,6 +228,21 @@ class SensingOperator:
         mu_rx, mu_g = self._factor_mus()
         return float(min(mu_rx[ir, jr] * mu_g[it, jt], 1.0))
 
+    def bands_at(self, eta) -> CoherenceStructure | None:
+        """The coherence bands the band-aware solvers use at eta, cached per eta.
+
+        eta is "auto" or a float in (0, 1).  "auto" takes the threshold
+        :func:`select_eta` picks, and gives None when every column pair is
+        orthogonal: band thresholding then degenerates to plain hard
+        thresholding.  A float goes straight to :func:`coherence_bands`.
+        """
+        if eta not in self._bands:
+            selected = select_eta(self).eta if eta == "auto" else float(eta)
+            bands = None if selected is None else coherence_bands(self, selected)
+            # Threads that race here all get the bands stored first.
+            self._bands.setdefault(eta, bands)
+        return self._bands[eta]
+
     def spectral_norm_estimate(self) -> float:
         """Largest singular value of A, exactly: ||G||_2 * ||A_RX||_2.
 
@@ -276,9 +291,10 @@ class EtaSelection:
 def build_operator(S, A_RX, A_TX, mode: str = "fft") -> SensingOperator:
     """Assemble the sensing operator for a training block and two dictionaries.
 
-    mode "fft" keeps the factored form and applies A as two small matrix
-    products with G = S^T conj(A_TX) and A_RX, for any dictionaries; the name
-    is kept for configs that set it.  Mode "dense" also materializes the full
+    mode "fft", the default, keeps the factored form and applies A as two
+    small matrix products with G = S^T conj(A_TX) and A_RX, for any
+    dictionaries; no FFT is left, and the name is the factored path's old
+    one, which callers still pass.  Mode "dense" also materializes the full
     M*T x B matrix (capacity-checked) and applies it directly, as the
     reference for the factored path.
     """
@@ -294,14 +310,11 @@ def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:
     are found once, at the smallest threshold eta / max(mu_g) (an
     off-diagonal mu_g can exceed 1 by rounding); each transmit bin then
     tests them against its own thresholds in one vectorized pass.  The
-    bands come out as CSR arrays; results are cached on the operator per
-    eta.
+    bands come out as CSR arrays, built anew on every call;
+    :meth:`SensingOperator.bands_at` keeps them.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    cached = op._band_cache.get(eta)
-    if cached is not None:
-        return cached
 
     mu_rx, mu_g = op._factor_mus()
     b_rx = op.B_RX
@@ -325,9 +338,7 @@ def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:
     indices = np.concatenate(chunks)
     indptr.flags.writeable = False
     indices.flags.writeable = False
-    structure = CoherenceStructure(eta=float(eta), indptr=indptr, indices=indices)
-    op._band_cache[eta] = structure
-    return structure
+    return CoherenceStructure(eta=float(eta), indptr=indptr, indices=indices)
 
 
 def select_eta(op: SensingOperator) -> EtaSelection:
@@ -341,8 +352,6 @@ def select_eta(op: SensingOperator) -> EtaSelection:
     """
     if op.B < 2:
         raise ValueError("eta selection needs at least two columns")
-    if op._eta_selection is not None:
-        return op._eta_selection
 
     mu_rx, mu_g = op._factor_mus()
 
@@ -355,10 +364,7 @@ def select_eta(op: SensingOperator) -> EtaSelection:
     candidates = [v for v in (min_row_max(mu_rx), min_row_max(mu_g)) if v is not None]
     value = max(candidates)
     if value <= ORTHO_TOL:
-        selection = EtaSelection(eta=None)
-    elif value >= 1.0 - 1e-9:
-        selection = EtaSelection(eta=1.0 - 1e-9, clamped=True)
-    else:
-        selection = EtaSelection(eta=value)
-    op._eta_selection = selection
-    return selection
+        return EtaSelection(eta=None)
+    if value >= 1.0 - 1e-9:
+        return EtaSelection(eta=1.0 - 1e-9, clamped=True)
+    return EtaSelection(eta=value)

@@ -24,13 +24,7 @@ from .objective import (
     likelihood,
     loglik,
 )
-from .operator import (
-    CoherenceStructure,
-    coherence_bands,
-    complex_form,
-    real_form,
-    select_eta,
-)
+from .operator import CoherenceStructure, complex_form, real_form
 
 __all__ = [
     "SparseEstimate",
@@ -94,8 +88,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.sparsity < 1:
             raise ValueError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.inner_tol <= 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be positive, got {self.max_outer_iters}")
         if isinstance(self.eta, str):
@@ -272,9 +266,11 @@ def restricted_maximize(
     O(M*T*|support|^2), and nothing of length B is formed.
 
     Returns (the maximizer's values at support, the trace of h over the
-    iterates), or raises ConvergenceError carrying the best iterate's
-    values at support if the cap is hit.  A non-finite image raises
-    ValueError, as :func:`likelihood` does.
+    iterates).  Raises ConvergenceError carrying the best iterate's values
+    at support if the solve stops first: at the cap, or when it stalls
+    because the raw Newton step measurably descends.  Its message gives
+    the Newton iterations taken and which stop happened.  A non-finite
+    image raises ValueError, as :func:`likelihood` does.
     """
     support = np.asarray(support, dtype=int)
     if np.any(support[1:] <= support[:-1]):
@@ -330,34 +326,26 @@ def restricted_maximize(
             v_t, x_t = v + w, x + d
             trial, h_t = h_at(v_t, x_t)
             if h_t < h_val - noise_floor:
+                stop = "stalled: the next Newton step descends"
                 break
         x, v, log_cdf, h_val = x_t, v_t, trial, h_t
         trace.append(h_val)
         if h_val > best[0]:
             best = (h_val, x)
+    else:
+        stop = "hit the iteration cap"
 
     v = kt.T @ best[1]
     grad = kt @ _inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
     raise ConvergenceError(
-        f"restricted maximize did not reach tol {inner_tol} in {NEWTON_MAX_ITERS} iterations",
+        f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
+        f"Newton iterations ({stop})",
         best=complex_form(best[1]),
         grad_norm=float(np.linalg.norm(grad)),
     )
 
 
 # -- pursuit loops -----------------------------------------------------------
-
-
-def _resolve_bands(op, config: SolverConfig):
-    """Coherence bands at the configured or selected eta.
-
-    None when eta is "auto" and no threshold applies (all columns
-    orthogonal); the band-aware solvers then threshold plainly.
-    """
-    if config.eta != "auto":
-        return coherence_bands(op, float(config.eta))
-    selected = select_eta(op).eta
-    return None if selected is None else coherence_bands(op, selected)
 
 
 def _threshold(z, x, budget, bands):
@@ -380,7 +368,7 @@ def _pursuit_loop(ctx, config, use_bms, step):
     trace costs no operator apply.  A step's ConvergenceError is re-raised
     carrying the current iterate: at most L nonzeros, zeros at first.
     """
-    bands = _resolve_bands(ctx.op, config) if use_bms else None
+    bands = ctx.op.bands_at(config.eta) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     support = np.zeros(0, dtype=int)
     visited = [()]
@@ -565,8 +553,8 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     support contains supp(x_hat)), halted_by "converged" or "max-iters",
     and the objective at the start and after every iteration.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     op = ctx.op
 
     sigma = op.spectral_norm_estimate()
@@ -645,9 +633,10 @@ def tune_gamma(ctxs, L: int):
     Hastie & Tibshirani 2010), so the search starts at gamma_max,
     the largest such threshold over the problems (one adjoint each).  It
     evaluates gamma_max too (one FISTA iteration per problem), so that the
-    empty start is measured, not assumed.  It then halves gamma until the
-    mean support enters the window [3L-1, 3L+1] or passes above it, and in
-    the latter case bisects log(gamma) between the last two points.  The
+    empty start is measured, not assumed.  One loop then walks a bracket in
+    log(gamma): while no evaluated gamma has its mean above the window
+    [3L-1, 3L+1] it halves gamma, and after that it bisects log(gamma)
+    between the nearest gammas evaluated above and below the window.  The
     search premise is that mean support size decreases as gamma grows; the
     evaluation trace is checked against it and violations beyond one support
     unit raise TuningError.  So do gamma_max = 0 (no penalty gives a nonzero
@@ -659,12 +648,6 @@ def tune_gamma(ctxs, L: int):
     if not ctxs:
         raise ValueError("tune_gamma needs at least one problem")
     target = 3 * L
-    evaluations = []
-
-    def mean_support(gamma):
-        mean = float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
-        evaluations.append((gamma, mean))
-        return mean
 
     gamma_max = 0.0
     for c in ctxs:
@@ -673,45 +656,42 @@ def tune_gamma(ctxs, L: int):
     if gamma_max == 0.0:
         raise TuningError("the likelihood gradient vanishes at 0 on every problem")
 
-    gamma = gamma_max
-    m = mean_support(gamma)
-    if m > target + 1:
-        raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
-    for _ in range(TUNE_MAX_BISECT):
-        if m >= target - 1:
+    evaluations = []
+    above = below = None    # the nearest gammas evaluated with the mean above / below the window
+    gamma, steps = gamma_max, 0
+    while True:
+        m = float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
+        evaluations.append((gamma, m))
+        if target - 1 <= m <= target + 1:
             break
-        gamma *= 0.5
-        m = mean_support(gamma)
-    if m < target - 1:
-        raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
-                          f"{TUNE_MAX_BISECT} halvings of gamma_max = {gamma_max}")
-
-    result = None
-    if m <= target + 1:
-        result = (gamma, m)
-    else:
-        # The mean is above the window at gamma and below it at 2 gamma.
-        log_lo, log_hi = math.log(gamma), math.log(2.0 * gamma)
-        for _ in range(TUNE_MAX_BISECT):
-            mid = math.exp(0.5 * (log_lo + log_hi))
-            m = mean_support(mid)
-            if target - 1 <= m <= target + 1:
-                result = (mid, m)
-                break
-            if m > target:
-                log_lo = math.log(mid)
-            else:
-                log_hi = math.log(mid)
+        if m < target:
+            below = gamma
+        elif below is None:
+            raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
+        else:
+            if above is None:
+                steps = 0    # the bracket closes: the bisections start
+            above = gamma
+        if steps == TUNE_MAX_BISECT:
+            if above is None:
+                raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
+                                  f"{TUNE_MAX_BISECT} halvings of gamma_max = {gamma_max}")
+            break
+        steps += 1
+        if above is None:
+            gamma *= 0.5
+        else:
+            gamma = math.exp(0.5 * (math.log(above) + math.log(below)))
 
     for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
         if g2 > g1 and m2 > m1 + 1.0:
             raise TuningError(
                 f"support size not decreasing in gamma: {m1} at {g1}, {m2} at {g2}"
             )
-    if result is None:
+    if not target - 1 <= m <= target + 1:
         raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
                           f"in {TUNE_MAX_BISECT} bisections")
-    return result
+    return gamma, m
 
 
 # -- exhaustive oracle -------------------------------------------------------

@@ -2,12 +2,15 @@
 
 For gamma >= max|grad f(0)| the l1-penalized estimate is exactly zero, so
 tune_gamma starts at that threshold and halves down to the target window.
-The oracle below is the earlier search, which bisected log(gamma) over the
-fixed bracket [1e-6, 1e6].
+Two earlier searches serve as oracles: one bisected log(gamma) over the
+fixed bracket [1e-6, 1e6]; the other halved from the zero threshold in one
+loop and bisected in a second, and tune_gamma's single bracketing loop
+must evaluate exactly its gammas.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import onebitcs.solvers as solvers_module
 from onebitcs.errors import TuningError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, grad_h
+from onebitcs.objective import ObjectiveContext, grad_h, likelihood
 from onebitcs.operator import build_operator
 from onebitcs.solvers import run_fista, tune_gamma
 
@@ -63,6 +66,64 @@ def oracle_tune_gamma(make_ctx, L, trials, lo=1e-6, hi=1e6, max_bisect=60):
     return result
 
 
+def oracle_halve_then_bisect(ctxs, L, fista, max_steps=60):
+    """The search as two loops: halve from gamma_max, then bisect log(gamma)."""
+    target = 3 * L
+    evaluations = []
+
+    def mean_support(gamma):
+        mean = float(np.mean([fista(c, gamma).estimate.support.size for c in ctxs]))
+        evaluations.append((gamma, mean))
+        return mean
+
+    gamma_max = 0.0
+    for c in ctxs:
+        at_zero = likelihood(c, np.zeros(c.op.M * c.op.T, dtype=complex))
+        gamma_max = max(gamma_max, float(np.max(np.abs(c.op.apply_adjoint(at_zero.weights)))))
+    if gamma_max == 0.0:
+        raise TuningError("the likelihood gradient vanishes at 0 on every problem")
+
+    gamma = gamma_max
+    m = mean_support(gamma)
+    if m > target + 1:
+        raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
+    for _ in range(max_steps):
+        if m >= target - 1:
+            break
+        gamma *= 0.5
+        m = mean_support(gamma)
+    if m < target - 1:
+        raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
+                          f"{max_steps} halvings of gamma_max = {gamma_max}")
+
+    result = None
+    if m <= target + 1:
+        result = (gamma, m)
+    else:
+        # The mean is above the window at gamma and below it at 2 gamma.
+        log_lo, log_hi = math.log(gamma), math.log(2.0 * gamma)
+        for _ in range(max_steps):
+            mid = math.exp(0.5 * (log_lo + log_hi))
+            m = mean_support(mid)
+            if target - 1 <= m <= target + 1:
+                result = (mid, m)
+                break
+            if m > target:
+                log_lo = math.log(mid)
+            else:
+                log_hi = math.log(mid)
+
+    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
+        if g2 > g1 and m2 > m1 + 1.0:
+            raise TuningError(
+                f"support size not decreasing in gamma: {m1} at {g1}, {m2} at {g2}"
+            )
+    if result is None:
+        raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
+                          f"in {max_steps} bisections")
+    return result
+
+
 def problems(seed, rho, m=4, n=4, t=6, b=8, paths=1):
     """make_ctx for seeded problems on one shared operator."""
     tr = zc_training(n, t)
@@ -102,6 +163,57 @@ def test_reaches_the_window_where_the_fixed_bracket_does(seed, rho, L):
     assert abs(want - 3 * L) <= 1.0
     assert abs(got - 3 * L) <= 1.0
     assert gamma > 0.0
+
+
+def recording(gammas):
+    """run_fista, appending every gamma it is handed to gammas."""
+    def fista(ctx, gamma):
+        gammas.append(gamma)
+        return run_fista(ctx, gamma)
+    return fista
+
+
+def outcome(search):
+    """search()'s result, or the message of the TuningError it raised."""
+    try:
+        return search()
+    except TuningError as err:
+        return str(err)
+
+
+def test_one_bracketing_loop_matches_halve_then_bisect():
+    bisected = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rho=st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0]),
+           L=st.integers(1, 2), trials=st.integers(1, 4))
+    def check(seed, rho, L, trials):
+        make_ctx = problems(seed, rho, paths=L)
+        ctxs = [make_ctx(k) for k in range(trials)]
+        want_gammas, got_gammas = [], []
+        want = outcome(lambda: oracle_halve_then_bisect(ctxs, L, recording(want_gammas)))
+        with mock.patch.object(solvers_module, "run_fista", recording(got_gammas)):
+            got = outcome(lambda: tune_gamma(ctxs, L))
+        assert [g.hex() for g in got_gammas] == [g.hex() for g in want_gammas]
+        assert got == want
+        # A bisection's first midpoint lies above the last halving.
+        bisected.append(any(b > a for a, b in zip(want_gammas, want_gammas[1:])))
+
+    check()
+    assert len(bisected) >= 30 and any(bisected)
+
+
+def test_failing_search_matches_halve_then_bisect():
+    # The window [65, 67] lies above B = 64, so the halvings run out.
+    ctxs = [problems(3, 10.0)(0)]
+    want_gammas, got_gammas = [], []
+    want = outcome(lambda: oracle_halve_then_bisect(ctxs, 22, recording(want_gammas)))
+    with mock.patch.object(solvers_module, "run_fista", recording(got_gammas)):
+        got = outcome(lambda: tune_gamma(ctxs, 22))
+    assert "halvings" in want and got == want
+    assert [g.hex() for g in got_gammas] == [g.hex() for g in want_gammas]
+    assert len(got_gammas) == 1 + solvers_module.TUNE_MAX_BISECT
 
 
 @pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])

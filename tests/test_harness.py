@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import onebitcs
+import onebitcs.operator as operator_module
 import onebitcs.solvers as solvers_module
 from onebitcs import harness
 from onebitcs.cli import cli_main
@@ -128,6 +129,23 @@ class TestRunExperiment:
                       for r in run_experiment(replace(config, operator_mode=mode))]
                      for mode in ("auto", "fft"))
         assert auto == fft
+
+    def test_each_operator_resolves_its_bands_once(self, monkeypatch):
+        # Two BMS pursuits share the 8x8 operator and a third has its own:
+        # every row reads its operator's bands, and each operator selects
+        # eta and builds its bands once.
+        calls = {"select_eta": [], "coherence_bands": []}
+        for name, seen in calls.items():
+            def counted(op, *args, _real=getattr(operator_module, name), _seen=seen):
+                _seen.append(id(op))
+                return _real(op, *args)
+
+            monkeypatch.setattr(operator_module, name, counted)
+        config = replace(TINY, algorithms=("bmsgrasp", "bmsgrahtp", "bmsgrasp-debias"),
+                         b_rx_overrides={"bmsgrasp-debias": 16})
+        assert len(run_experiment(config)) == 3 * 3 * 2
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == 2
 
     def test_workers_match_serial(self):
         serial = run_experiment(TINY)
@@ -660,7 +678,9 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         CONFIG_TEXT + "M = 8\n",
         CONFIG_TEXT.replace("operator_mode = auto", "operator_mode = dense"),
-    ], ids=["repeated-key", "dense-operator-mode"])
+        CONFIG_TEXT.replace("inner_tol = 1e-8", "inner_tol = nan"),
+        CONFIG_TEXT.replace("inner_tol = 1e-8", "inner_tol = inf"),
+    ], ids=["repeated-key", "dense-operator-mode", "nan-inner-tol", "inf-inner-tol"])
     def test_rejected_config_fails_before_output(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

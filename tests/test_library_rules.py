@@ -47,6 +47,28 @@ def test_library_has_no_assert():
     assert SOURCES and not found, found
 
 
+def private_imports(path):
+    """Names starting with an underscore that path imports from the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("onebitcs")):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.startswith("onebitcs")
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    return found
+
+
+def test_front_ends_import_no_private_name():
+    # The command line and the self-test use the package as any caller would.
+    front_ends = [path for path in SOURCES if path.name in ("cli.py", "selftest.py")]
+    assert len(front_ends) == 2
+    assert [found for path in front_ends for found in private_imports(path)] == []
+
+
 def test_solver_surface_is_pinned():
     got = {name: tuple(inspect.signature(getattr(solvers, name)).parameters)
            for name in SOLVER_PARAMETERS}

@@ -38,7 +38,6 @@ from onebitcs.solvers import (
     SparseEstimate,
     _folded_block,
     _folded_neg_hessian,
-    _resolve_bands,
     _threshold,
     hard_threshold,
     restricted_maximize,
@@ -381,7 +380,7 @@ def oracle_grahtp_step(ctx, config, x, bands, trace):
 
 def oracle_pursuit(ctx, config, use_bms, step):
     """The outer loop as it was, finding each support with np.nonzero."""
-    bands = _resolve_bands(ctx.op, config) if use_bms else None
+    bands = ctx.op.bands_at(config.eta) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     prev_support = frozenset()
     visited = {prev_support}

@@ -312,6 +312,30 @@ class TestCoherenceBands:
                 coherence_bands(op, eta)
 
 
+class TestBandsAt:
+    def test_repeat_call_returns_the_same_object(self):
+        op, _ = make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16)
+        for eta in ("auto", 0.4):
+            assert op.bands_at(eta) is op.bands_at(eta)
+
+    def test_auto_on_orthonormal_dictionaries_is_none(self):
+        tr = zc_training(4, 8)
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        assert op.bands_at("auto") is None
+
+    def test_auto_uses_the_selected_eta(self):
+        op, _ = make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16)
+        assert op.bands_at("auto").eta == select_eta(op).eta
+
+    @pytest.mark.parametrize("eta", [0.2, 0.6, 0.9])
+    def test_float_matches_coherence_bands(self, eta):
+        op, _ = make_pair(m=8, n=4, t=9, b_rx=16, b_tx=8)
+        got, want = op.bands_at(eta), coherence_bands(op, eta)
+        assert got.eta == want.eta
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+
 class TestSelectEta:
     def test_matches_brute_force_on_oversampled_grid(self):
         op, op_dense = make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16)

@@ -1,5 +1,7 @@
 """Tests for the thresholders, pursuit loops, FISTA, and the exact oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -245,11 +247,22 @@ class TestRestrictedMaximize:
         # maximizer does.
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
         monkeypatch.setattr(solvers_module, "NEWTON_MAX_ITERS", 1)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"in 1 Newton iterations \(hit the") as err:
             restricted_maximize(ctx, [1, 2, 3])
         best = err.value.best
         assert best is not None and best.shape == (3,)
         assert err.value.grad_norm > 0
+
+    def test_stall_reports_the_iterations_taken(self, monkeypatch):
+        # With -I for the negative Hessian, the first Newton direction
+        # descends, so the solve stalls before taking a step.
+        _, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
+        monkeypatch.setattr(solvers_module, "_folded_neg_hessian",
+                            lambda kt, curv: -np.eye(kt.shape[0]))
+        with pytest.raises(ConvergenceError, match=r"in 0 Newton iterations \(stalled") as err:
+            restricted_maximize(ctx, [1, 2, 3])
+        assert str(solvers_module.NEWTON_MAX_ITERS) not in str(err.value)
+        assert np.array_equal(err.value.best, np.zeros(3))
 
 
 class _Spy:
@@ -289,7 +302,7 @@ class TestGrasp:
         assert hits >= 90
 
     def test_halting_is_idempotent(self):
-        from onebitcs.solvers import _grasp_step, _resolve_bands
+        from onebitcs.solvers import _grasp_step
 
         checked = 0
         for seed in range(20):
@@ -301,7 +314,7 @@ class TestGrasp:
             if report.halted_by != "support-fixed":
                 continue
             checked += 1
-            bands = _resolve_bands(ctx.op, config)
+            bands = ctx.op.bands_at(config.eta)
             again, _, _ = _grasp_step(ctx, config, report.estimate.x_hat,
                                       report.estimate.support, bands)
             assert np.array_equal(np.sort(np.nonzero(again)[0]),
@@ -513,6 +526,12 @@ class TestFista:
         _, ctx, _ = make_problem()
         with pytest.raises(ValueError):
             run_fista(ctx, gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        _, ctx, _ = make_problem()
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_fista(ctx, gamma=gamma)
 
 
 class TestTuneGamma:
