@@ -11,7 +11,6 @@ from .errors import (
     CapacityError,
     ConvergenceError,
     DegenerateOperatorError,
-    NumericalError,
     TuningError,
 )
 from .harness import (
@@ -46,6 +45,7 @@ from .objective import (
     h_objective,
     inv_mills,
     log_ndtr,
+    sign_terms,
 )
 from .operator import (
     CoherenceStructure,
@@ -56,8 +56,6 @@ from .operator import (
     complex_form,
     real_form,
     select_eta,
-    unvec,
-    vec,
 )
 from .solvers import (
     SolverConfig,

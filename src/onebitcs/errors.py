@@ -10,9 +10,14 @@ class DegenerateOperatorError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve hit its iteration cap before reaching tolerance.
+    """A solver stopped before reaching its tolerance: the one solver failure.
 
-    Carries the best iterate found so callers can salvage a result.
+    Carries the best (for FISTA, the last accepted) iterate in ``best`` so
+    callers can salvage a result, and the gradient norm there where known.
+    Raised when a restricted Newton solve hits its cap or stalls, when no
+    GraHTP gradient step passes the Armijo test, and when FISTA's objective
+    turns non-finite or its step underflows.  A pursuit or the oracle
+    re-raises its step's error carrying its own iterate.
     """
 
     def __init__(self, message, best=None, grad_norm=None):
@@ -23,14 +28,3 @@ class ConvergenceError(RuntimeError):
 
 class TuningError(RuntimeError):
     """Hyperparameter search could not bracket or reach its target."""
-
-
-class NumericalError(RuntimeError):
-    """A solver produced a non-finite objective value.
-
-    Carries the last finite iterate when one exists.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

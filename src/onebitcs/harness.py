@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError
 from .model import draw_channel, synthesize_measurement, zc_training, dft_dictionary
 from .objective import ObjectiveContext
 from .operator import build_operator
@@ -214,9 +214,7 @@ def child_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
 
 def tuning_seed(master_seed: int, snr_index: int, k: int) -> int:
     """Seed stream reserved for hyperparameter tuning trials."""
-    s = _splitmix64((master_seed ^ 0xA5A5A5A5A5A5A5A5) & _M64)
-    s = _splitmix64(s ^ snr_index)
-    return _splitmix64(s ^ k)
+    return child_seed(master_seed ^ 0xA5A5A5A5A5A5A5A5, snr_index, k)
 
 
 # -- sweep execution ---------------------------------------------------------
@@ -280,7 +278,7 @@ class _SweepState:
             try:
                 report = _SOLVERS[algo](ctx, self.solver_config, gamma)
                 x_hat, iterations = report.estimate.x_hat, report.iterations
-            except (ConvergenceError, NumericalError) as err:
+            except ConvergenceError as err:
                 x_hat = err.best if err.best is not None else np.zeros(op.B, dtype=complex)
                 iterations = -1
                 print(

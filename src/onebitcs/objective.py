@@ -14,7 +14,10 @@ because A_R x_R and A_R^T w are the real forms of A x and A^H w.
 The data term depends on x only through u = A x, so the kernels
 :func:`loglik` and :func:`likelihood` take u.  A solver that knows A x for
 its iterates (every iterate it forms is a linear combination of points
-whose images it already has) then pays no operator apply for f.
+whose images it already has) then pays no operator apply for f.  Both f and
+the inverse Mills ratios come from :func:`sign_terms`, the one kernel over
+the likelihood arguments v = s .* u_R; a solver that forms v itself (the
+restricted Newton solve, on its sign-folded block) calls it directly.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "Likelihood",
     "log_ndtr",
     "inv_mills",
+    "sign_terms",
     "loglik",
     "likelihood",
     "f_loglik",
@@ -57,47 +61,49 @@ def log_ndtr(x):
     return float(out) if out.ndim == 0 else out
 
 def inv_mills(x):
-    """Inverse Mills ratio phi(x) / Phi(x).
+    """Inverse Mills ratio phi(x) / Phi(x), as :func:`sign_terms` computes it.
 
-    Strictly positive and strictly decreasing.  Computed from log Phi(x) as
-    :func:`likelihood` computes it; see :func:`_inv_mills_from`.
+    Strictly positive and strictly decreasing.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("inv_mills requires finite input")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = _inv_mills_from(x, special.log_ndtr(x))
-    return float(out[0]) if scalar else out
+    out = sign_terms(np.atleast_1d(x))[1]
+    return float(out[0]) if x.ndim == 0 else out
 
 
-def _inv_mills_from(x: np.ndarray, log_cdf: np.ndarray) -> np.ndarray:
-    """phi(x) / Phi(x) for finite x, given log_cdf = log Phi(x).
+def sign_terms(v: np.ndarray):
+    """(sum_i log Phi(v_i), inv_mills(v)) at the likelihood arguments v.
 
-    exp(-x^2/2 - log sqrt(2 pi) - log Phi(x)) takes one exp pass over the
-    log Phi values a caller already holds.  Below x = -40 the exponent is a
-    difference of two terms near x^2/2 whose rounding grows with x^2, so
-    those (rare) entries go through the scaled complementary error function
-    instead: lambda(x) = sqrt(2/pi) / erfcx(-x / sqrt(2)).
+    The inverse Mills ratios reuse the log Phi values of the sum:
+    exp(-v^2/2 - log sqrt(2 pi) - log Phi(v)) takes one exp pass over them.
+    Below v = -40 the exponent is a difference of two terms near v^2/2 whose
+    rounding grows with v^2, so those (rare) entries go through the scaled
+    complementary error function instead: lambda(v) = sqrt(2/pi) /
+    erfcx(-v / sqrt(2)).  A non-finite v raises ValueError.
     """
-    out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_cdf)
-    deep = x < _ERFCX_BELOW
+    if not np.isfinite(v).all():
+        raise ValueError("likelihood requires a finite operator image")
+    log_cdf = special.log_ndtr(v)
+    lam = np.exp(-0.5 * v * v - _LOG_SQRT_2PI - log_cdf)
+    deep = v < _ERFCX_BELOW
     if deep.any():
-        out[deep] = _SQRT_2_OVER_PI / special.erfcx(-x[deep] / _SQRT_2)
-    return out
+        lam[deep] = _SQRT_2_OVER_PI / special.erfcx(-v[deep] / _SQRT_2)
+    return float(log_cdf.sum()), lam
 
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveContext:
     """Fixed data of one estimation problem: operator, signs, SNR.
 
-    rho is the SNR stored with the measurement.
+    rho is the SNR stored with the measurement, and signs the read-only
+    scaled sign pattern s = sqrt(2*rho) * y_R.
     """
 
     op: SensingOperator
     y_hat: QuantizedMeasurement
     rho: float = field(init=False)
-    _signs: np.ndarray = field(init=False, repr=False)
+    signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = self.y_hat.rho
@@ -110,10 +116,9 @@ class ObjectiveContext:
                 f"measurement length {y.shape} does not match operator "
                 f"output length {self.op.M * self.op.T}"
             )
-        # sqrt(2*rho)-scaled sign pattern in real form, fixed for the run.
         signs = np.sqrt(2.0 * rho) * real_form(y)
         signs.flags.writeable = False
-        object.__setattr__(self, "_signs", signs)
+        object.__setattr__(self, "signs", signs)
 
 
 class Likelihood(NamedTuple):
@@ -127,7 +132,7 @@ class Likelihood(NamedTuple):
 
 def loglik(ctx: ObjectiveContext, u: np.ndarray) -> float:
     """Log-likelihood f at the estimate whose operator image is u = A x."""
-    return float(np.sum(special.log_ndtr(ctx._signs * real_form(u))))
+    return float(np.sum(special.log_ndtr(ctx.signs * real_form(u))))
 
 
 def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:
@@ -136,12 +141,9 @@ def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:
     Costs no operator call; the gradient of f is then one adjoint,
     ``ctx.op.apply_adjoint(terms.weights)``.
     """
-    v = ctx._signs * real_form(u)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("likelihood requires a finite operator image")
-    log_cdf = special.log_ndtr(v)
-    lam = _inv_mills_from(v, log_cdf)
-    return Likelihood(float(np.sum(log_cdf)), v, lam, complex_form(lam * ctx._signs))
+    v = ctx.signs * real_form(u)
+    f, lam = sign_terms(v)
+    return Likelihood(f, v, lam, complex_form(lam * ctx.signs))
 
 
 def f_loglik(ctx: ObjectiveContext, x: np.ndarray) -> float:

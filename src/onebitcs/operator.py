@@ -34,8 +34,6 @@ __all__ = [
     "select_eta",
     "real_form",
     "complex_form",
-    "vec",
-    "unvec",
 ]
 
 # Largest dense cache, in matrix entries (MT * B).
@@ -43,16 +41,6 @@ DENSE_CACHE_LIMIT = 2**26
 
 # Coherences at or below this are treated as exact zeros when selecting eta.
 ORTHO_TOL = 1e-12
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(X).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a rows x cols matrix."""
-    return np.asarray(x).reshape(rows, cols, order="F")
 
 
 def real_form(x: np.ndarray) -> np.ndarray:

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
-from .errors import CapacityError, ConvergenceError, NumericalError, TuningError
-from .objective import (
-    ObjectiveContext,
-    _inv_mills_from,
-    g_logprior,
-    likelihood,
-    loglik,
-)
+from .errors import CapacityError, ConvergenceError, TuningError
+from .objective import ObjectiveContext, g_logprior, likelihood, loglik, sign_terms
 from .operator import CoherenceStructure, complex_form, real_form
 
 __all__ = [
@@ -262,15 +255,16 @@ def restricted_maximize(
     (see _folded_block): v = K x_R is the likelihood argument, the gradient
     is K^T lam - 2 x_R, the Newton direction solves the negative Hessian
     K^T diag(lam .* (v + lam)) K + 2I against it, and an Armijo trial
-    needs only log Phi at v + t K d.  The cost per iteration is
-    O(M*T*|support|^2), and nothing of length B is formed.
+    needs only :func:`sign_terms` at v + t K d, whose inverse Mills ratios
+    the next iteration reuses when the trial is accepted.  The cost per
+    iteration is O(M*T*|support|^2), and nothing of length B is formed.
 
     Returns (the maximizer's values at support, the trace of h over the
     iterates).  Raises ConvergenceError carrying the best iterate's values
     at support if the solve stops first: at the cap, or when it stalls
     because the raw Newton step measurably descends.  Its message gives
     the Newton iterations taken and which stop happened.  A non-finite
-    image raises ValueError, as :func:`likelihood` does.
+    image raises ValueError, as :func:`sign_terms` does.
     """
     support = np.asarray(support, dtype=int)
     if np.any(support[1:] <= support[:-1]):
@@ -283,23 +277,19 @@ def restricted_maximize(
             raise ValueError(f"x0 has shape {x0.shape}, support {support.shape}")
         x = real_form(x0)
 
-    kt = _folded_block(ctx.op.columns(support), ctx._signs)
+    kt = _folded_block(ctx.op.columns(support), ctx.signs)
 
     def h_at(v_t, x_t):
-        # The accepted trial's log Phi values give the next iteration's
-        # inverse Mills ratios.
-        if not np.isfinite(v_t).all():
-            raise ValueError("likelihood requires a finite operator image")
-        log_cdf = special.log_ndtr(v_t)
-        return log_cdf, float(log_cdf.sum()) - float(x_t @ x_t)
+        # An accepted trial's inverse Mills ratios serve the next iteration.
+        f, lam_t = sign_terms(v_t)
+        return lam_t, f - float(x_t @ x_t)
 
     v = kt.T @ x
-    log_cdf, h_val = h_at(v, x)
+    lam, h_val = h_at(v, x)
     trace = [h_val]
-    best = (h_val, x)
+    best = (h_val, x, lam)
 
     for _ in range(NEWTON_MAX_ITERS):
-        lam = _inv_mills_from(v, log_cdf)
         grad = kt @ lam - 2.0 * x
         if math.sqrt(grad @ grad) <= inner_tol:
             return complex_form(x), trace
@@ -313,7 +303,7 @@ def restricted_maximize(
         if slope > noise_floor:
             for _ in range(ARMIJO_MAX_STEPS):
                 v_t, x_t = v + t * w, x + t * d
-                trial, h_t = h_at(v_t, x_t)
+                lam_t, h_t = h_at(v_t, x_t)
                 if h_t >= h_val + ARMIJO_SLOPE * t * slope:
                     accepted = True
                     break
@@ -324,19 +314,18 @@ def restricted_maximize(
             # raw Newton step still contracts the gradient quadratically,
             # so take it unless it measurably descends.
             v_t, x_t = v + w, x + d
-            trial, h_t = h_at(v_t, x_t)
+            lam_t, h_t = h_at(v_t, x_t)
             if h_t < h_val - noise_floor:
                 stop = "stalled: the next Newton step descends"
                 break
-        x, v, log_cdf, h_val = x_t, v_t, trial, h_t
+        x, v, lam, h_val = x_t, v_t, lam_t, h_t
         trace.append(h_val)
         if h_val > best[0]:
-            best = (h_val, x)
+            best = (h_val, x, lam)
     else:
         stop = "hit the iteration cap"
 
-    v = kt.T @ best[1]
-    grad = kt @ _inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
+    grad = kt @ best[2] - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
         f"Newton iterations ({stop})",
@@ -487,7 +476,7 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     h0 = at_x.f - xn2
     w = ctx.op.apply(g)
     w_r = real_form(w)
-    curv = float(np.sum(ctx._signs * ctx._signs * at_x.lam * (at_x.v + at_x.lam) * w_r * w_r))
+    curv = float(np.sum(ctx.signs * ctx.signs * at_x.lam * (at_x.v + at_x.lam) * w_r * w_r))
 
     def passes(k):
         t = ARMIJO_SHRINK ** k
@@ -551,7 +540,9 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     Returns a SolverReport whose estimate carries its eps-support
     (|x_b| > 1e-8; entries at or below the eps threshold are zeroed so the
     support contains supp(x_hat)), halted_by "converged" or "max-iters",
-    and the objective at the start and after every iteration.
+    and the objective at the start and after every iteration.  Raises
+    ConvergenceError carrying the last accepted iterate when the objective
+    becomes non-finite or the step size underflows.
     """
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -579,7 +570,7 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
         gy = op.apply_adjoint(at_y.weights)
         fy = at_y.f
         if not np.isfinite(fy):
-            raise NumericalError("objective became non-finite", best=x_prev)
+            raise ConvergenceError("objective became non-finite", best=x_prev)
         if passes == 3:
             step *= 2.0
             passes = 0
@@ -595,10 +586,10 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
             step *= 0.5
             passes = 0
             if step < 1e-18:
-                raise NumericalError("step size underflow in FISTA", best=x_prev)
+                raise ConvergenceError("step size underflow in FISTA", best=x_prev)
         obj_z = fz - penalty(z)
         if not np.isfinite(obj_z):
-            raise NumericalError("objective became non-finite", best=x_prev)
+            raise ConvergenceError("objective became non-finite", best=x_prev)
 
         if obj_z >= obj_prev:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
@@ -639,15 +630,21 @@ def tune_gamma(ctxs, L: int):
     between the nearest gammas evaluated above and below the window.  The
     search premise is that mean support size decreases as gamma grows; the
     evaluation trace is checked against it and violations beyond one support
-    unit raise TuningError.  So do gamma_max = 0 (no penalty gives a nonzero
-    estimate), a mean above the window at gamma_max, and a window that
-    TUNE_MAX_BISECT halvings or bisections do not reach.
+    unit raise TuningError.  So do a window whose low end exceeds the
+    problems' mean B (checked before any solve: no mean support can reach
+    it), gamma_max = 0 (no penalty gives a nonzero estimate), a mean above
+    the window at gamma_max, and a window that TUNE_MAX_BISECT halvings or
+    bisections do not reach.
 
     Returns (gamma, achieved_mean).
     """
     if not ctxs:
         raise ValueError("tune_gamma needs at least one problem")
     target = 3 * L
+    mean_b = float(np.mean([c.op.B for c in ctxs]))
+    if target - 1 > mean_b:
+        raise TuningError(f"window [{target - 1}, {target + 1}] lies above the problems' "
+                          f"mean B = {mean_b:g}")
 
     gamma_max = 0.0
     for c in ctxs:

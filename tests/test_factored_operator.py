@@ -3,7 +3,7 @@
 The oracle below is the earlier factored path: products with each dictionary
 factor went through truncated, phase-twisted FFTs when the factor sat on the
 canonical DFT grid and through dense matmul otherwise, with column-major
-vec / unvec around them.  The two-factor products must agree with it to
+(order="F") reshapes around them.  The two-factor products must agree with it to
 1e-12 relative on and off the grid, for unequal dictionary sizes, for N < T,
 and at desk and full scale.
 """
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitcs.model import dft_dictionary, steering_vector, zc_training
-from onebitcs.operator import build_operator, unvec, vec
+from onebitcs.operator import build_operator
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
@@ -53,16 +53,16 @@ class OracleDictProduct:
 
 def oracle_apply(op, x):
     rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
-    X = unvec(x, op.B_RX, op.B_TX)
-    W = op.S.conj().T @ tx.forward(X.conj().T)    # (T, B_RX)
-    return vec(rx.forward(W.conj().T))             # (M, T)
+    X = x.reshape(op.B_RX, op.B_TX, order="F")
+    W = op.S.conj().T @ tx.forward(X.conj().T)             # (T, B_RX)
+    return rx.forward(W.conj().T).reshape(-1, order="F")   # (M, T)
 
 
 def oracle_apply_adjoint(op, c):
     rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
-    C = unvec(c, op.M, op.T)
-    V = tx.adjoint(op.S @ C.conj().T)              # (B_TX, M)
-    return vec(rx.adjoint(V.conj().T))             # (B_RX, B_TX)
+    C = c.reshape(op.M, op.T, order="F")
+    V = tx.adjoint(op.S @ C.conj().T)                      # (B_TX, M)
+    return rx.adjoint(V.conj().T).reshape(-1, order="F")   # (B_RX, B_TX)
 
 
 def off_grid_dictionary(rng, antennas, bins):

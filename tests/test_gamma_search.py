@@ -165,12 +165,17 @@ def test_reaches_the_window_where_the_fixed_bracket_does(seed, rho, L):
     assert gamma > 0.0
 
 
+def recording_of(fista, gammas):
+    """fista, appending every gamma it is handed to gammas."""
+    def recorded(ctx, gamma):
+        gammas.append(gamma)
+        return fista(ctx, gamma)
+    return recorded
+
+
 def recording(gammas):
     """run_fista, appending every gamma it is handed to gammas."""
-    def fista(ctx, gamma):
-        gammas.append(gamma)
-        return run_fista(ctx, gamma)
-    return fista
+    return recording_of(run_fista, gammas)
 
 
 def outcome(search):
@@ -204,16 +209,36 @@ def test_one_bracketing_loop_matches_halve_then_bisect():
     assert len(bisected) >= 30 and any(bisected)
 
 
+def empty_fista(ctx, gamma):
+    """A run_fista stand-in whose estimate is always zero."""
+    zero = solvers_module.SparseEstimate(np.zeros(ctx.op.B, dtype=complex), [])
+    return solvers_module.SolverReport(zero, 1, "converged", [0.0])
+
+
 def test_failing_search_matches_halve_then_bisect():
-    # The window [65, 67] lies above B = 64, so the halvings run out.
+    # No estimate ever leaves zero, so the halvings run out below the window.
     ctxs = [problems(3, 10.0)(0)]
     want_gammas, got_gammas = [], []
-    want = outcome(lambda: oracle_halve_then_bisect(ctxs, 22, recording(want_gammas)))
-    with mock.patch.object(solvers_module, "run_fista", recording(got_gammas)):
-        got = outcome(lambda: tune_gamma(ctxs, 22))
+    want = outcome(lambda: oracle_halve_then_bisect(ctxs, 1, recording_of(empty_fista, want_gammas)))
+    with mock.patch.object(solvers_module, "run_fista", recording_of(empty_fista, got_gammas)):
+        got = outcome(lambda: tune_gamma(ctxs, 1))
     assert "halvings" in want and got == want
     assert [g.hex() for g in got_gammas] == [g.hex() for g in want_gammas]
     assert len(got_gammas) == 1 + solvers_module.TUNE_MAX_BISECT
+
+
+def test_unreachable_window_fails_before_any_solve():
+    # B = 64 and 25: the window's low end is checked against their mean.
+    ctxs = [problems(3, 10.0)(0), problems(3, 10.0, b=5)(0)]
+    gammas = []
+    with mock.patch.object(solvers_module, "run_fista", recording_of(empty_fista, gammas)):
+        with pytest.raises(TuningError, match=r"\[47, 49\] lies above the problems' mean B = 44.5$"):
+            tune_gamma(ctxs, 16)
+        assert gammas == []
+        # [44, 46] starts at or below the mean B, so the search runs.
+        with pytest.raises(TuningError, match="halvings"):
+            tune_gamma(ctxs, 15)
+    assert len(gammas) == 2 * (1 + solvers_module.TUNE_MAX_BISECT)
 
 
 @pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onebitcs
 import onebitcs.operator as operator_module
@@ -99,6 +101,14 @@ class TestSeeding:
 
     def test_deterministic(self):
         assert child_seed(123, 4, 5) == child_seed(123, 4, 5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(master=st.integers(-2**80, 2**80), snr=st.integers(0, 2**16), k=st.integers(0, 2**16))
+    def test_tuning_stream_matches_its_own_derivation(self, master, snr, k):
+        # tuning_seed once chained splitmix64 itself over the masked master.
+        s = harness._splitmix64((master ^ 0xA5A5A5A5A5A5A5A5) & harness._M64)
+        s = harness._splitmix64(s ^ snr)
+        assert tuning_seed(master, snr, k) == harness._splitmix64(s ^ k)
 
 
 class TestRunExperiment:

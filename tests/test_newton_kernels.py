@@ -12,14 +12,20 @@ here:
   with the full likelihood at every trial, now runs on one sign-folded
   real block;
 * the pursuit steps found each iterate's support with np.nonzero over all
-  B entries; they now carry it as a sorted index array.
+  B entries; they now carry it as a sorted index array;
+* the sign-folded solve derived log Phi and the inverse Mills ratios itself,
+  and lambda a second time for its failure report; it now calls the
+  likelihood kernel sign_terms once per trial and carries the accepted
+  trial's lambda.
 
 The GraHTP gradient step search returned its smallest step when no step
 passed; it now raises ConvergenceError, to which the pursuit loop adds the
-current iterate.
+current iterate.  FISTA fails through ConvergenceError too.
 """
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +34,17 @@ from hypothesis import strategies as st
 from scipy import special
 
 import onebitcs.solvers as solvers_module
-from onebitcs.errors import CapacityError, ConvergenceError, NumericalError
+from onebitcs.errors import CapacityError, ConvergenceError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, g_logprior, grad_h, inv_mills, likelihood, loglik
+from onebitcs.objective import (
+    ObjectiveContext,
+    g_logprior,
+    grad_h,
+    inv_mills,
+    likelihood,
+    loglik,
+    sign_terms,
+)
 from onebitcs.operator import build_operator, complex_form, real_form
 from onebitcs.solvers import (
     SolverConfig,
@@ -97,9 +111,11 @@ def test_likelihood_terms_match_oracles(rho):
         u = scale * (rng.standard_normal(ctx.op.M * ctx.op.T)
                      + 1j * rng.standard_normal(ctx.op.M * ctx.op.T))
         terms = likelihood(ctx, u)
-        v = ctx._signs * real_form(u)
+        v = ctx.signs * real_form(u)
         assert np.array_equal(terms.v, v)
         assert np.array_equal(terms.lam, inv_mills(v))
+        f, lam = sign_terms(v)
+        assert f == terms.f and np.array_equal(lam, terms.lam)
         want = oracle_inv_mills(v)
         assert np.all(np.abs(terms.lam - want) <= RTOL * want)
         assert terms.f == loglik(ctx, u)
@@ -115,14 +131,14 @@ def test_likelihood_rejects_non_finite_image(bad):
 
 
 @pytest.mark.parametrize("blowup", [1e200, np.nan])
-def test_fista_raises_numerical_error_on_blown_up_images(monkeypatch, blowup):
+def test_fista_raises_convergence_error_on_blown_up_images(monkeypatch, blowup):
     # An operator whose images blow up makes every step-size trial fail;
-    # run_fista gives up with NumericalError carrying its last kept iterate,
-    # not with the likelihood's ValueError.
+    # run_fista gives up with ConvergenceError carrying its last kept
+    # iterate, not with the likelihood's ValueError.
     ctx = make_ctx(6, 10.0)
     real_apply = ctx.op.apply
     monkeypatch.setattr(ctx.op, "apply", lambda x: blowup * real_apply(x))
-    with pytest.raises(NumericalError) as err:
+    with pytest.raises(ConvergenceError, match="step size underflow") as err:
         run_fista(ctx, 1.0)
     assert np.array_equal(err.value.best, np.zeros(ctx.op.B, dtype=complex))
 
@@ -166,8 +182,8 @@ def test_folded_hessian_assembly_at_full_scale_columns():
     u = cols @ (np.random.default_rng(9).standard_normal(12) * (1 + 1j))
     terms = likelihood(ctx, u)
     curv = terms.lam * (terms.v + terms.lam)
-    want = oracle_neg_hessian(cols, ctx._signs * ctx._signs * curv)
-    got = folded_hessian(cols, ctx._signs, curv)
+    want = oracle_neg_hessian(cols, ctx.signs * ctx.signs * curv)
+    got = folded_hessian(cols, ctx.signs, curv)
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
 
@@ -175,7 +191,7 @@ def test_folded_block_gives_the_likelihood_argument_and_gradient():
     ctx = make_ctx(10, 10.0)
     support = np.array([1, 4, 6])
     cols = ctx.op.columns(support)
-    kt = _folded_block(cols, ctx._signs)
+    kt = _folded_block(cols, ctx.signs)
     assert kt.flags.c_contiguous and kt.shape == (6, 2 * ctx.op.M * ctx.op.T)
     x = np.array([0.3 - 1j, -2.0 + 0.5j, 1j])
     terms = likelihood(ctx, cols @ x)
@@ -221,7 +237,7 @@ def oracle_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, max_iters=
         x = np.array(x0, dtype=complex)
     cols = ctx.op.columns(support)
     cols_h = cols.conj().T
-    rho_term = ctx._signs * ctx._signs
+    rho_term = ctx.signs * ctx.signs
 
     def h_at(u_t, x_t):
         terms = likelihood(ctx, u_t)
@@ -329,6 +345,160 @@ def test_restricted_solve_stays_in_restricted_storage(monkeypatch):
     assert values.shape == (4,) and len(trace) > 1
     assert peak < 8 * B and failed_peak < 8 * B
     assert err.value.best.shape == support.shape
+
+
+# -- the solve before it shared the likelihood kernel ------------------------
+
+
+def own_inv_mills_from(v, log_cdf):
+    """phi(v) / Phi(v) from log Phi(v), as the solve once derived it itself."""
+    out = np.exp(-0.5 * v * v - 0.5 * np.log(2.0 * np.pi) - log_cdf)
+    deep = v < -40.0
+    if deep.any():
+        out[deep] = np.sqrt(2.0 / np.pi) / special.erfcx(-v[deep] / np.sqrt(2.0))
+    return out
+
+
+def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8):
+    """The sign-folded restricted solve with its own log Phi and lambda passes.
+
+    lambda comes from the log Phi values at the start of every iteration, and
+    again from v = K x_R at the best iterate for the failure report.  The
+    constants and the Hessian assembly are looked up in the solver module,
+    so a test that patches them there patches both solves.
+    """
+    support = np.asarray(support, dtype=int)
+    x = np.zeros(2 * support.size) if x0 is None else real_form(np.asarray(x0, dtype=complex))
+    kt = _folded_block(ctx.op.columns(support), ctx.signs)
+
+    def h_at(v_t, x_t):
+        if not np.isfinite(v_t).all():
+            raise ValueError("likelihood requires a finite operator image")
+        log_cdf = special.log_ndtr(v_t)
+        return log_cdf, float(log_cdf.sum()) - float(x_t @ x_t)
+
+    v = kt.T @ x
+    log_cdf, h_val = h_at(v, x)
+    trace = [h_val]
+    best = (h_val, x)
+
+    for _ in range(solvers_module.NEWTON_MAX_ITERS):
+        lam = own_inv_mills_from(v, log_cdf)
+        grad = kt @ lam - 2.0 * x
+        if math.sqrt(grad @ grad) <= inner_tol:
+            return complex_form(x), trace
+
+        d = np.linalg.solve(solvers_module._folded_neg_hessian(kt, lam * (v + lam)), grad)
+        slope = float(grad @ d)
+        w = kt.T @ d
+        noise_floor = 1e-12 * (1.0 + abs(h_val))
+        t = 1.0
+        accepted = False
+        if slope > noise_floor:
+            for _ in range(solvers_module.ARMIJO_MAX_STEPS):
+                v_t, x_t = v + t * w, x + t * d
+                trial, h_t = h_at(v_t, x_t)
+                if h_t >= h_val + solvers_module.ARMIJO_SLOPE * t * slope:
+                    accepted = True
+                    break
+                t *= solvers_module.ARMIJO_SHRINK
+        if not accepted:
+            v_t, x_t = v + w, x + d
+            trial, h_t = h_at(v_t, x_t)
+            if h_t < h_val - noise_floor:
+                stop = "stalled: the next Newton step descends"
+                break
+        x, v, log_cdf, h_val = x_t, v_t, trial, h_t
+        trace.append(h_val)
+        if h_val > best[0]:
+            best = (h_val, x)
+    else:
+        stop = "hit the iteration cap"
+
+    v = kt.T @ best[1]
+    grad = kt @ own_inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
+    raise ConvergenceError(
+        f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
+        f"Newton iterations ({stop})",
+        best=complex_form(best[1]),
+        grad_norm=float(np.linalg.norm(grad)),
+    )
+
+
+def restricted_problem(seed, rho, size, scale, warm):
+    """A problem, a sorted support of the given size, and a warm start or None."""
+    ctx = make_ctx(seed, rho, b=16)
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(ctx.op.B, size=size, replace=False))
+    x0 = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) if warm else None
+    return ctx, support, x0
+
+
+def test_restricted_solve_matches_its_own_likelihood_oracle():
+    starts = set()
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1),
+           rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
+           size=st.integers(0, 6), scale=st.sampled_from([0.1, 1.0, 5.0, 50.0]),
+           warm=st.booleans())
+    def check(seed, rho, size, scale, warm):
+        ctx, support, x0 = restricted_problem(seed, rho, size, scale, warm)
+        got, got_trace = restricted_maximize(ctx, support, x0=x0)
+        want, want_trace = oracle_folded_restricted_maximize(ctx, support, x0=x0)
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
+        starts.add(warm)
+
+    check()
+    assert starts == {False, True}
+
+
+def solve_outcome(solve, ctx, support, x0):
+    """(values, trace) of a solve that converged, or the ConvergenceError it raised."""
+    try:
+        return solve(ctx, support, x0=x0)
+    except ConvergenceError as err:
+        return err
+
+
+def negated_hessian(kt, curv):
+    """Minus the true negative Hessian: every Newton step then descends."""
+    return -_folded_neg_hessian(kt, curv)
+
+
+@pytest.mark.parametrize("stop", ["cap", "stall"])
+def test_restricted_solve_fails_as_its_own_likelihood_oracle(stop):
+    failed = []
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 10.0, 1000.0]),
+           size=st.integers(1, 6), scale=st.sampled_from([0.1, 1.0, 5.0]),
+           warm=st.booleans(), cap=st.integers(1, 3))
+    def check(seed, rho, size, scale, warm, cap):
+        ctx, support, x0 = restricted_problem(seed, rho, size, scale, warm)
+        patch = (mock.patch.object(solvers_module, "NEWTON_MAX_ITERS", cap) if stop == "cap"
+                 else mock.patch.object(solvers_module, "_folded_neg_hessian", negated_hessian))
+        with patch:
+            got = solve_outcome(restricted_maximize, ctx, support, x0)
+            want = solve_outcome(oracle_folded_restricted_maximize, ctx, support, x0)
+        if not isinstance(want, ConvergenceError):
+            # A solve that converges within a small cap returns alike.
+            assert stop == "cap" and np.array_equal(got[0], want[0]) and got[1] == want[1]
+            return
+        assert isinstance(got, ConvergenceError)
+        assert str(got) == str(want)
+        assert ("stalled" if stop == "stall" else "cap") in str(got)
+        assert np.array_equal(got.best, want.best)
+        # The report's lambda is the one carried from the best trial, not
+        # recomputed from K x_R.  The gradient K^T lambda - 2 x_R cancels
+        # terms of size 2 ||x||, so the norms agree to rounding at that scale.
+        scale_of_terms = want.grad_norm + 2.0 * np.linalg.norm(want.best)
+        assert abs(got.grad_norm - want.grad_norm) <= 1e-12 * scale_of_terms
+        failed.append(warm)
+
+    check()
+    assert set(failed) == {False, True} and len(failed) >= 10
 
 
 # -- supports carried as index arrays ----------------------------------------

@@ -15,8 +15,6 @@ from onebitcs.operator import (
     complex_form,
     real_form,
     select_eta,
-    unvec,
-    vec,
 )
 
 
@@ -388,9 +386,3 @@ class TestRealComplexForms:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
             complex_form(np.ones(5))
-
-    def test_vec_unvec_round_trip(self):
-        rng = np.random.default_rng(8)
-        for rows, cols in ((1, 1), (3, 5), (8, 2)):
-            X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-            assert np.array_equal(unvec(vec(X), rows, cols), X)

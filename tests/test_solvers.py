@@ -197,7 +197,7 @@ class TestRestrictedMaximize:
         op, ctx, _ = make_problem(m=2, n=2, t=3, b_rx=2, b_tx=2, rho=5.0, seed=9)
         b = 1
         col = op.column(b)
-        signs = ctx._signs
+        signs = ctx.signs
 
         def h_batch(values):
             u = np.outer(col, values)
@@ -556,7 +556,7 @@ class TestTuneGamma:
 
     def test_bracket_failure_raises(self):
         for L, rho, reason in [
-            (22, 10.0, "halvings"),    # window [65, 67] above B = 64
+            (22, 10.0, r"\[65, 67\] lies above the problems' mean B = 64$"),
             (1, 0.0, "vanishes"),      # no signal: the gradient at 0 is zero
         ]:
             _, ctx, _ = make_problem(m=4, n=4, t=6, b_rx=8, b_tx=8, rho=rho)
