@@ -27,6 +27,7 @@ from .errors import CapacityError, DegenerateOperatorError
 
 __all__ = [
     "SensingOperator",
+    "RestrictedOperator",
     "CoherenceStructure",
     "EtaSelection",
     "build_operator",
@@ -151,49 +152,41 @@ class SensingOperator:
     def image(self, idx, values) -> np.ndarray:
         """A @ x for the x that holds values at the indices idx and is zero elsewhere.
 
-        One product of two blocks of len(idx) factor columns, C-ordered like
-        :meth:`apply`: O(M*T*len(idx)) work, where apply costs O(M*B).
+        The image of :meth:`restricted`: O(M*T*len(idx)) work, where apply
+        costs O(M*B).  While M*T*len(idx) is at most the full products'
+        B*M + T*B_TX*M multiplies, it is (G[:, bt] * values) @ A_RX[:, br].T;
+        above that, :meth:`apply` of the scattered x.
         """
-        idx = np.asarray(idx, dtype=int)
-        values = np.asarray(values)
-        if values.shape != idx.shape or idx.ndim != 1:
-            raise ValueError(
-                f"idx {idx.shape} and values {values.shape} must be vectors of one length"
-            )
-        bad = idx[(idx < 0) | (idx >= self.B)]
-        if bad.size:
-            raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
-        br, bt = idx % self.B_RX, idx // self.B_RX
-        return ((self.G[:, bt] * values) @ self.A_RX[:, br].T).reshape(-1)
+        return self.restricted(idx).image(values)
 
-    def column(self, b: int) -> np.ndarray:
-        """Column b of A, assembled from the two factors in O(M*T)."""
-        br, bt = self._split(b)
-        return np.kron(self.G[:, bt], self.A_RX[:, br])
+    def restricted(self, idx) -> RestrictedOperator:
+        """A restricted to the columns idx, which must lie in [0, B)."""
+        return RestrictedOperator(self, self._column_indices(idx))
 
     def columns(self, idx) -> np.ndarray:
         """Stack of columns A[:, idx] as an (M*T, len(idx)) matrix.
 
-        Entry (t*M + m, k) is G[t, bt] * A_RX[m, br] for idx[k] = (br, bt),
-        the same products :meth:`column` forms through np.kron.  The block
+        Entry (t*M + m, k) is G[t, bt] * A_RX[m, br] for idx[k] = br +
+        bt*B_RX, the Kronecker product of the two factor columns.  The block
         is the transpose of a row-major (len(idx), M*T) array, so each
         column is contiguous: the restricted solve reads it row by row as
         C^T.
         """
-        idx = np.asarray(idx, dtype=int)
-        bad = idx[(idx < 0) | (idx >= self.B)]
-        if bad.size:
-            raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
+        idx = self._column_indices(idx)
         br, bt = idx % self.B_RX, idx // self.B_RX
         rows = np.multiply(self.G.T[bt, :, None], self.A_RX.T[br, None, :])
         return rows.reshape(idx.size, self.M * self.T).T
 
-    # -- coherence geometry ------------------------------------------------
+    def _column_indices(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=int)
+        if idx.ndim != 1:
+            raise ValueError(f"column indices must be a vector, got shape {idx.shape}")
+        bad = idx[(idx < 0) | (idx >= self.B)]
+        if bad.size:
+            raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
+        return idx
 
-    def _split(self, b: int) -> tuple[int, int]:
-        if not 0 <= b < self.B:
-            raise ValueError(f"column index {b} out of range [0, {self.B})")
-        return b % self.B_RX, b // self.B_RX
+    # -- coherence geometry ------------------------------------------------
 
     def _factor_mus(self) -> tuple[np.ndarray, np.ndarray]:
         """Normalized Gram magnitudes of the two factors (cached)."""
@@ -208,13 +201,6 @@ class SensingOperator:
             np.fill_diagonal(mu_g, 1.0)
             self._mu_rx, self._mu_g = mu_rx, mu_g
         return self._mu_rx, self._mu_g
-
-    def coherence(self, i: int, j: int) -> float:
-        """|a_i^H a_j| / (||a_i|| ||a_j||), evaluated through the factors."""
-        ir, it = self._split(i)
-        jr, jt = self._split(j)
-        mu_rx, mu_g = self._factor_mus()
-        return float(min(mu_rx[ir, jr] * mu_g[it, jt], 1.0))
 
     def bands_at(self, eta) -> CoherenceStructure | None:
         """The coherence bands the band-aware solvers use at eta, cached per eta.
@@ -240,6 +226,55 @@ class SensingOperator:
         if self._spectral_norm is None:
             self._spectral_norm = float(np.linalg.norm(self.G, 2) * np.linalg.norm(self.A_RX, 2))
         return self._spectral_norm
+
+
+class RestrictedOperator:
+    """The columns idx of A, applied through their gathered factor columns.
+
+    Built by :meth:`SensingOperator.restricted`.  Column b = br + bt*B_RX of
+    A is g_bt kron a_rx(br), so the block A[:, idx] needs only G[:, bt] and
+    A_RX[:, br], gathered once here:
+
+        image(z)    = A[:, idx] @ z          = vec((G_W * z) @ A_W^T)
+        adjoint(c)  = (A^H c)[idx]           = conj(sum_t G_W .* (conj(C) A_W))
+
+    with C = unvec(c)^T, at O(M*T*len(idx)) work each.  When that is more
+    than the B*M + T*B_TX*M multiplies of the full products, both go
+    through :meth:`SensingOperator.apply` and :meth:`~SensingOperator.apply_adjoint`
+    instead, and nothing is gathered: FISTA's working set reaches that
+    size while gamma is tuned at full scale, where the full products are
+    the faster ones.  Pursuit supports stay far below it, so their images
+    are always the gathered product.
+    """
+
+    def __init__(self, op: SensingOperator, idx: np.ndarray):
+        self.op = op
+        self.idx = idx
+        self.full = op.M * op.T * idx.size > op.B * op.M + op.T * op.B_TX * op.M
+        if not self.full:
+            br, bt = idx % op.B_RX, idx // op.B_RX
+            self._g = op.G[:, bt]
+            self._a = op.A_RX[:, br]
+
+    def image(self, z) -> np.ndarray:
+        """A[:, idx] @ z: the image of the x that holds z at idx (summed over repeats)."""
+        z = np.asarray(z)
+        if z.shape != self.idx.shape:
+            raise ValueError(
+                f"idx {self.idx.shape} and values {z.shape} must be vectors of one length"
+            )
+        if self.full:
+            x = np.zeros(self.op.B, dtype=complex)
+            np.add.at(x, self.idx, z)
+            return self.op.apply(x)
+        return ((self._g * z) @ self._a.T).reshape(-1)
+
+    def adjoint(self, c: np.ndarray) -> np.ndarray:
+        """(A^H c)[idx] for a length-M*T measurement-space vector c."""
+        if self.full:
+            return self.op.apply_adjoint(c)[self.idx]
+        c_conj = np.reshape(c, (self.op.T, self.op.M)).conj()
+        return np.einsum("tk,tk->k", self._g, c_conj @ self._a).conj()
 
 
 @dataclass(frozen=True)

@@ -179,19 +179,43 @@ def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
 
 
 def test_fista_costs_one_adjoint_per_iteration(monkeypatch):
+    # A round of the working-set solve starts from a full adjoint, the one
+    # at 0 or the KKT check that grew W; every other iteration costs one
+    # restricted adjoint, and every step-size trial one restricted image.
+    # At gamma 0.5 max|grad f(0)| W stays on the gathered side: no full
+    # apply, and full adjoints = 1 + KKT checks.  At 0.2, W is past the
+    # full products' multiply count, so each restricted product is a full
+    # one: one apply per step-size trial and iterations + 1 adjoints.
     trials = _Counted(_soft_threshold)
     monkeypatch.setattr(solvers_module, "_soft_threshold", trials)
-    for seed in range(4):
-        ctx = make_ctx(seed, 10.0, b=16)
-        gamma = gamma_for(ctx, 0.3)
-        applies, adjoints = count_operator_calls(ctx.op)
-        ctx.op.spectral_norm_estimate()
-        applies.calls = adjoints.calls = trials.calls = 0
-        iterations = run_fista(ctx, gamma).iterations
-        assert adjoints.calls == iterations
-        # One apply per step-size trial; a trial is one soft-threshold call.
-        assert iterations <= trials.calls
-        assert applies.calls <= trials.calls + 1
+    for fraction, full in ((0.5, False), (0.2, True)):
+        for seed in range(4):
+            ctx = make_ctx(seed, 10.0, b=16)
+            gamma = gamma_for(ctx, fraction)
+            applies, adjoints = count_operator_calls(ctx.op)
+            real_restricted = ctx.op.restricted
+            rounds = []
+
+            def restricted(idx):
+                part = real_restricted(idx)
+                part.image, part.adjoint = _Counted(part.image), _Counted(part.adjoint)
+                rounds.append(part)
+                return part
+
+            ctx.op.restricted = restricted
+            ctx.op.spectral_norm_estimate()
+            applies.calls = adjoints.calls = trials.calls = 0
+            report = run_fista(ctx, gamma)
+            assert report.halted_by == "converged"
+            assert rounds and all(part.full == full for part in rounds)
+            assert sum(part.adjoint.calls for part in rounds) == report.iterations - len(rounds)
+            assert sum(part.image.calls for part in rounds) == trials.calls >= report.iterations
+            if full:
+                assert applies.calls == trials.calls
+                assert adjoints.calls == report.iterations + 1
+            else:
+                assert applies.calls == 0
+                assert adjoints.calls == 1 + len(rounds)
 
 
 def test_grahtp_step_costs_two_applies(monkeypatch):

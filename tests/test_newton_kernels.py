@@ -45,7 +45,7 @@ from onebitcs.objective import (
     loglik,
     sign_terms,
 )
-from onebitcs.operator import build_operator, complex_form, real_form
+from onebitcs.operator import RestrictedOperator, build_operator, complex_form, real_form
 from onebitcs.solvers import (
     SolverConfig,
     SolverReport,
@@ -136,8 +136,8 @@ def test_fista_raises_convergence_error_on_blown_up_images(monkeypatch, blowup):
     # run_fista gives up with ConvergenceError carrying its last kept
     # iterate, not with the likelihood's ValueError.
     ctx = make_ctx(6, 10.0)
-    real_apply = ctx.op.apply
-    monkeypatch.setattr(ctx.op, "apply", lambda x: blowup * real_apply(x))
+    real_image = RestrictedOperator.image
+    monkeypatch.setattr(RestrictedOperator, "image", lambda self, z: blowup * real_image(self, z))
     with pytest.raises(ConvergenceError, match="step size underflow") as err:
         run_fista(ctx, 1.0)
     assert np.array_equal(err.value.best, np.zeros(ctx.op.B, dtype=complex))

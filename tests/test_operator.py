@@ -33,6 +33,17 @@ def rand_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def column(op, b):
+    """Column b = br + bt*B_RX of A, the Kronecker product of its factor columns."""
+    return np.kron(op.G[:, b // op.B_RX], op.A_RX[:, b % op.B_RX])
+
+
+def coherence(op, i, j):
+    """|a_i^H a_j| / (||a_i|| ||a_j||), the product of the two factor coherences."""
+    mu_rx, mu_g = op._factor_mus()
+    return float(min(mu_rx[i % op.B_RX, j % op.B_RX] * mu_g[i // op.B_RX, j // op.B_RX], 1.0))
+
+
 class TestBuildAndShapes:
     def test_dimensions(self):
         op, _ = make_pair(m=4, n=3, t=6, b_rx=8, b_tx=4)
@@ -54,7 +65,7 @@ class TestBuildAndShapes:
             e[b] = 1.0
             col = op_dense.dense_A[:, b]
             assert np.max(np.abs(op_fft.apply(e) - col)) < 1e-12
-            assert np.max(np.abs(op_fft.column(b) - col)) < 1e-12
+            assert np.max(np.abs(column(op_fft, b) - col)) < 1e-12
 
     @pytest.mark.parametrize("idx", [[], [5, 5, 0], [63, 17, 0, 17], list(range(64))])
     def test_columns_stack_column_bitwise(self, idx):
@@ -64,7 +75,7 @@ class TestBuildAndShapes:
         block = op.columns(idx)
         assert block.shape == (op.M * op.T, len(idx)) and block.T.flags.c_contiguous
         for k, b in enumerate(idx):
-            assert np.array_equal(block[:, k], op.column(b))
+            assert np.array_equal(block[:, k], column(op, b))
 
     @pytest.mark.parametrize("idx", [[64], [0, -1], [3, 70, 2]])
     def test_columns_rejects_out_of_range(self, idx):
@@ -213,7 +224,7 @@ def test_image_matches_apply_and_dense_operator(scale, data):
         want = dense.apply(x)
     else:
         # The columns of the dense matrix, each formed as a Kronecker product.
-        want = sum((v * op.column(b) for b, v in zip(idx, values)),
+        want = sum((v * column(op, b) for b, v in zip(idx, values)),
                    np.zeros(op.M * op.T, dtype=complex))
     got = op.image(idx, values)
     assert got.shape == (op.M * op.T,)
@@ -221,22 +232,69 @@ def test_image_matches_apply_and_dense_operator(scale, data):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@functools.cache
+def restricted_operators(scale):
+    """A small operator, on which 42 or more columns take the full products, or image_operators'."""
+    if scale == "small":
+        return make_pair()[0]
+    return image_operators(scale)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scale=st.sampled_from(["small", "small", "desk", "full"]), data=st.data())
+def test_restricted_products_match_full_products(scale, data):
+    # Repeated indices sum in the image, as in A[:, idx] @ values, and each
+    # gets its own entry of the adjoint.
+    op = restricted_operators(scale)
+    size = data.draw(st.integers(0, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    idx = rng.integers(0, op.B, size=size)
+    values, c = rand_complex(rng, idx.size), rand_complex(rng, op.M * op.T)
+    part = op.restricted(idx)
+    assert part.full == (op.M * op.T * idx.size > op.B * op.M + op.T * op.B_TX * op.M)
+    x = np.zeros(op.B, dtype=complex)
+    np.add.at(x, idx, values)
+    want = op.apply(x)
+    got = part.image(values)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want = op.apply_adjoint(c)[idx]
+    got = part.adjoint(c)
+    assert got.shape == idx.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_restricted_rejects_what_image_rejects():
+    op, _ = make_pair(m=4, n=4, t=5, b_rx=4, b_tx=4)
+    for idx in ([-1], [op.B], [2, op.B + 3]):
+        with pytest.raises(ValueError, match="out of range"):
+            op.restricted(idx)
+    with pytest.raises(ValueError, match="vector"):
+        op.restricted([[0, 1]])
+    with pytest.raises(ValueError, match="one length"):
+        op.restricted([0, 1]).image([1.0])
+    empty = op.restricted([])
+    image = empty.image([])
+    assert image.shape == (op.M * op.T,) and not image.any()
+    assert empty.adjoint(np.ones(op.M * op.T)).shape == (0,)
+
+
 class TestCoherence:
     def test_self_coherence_is_one(self):
         op, _ = make_pair(m=4, n=4, t=5, b_rx=8, b_tx=8)
         for b in (0, 31, 63):
-            assert op.coherence(b, b) == 1.0
+            assert coherence(op, b, b) == 1.0
 
     def test_orthogonal_columns_have_zero_coherence(self):
         op, _ = make_pair(m=4, n=4, t=5, b_rx=4, b_tx=4)
-        assert op.coherence(0, 1) < 1e-12
-        assert op.coherence(2, 9) < 1e-12
+        assert coherence(op, 0, 1) < 1e-12
+        assert coherence(op, 2, 9) < 1e-12
 
     def test_duplicated_factor_column_gives_unit_coherence(self):
         tr = zc_training(4, 6)
         a_rx = dft_dictionary(4, 4)[:, [0, 1, 2, 2]]      # duplicate last column
         op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
-        assert abs(op.coherence(2, 3) - 1.0) < 1e-12
+        assert abs(coherence(op, 2, 3) - 1.0) < 1e-12
 
     def test_matches_dense_gram(self):
         op, op_dense = make_pair(m=4, n=4, t=6, b_rx=8, b_tx=8)
@@ -246,7 +304,7 @@ class TestCoherence:
         for _ in range(50):
             i, j = rng.integers(64, size=2)
             mu = abs(np.vdot(A[:, i], A[:, j])) / (norms[i] * norms[j])
-            assert abs(op.coherence(int(i), int(j)) - mu) < 1e-10
+            assert abs(coherence(op, int(i), int(j)) - mu) < 1e-10
 
     def test_zero_norm_column_raises(self):
         tr = zc_training(4, 6)
@@ -254,7 +312,7 @@ class TestCoherence:
         a_rx[:, 1] = 0.0
         op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
         with pytest.raises(DegenerateOperatorError):
-            op.coherence(0, 1)
+            select_eta(op)
 
 
 def brute_force_bands(op_dense, eta):

@@ -196,7 +196,7 @@ class TestRestrictedMaximize:
         # with a two-stage dense grid over (Re, Im) and compare.
         op, ctx, _ = make_problem(m=2, n=2, t=3, b_rx=2, b_tx=2, rho=5.0, seed=9)
         b = 1
-        col = op.column(b)
+        col = np.kron(op.G[:, b // op.B_RX], op.A_RX[:, b % op.B_RX])
         signs = ctx.signs
 
         def h_batch(values):
