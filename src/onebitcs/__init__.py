@@ -43,8 +43,6 @@ from .objective import (
     g_logprior,
     grad_h,
     h_objective,
-    inv_mills,
-    log_ndtr,
     sign_terms,
 )
 from .operator import (

@@ -60,15 +60,14 @@ def _apply_overrides(config, args):
 
 
 def _cmd_run(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     with open(args.config) as fh:
         config_text = fh.read()
     config = _apply_overrides(parse_config_text(config_text), args)
-    os.makedirs(args.out, exist_ok=True)
 
     info: dict = {}
     records = run_experiment(config, workers=args.workers, info=info)
+    # Made once the sweep has run, so a rejected run leaves no directory.
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
     curve_path = os.path.join(args.out, "curve.csv")
     emit_csv(records, csv_path)
@@ -99,8 +98,11 @@ def _cmd_gram(args) -> int:
     _, ops = sweep_operators(config)
     for dims, op in ops.items():
         print(f"dims B_rx={dims[0]} B_tx={dims[1]} (B={op.B}):")
-        norms = op.column_norms
-        print(f"  column norms: min={norms.min():.6g} max={norms.max():.6g}")
+        # Column norms are products g_norms[bt] * rx_norms[br] of nonnegative
+        # factors, so the extremes are the products of the factors' extremes.
+        low = op.g_norms.min() * op.rx_norms.min()
+        high = op.g_norms.max() * op.rx_norms.max()
+        print(f"  column norms: min={low:.6g} max={high:.6g}")
         # The bands the band-aware solvers use, at the configured or selected eta.
         bands = op.bands_at(config.eta)
         if bands is None:

@@ -346,15 +346,13 @@ def _worker_trial(task):
     return _WORKER_STATE.run_trial(*task)
 
 
-def _trial_tasks(config: ExperimentConfig, tuned: list, info: dict | None) -> list:
+def _trial_tasks(config: ExperimentConfig, tuned: list) -> list:
     """(snr_index, trial, FISTA gamma) for every cell of the sweep.
 
     `tuned` holds one (gamma, achieved mean support) per SNR point, or
-    nothing when the sweep does not run FISTA; it is recorded in `info`.
+    nothing when the sweep does not run FISTA.
     """
     gammas = [gamma for gamma, _ in tuned] or [None] * len(config.snr_db)
-    if tuned and info is not None:
-        info["fista_gamma"] = {float(snr): result for snr, result in zip(config.snr_db, tuned)}
     return [
         (snr_index, trial, gammas[snr_index])
         for snr_index in range(len(config.snr_db))
@@ -374,20 +372,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     Linux from Python 3.14), a script that calls this with workers > 1 must
     do so under an ``if __name__ == "__main__":`` guard.  Each process of
     the sweep runs numpy's BLAS on one thread, and the caller's thread
-    count is back when this returns or raises.  When an `info` dict is
-    supplied it collects resolved metadata (training root, tuned FISTA
-    weights, and blas_threads: 1, or "unpinned" where the count cannot be
-    set).
+    count is back when this returns or raises.  workers below 1 raise
+    ValueError.  When an `info` dict is supplied, a finished sweep records
+    its resolved metadata there (training root, tuned FISTA weights, and
+    blas_threads: 1, or "unpinned" where the count cannot be set).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     state = _SweepState(config)
-    if info is not None:
-        info["zc_root"] = state.training.root
-        info["zc_shifts"] = state.training.shifts
-
     tuning = range(len(config.snr_db)) if "fista" in config.algorithms else ()
     previous = _blas_threads(1)
-    if info is not None:
-        info["blas_threads"] = "unpinned" if previous is None else 1
     try:
         if workers > 1:
             # Imported here, so that serial runs never load multiprocessing.
@@ -396,15 +390,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(config,)
             ) as pool:
-                tasks = _trial_tasks(config, list(pool.map(_worker_tune, tuning)), info)
-                blocks = list(pool.map(_worker_trial, tasks, chunksize=8))
+                tuned = list(pool.map(_worker_tune, tuning))
+                blocks = list(pool.map(_worker_trial, _trial_tasks(config, tuned), chunksize=8))
         else:
-            tasks = _trial_tasks(config, [state.tune(i) for i in tuning], info)
-            blocks = [state.run_trial(*task) for task in tasks]
+            tuned = [state.tune(i) for i in tuning]
+            blocks = [state.run_trial(*task) for task in _trial_tasks(config, tuned)]
     finally:
         if previous is not None:
             _blas_threads(previous)
 
+    if info is not None:
+        info["zc_root"] = state.training.root
+        info["zc_shifts"] = state.training.shifts
+        info["blas_threads"] = "unpinned" if previous is None else 1
+        if tuned:
+            info["fista_gamma"] = {float(snr): result for snr, result in zip(config.snr_db, tuned)}
     records = [record for block in blocks for record in block]
     records.sort(key=lambda r: (r.algorithm, r.snr_db, r.trial))
     return records

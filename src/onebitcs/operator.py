@@ -100,9 +100,8 @@ class SensingOperator:
         self._A_RX_conj = A_RX.conj()
 
         self.rx_norms = np.linalg.norm(A_RX, axis=0)
+        # Column b = br + bt*B_RX has norm g_norms[bt] * rx_norms[br].
         self.g_norms = np.linalg.norm(self.G, axis=0)
-        # b = br + bt*B_RX, so the flat norm vector is kron over (g, rx).
-        self.column_norms = np.kron(self.g_norms, self.rx_norms)
 
         self.dense_A = None
         if mode == "dense":
@@ -115,7 +114,7 @@ class SensingOperator:
             self.dense_A.flags.writeable = False
 
         for arr in (self.S, self.A_RX, self.A_TX, self.G, self._G_H, self._A_RX_conj,
-                    self.rx_norms, self.g_norms, self.column_norms):
+                    self.rx_norms, self.g_norms):
             arr.flags.writeable = False
 
         self._mu_rx = None
@@ -148,16 +147,6 @@ class SensingOperator:
             return self.dense_A.conj().T @ c
         # Transposed, so the result needs no column-major copy: C order is vec.
         return (self._G_H @ c.reshape(self.T, self.M) @ self._A_RX_conj).reshape(-1)
-
-    def image(self, idx, values) -> np.ndarray:
-        """A @ x for the x that holds values at the indices idx and is zero elsewhere.
-
-        The image of :meth:`restricted`: O(M*T*len(idx)) work, where apply
-        costs O(M*B).  While M*T*len(idx) is at most the full products'
-        B*M + T*B_TX*M multiplies, it is (G[:, bt] * values) @ A_RX[:, br].T;
-        above that, :meth:`apply` of the scattered x.
-        """
-        return self.restricted(idx).image(values)
 
     def restricted(self, idx) -> RestrictedOperator:
         """A restricted to the columns idx, which must lie in [0, B)."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from .harness import ExperimentConfig, sweep_operators
 from .model import dft_dictionary, draw_channel, quantize, synthesize_measurement
-from .objective import ObjectiveContext, grad_h, h_objective, inv_mills, log_ndtr
+from .objective import ObjectiveContext, grad_h, h_objective, sign_terms
 from .operator import build_operator, coherence_bands, real_form, select_eta
 from .solvers import bms_threshold, hard_threshold, restricted_maximize, run_grasp
 
@@ -69,15 +69,17 @@ def check_operator_paths():
 
 
 def check_special_functions():
-    _require(abs(log_ndtr(0.0) + np.log(2.0)) < 1e-14, "log_ndtr(0) != -log 2")
-    _require(abs(log_ndtr(-10.0) - (-53.23128515051247)) < 1e-9, "log_ndtr(-10) is inaccurate")
-    _require(abs(inv_mills(0.0) - np.sqrt(2 / np.pi)) < 1e-14, "inv_mills(0) != sqrt(2/pi)")
-    _require(abs(inv_mills(-40.0) - 40.024968847207264) < 1e-9, "inv_mills(-40) is inaccurate")
+    log_cdf, lam = sign_terms(np.array([0.0]))
+    _require(abs(log_cdf + np.log(2.0)) < 1e-14, "log Phi(0) != -log 2")
+    _require(abs(lam[0] - np.sqrt(2 / np.pi)) < 1e-14, "lambda(0) != sqrt(2/pi)")
+    log_cdf = sign_terms(np.array([-10.0]))[0]
+    _require(abs(log_cdf - (-53.23128515051247)) < 1e-9, "log Phi(-10) is inaccurate")
+    lam = sign_terms(np.array([-40.0]))[1]
+    _require(abs(lam[0] - 40.024968847207264) < 1e-9, "lambda(-40) is inaccurate")
     # phi underflows float64 past x ~ 38.6, so probe strictness below that
-    grid = np.linspace(-60, 38, 401)
-    vals = inv_mills(grid)
-    _require(np.all(vals > 0) and np.all(np.diff(vals) < 0),
-             "inv_mills is not positive and strictly decreasing")
+    lam = sign_terms(np.linspace(-60, 38, 401))[1]
+    _require(np.all(lam > 0) and np.all(np.diff(lam) < 0),
+             "lambda is not positive and strictly decreasing")
 
 
 def check_gradient():

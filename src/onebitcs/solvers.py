@@ -68,8 +68,8 @@ class SolverConfig:
     """Knobs shared by the pursuit solvers.
 
     eta is "auto" (pick the largest threshold keeping every coherence band
-    nontrivial) or an explicit float in (0, 1); use_bms=False turns banding
-    off.
+    nontrivial) or an explicit float in (0, 1).  It matters only to the
+    band-aware runs, ``run_grasp`` and ``run_grahtp`` with use_bms=True.
     """
 
     sparsity: int
@@ -390,7 +390,7 @@ def _gradient_at(ctx, x, support):
     the support; the adjoint is the one pass over all B entries.
     """
     x_s = x[support]
-    u = ctx.op.image(support, x_s)
+    u = ctx.op.restricted(support).image(x_s)
     at_x = likelihood(ctx, u)
     g = ctx.op.apply_adjoint(at_x.weights)
     g[support] -= 2.0 * x_s
@@ -416,7 +416,7 @@ def _grasp_step(ctx, config, x, support, bands):
         vals, h_trace = restricted_maximize(ctx, keep, x0=vals, inner_tol=config.inner_tol)
         h = h_trace[-1]
     else:
-        h = loglik(ctx, ctx.op.image(keep, vals)) + g_logprior(vals)
+        h = loglik(ctx, ctx.op.restricted(keep).image(vals)) + g_logprior(vals)
     return *_scatter(x.size, keep, vals), h
 
 

@@ -163,6 +163,15 @@ class TestRunExperiment:
         for ra, rb in zip(serial, parallel):
             assert ra.nmse == rb.nmse and ra.seed == rb.seed
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, monkeypatch, workers):
+        def no_state(*args, **kwargs):
+            raise RuntimeError("the sweep started")
+
+        monkeypatch.setattr(harness, "_SweepState", no_state)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(TINY, workers=workers)
+
     def test_pooled_tuning_matches_serial(self):
         config = replace(TINY, algorithms=("fista",), snr_db=(0.0, 10.0), trials=1)
         serial, pooled = {}, {}
@@ -707,6 +716,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eta:" in out and "band sizes:" in out
 
+    @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_gram_column_norms_are_the_kron_extremes(self, path, capsys):
+        assert cli_main(["gram", "--config", str(path)]) == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+                 if "column norms:" in line]
+        ops = harness.sweep_operators(load_config(path))[1].values()
+        want = []
+        for op in ops:
+            norms = np.kron(op.g_norms, op.rx_norms)
+            # Products of nonnegative factors: the extremes agree bit for bit.
+            assert norms.min() == op.g_norms.min() * op.rx_norms.min()
+            assert norms.max() == op.g_norms.max() * op.rx_norms.max()
+            want.append(f"column norms: min={norms.min():.6g} max={norms.max():.6g}")
+        assert lines == want
+
     def test_gram_reports_configured_eta(self, tmp_path, capsys):
         path = tmp_path / "eta.cfg"
         path.write_text(CONFIG_TEXT.replace("eta = auto", "eta = 0.3"))
@@ -724,7 +748,7 @@ class TestCli:
         # python -O strips assert statements; a failing check must still fail.
         code = (
             "import sys; import onebitcs.selftest as st; "
-            "st.log_ndtr = lambda x: 0.0 * x; "
+            "st.sign_terms = lambda v: (0.0, 0.0 * v); "
             "st.CHECKS[:] = [c for c in st.CHECKS if c[0] == 'stable special functions']; "
             "sys.exit(st.run_selftest())"
         )

@@ -35,6 +35,27 @@ EXPERIMENT_CONFIG_FIELDS = (
 CONFIG_SCALAR_KEYS = ("M", "N", "T", "L", "B_rx", "B_tx", "trials", "seed", "operator_mode",
                       "max_outer_iters", "inner_tol")
 
+# The names the package exports (49) and a SensingOperator's public members:
+# one entry per quantity, so a second public way in fails here until the pin
+# is edited.
+PACKAGE_EXPORTS = (
+    "ALGORITHMS", "CapacityError", "ChannelRealization", "CoherenceStructure",
+    "ConvergenceError", "DegenerateOperatorError", "EtaSelection", "ExperimentConfig",
+    "ObjectiveContext", "QuantizedMeasurement", "SensingOperator", "SolverConfig",
+    "SolverReport", "SparseEstimate", "TrainingSequence", "TrialRecord", "TuningError",
+    "bms_threshold", "brute_force_map", "build_operator", "coherence_bands", "complex_form",
+    "dft_dictionary", "draw_channel", "emit_csv", "emit_curve", "f_loglik", "g_logprior",
+    "grad_h", "h_objective", "hard_threshold", "load_config", "nmse", "parse_config_text",
+    "parse_csv", "quantize", "real_form", "reconstruct_channel", "restricted_maximize",
+    "run_experiment", "run_fista", "run_grahtp", "run_grasp", "select_eta", "sign_terms",
+    "steering_vector", "synthesize_measurement", "tune_gamma", "zc_training",
+)
+SENSING_OPERATOR_MEMBERS = (
+    "A_RX", "A_TX", "B", "B_RX", "B_TX", "G", "M", "N", "S", "T", "apply", "apply_adjoint",
+    "bands_at", "columns", "dense_A", "g_norms", "mode", "restricted", "rx_norms",
+    "spectral_norm_estimate",
+)
+
 
 def test_library_has_no_assert():
     # python -O strips assert statements, so library checks must raise.
@@ -81,3 +102,13 @@ def test_sweep_surface_is_pinned():
     fields = tuple(field.name for field in dataclasses.fields(harness.ExperimentConfig))
     assert fields == EXPERIMENT_CONFIG_FIELDS
     assert tuple(harness._CONFIG_SCALARS) == CONFIG_SCALAR_KEYS
+
+
+def test_public_surface_is_pinned():
+    exported = sorted(name for name, value in vars(onebitcs).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert tuple(exported) == PACKAGE_EXPORTS
+    S = onebitcs.zc_training(2, 2).S
+    op = onebitcs.build_operator(S, onebitcs.dft_dictionary(2, 2), onebitcs.dft_dictionary(2, 2))
+    members = sorted(name for name in dir(op) if not name.startswith("_"))
+    assert tuple(members) == SENSING_OPERATOR_MEMBERS

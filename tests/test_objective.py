@@ -19,8 +19,7 @@ from onebitcs.objective import (
     g_logprior,
     grad_h,
     h_objective,
-    inv_mills,
-    log_ndtr,
+    sign_terms,
 )
 from onebitcs.operator import build_operator, complex_form, real_form
 
@@ -73,68 +72,80 @@ def series_log_ndtr_tail(x):
     return log_phi - np.log(-x) + np.log(series)
 
 
+def log_cdf(x):
+    """log Phi(x) at one argument: the sum sign_terms returns, over one entry."""
+    return sign_terms(np.array([x], dtype=float))[0]
+
+
+def ratios(x):
+    """The inverse Mills ratios sign_terms returns at the arguments x."""
+    return sign_terms(np.atleast_1d(np.asarray(x, dtype=float)))[1]
+
+
 class TestLogNdtr:
     def test_zero(self):
-        assert abs(log_ndtr(0.0) + np.log(2.0)) < 1e-15
+        assert abs(log_cdf(0.0) + np.log(2.0)) < 1e-15
 
     def test_large_positive_is_tiny(self):
-        assert abs(log_ndtr(40.0)) < 1e-300
+        assert abs(log_cdf(40.0)) < 1e-300
 
     def test_against_frozen_reference(self):
         for x, want in LOG_NDTR_REFERENCE:
-            got = log_ndtr(x)
+            got = log_cdf(x)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (x, got, want)
 
     def test_against_series_oracle(self):
         for x in (-10.0, -15.0, -25.0, -40.0):
-            assert abs(log_ndtr(x) - series_log_ndtr_tail(x)) < 1e-6 * abs(x)
+            assert abs(log_cdf(x) - series_log_ndtr_tail(x)) < 1e-6 * abs(x)
 
     def test_spec_point_minus_ten(self):
-        assert abs(log_ndtr(-10.0) - (-53.23128515)) < 1e-6
+        assert abs(log_cdf(-10.0) - (-53.23128515)) < 1e-6
 
     def test_no_overflow_on_wide_grid(self):
         grid = np.linspace(-40, 40, 2001)
-        vals = log_ndtr(grid)
+        vals = np.array([log_cdf(x) for x in grid])
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) >= 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            log_ndtr(np.nan)
+            sign_terms(np.array([0.0, np.nan]))
 
 
 class TestInvMills:
     def test_zero(self):
-        assert abs(inv_mills(0.0) - np.sqrt(2.0 / np.pi)) < 1e-14
+        assert abs(ratios(0.0)[0] - np.sqrt(2.0 / np.pi)) < 1e-14
 
     def test_against_frozen_reference(self):
         for x, want in INV_MILLS_REFERENCE:
-            got = inv_mills(x)
+            got = ratios(x)[0]
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (x, got, want)
 
     def test_spec_asymptotic_points(self):
-        assert abs(inv_mills(-40.0) - 40.02499) < 1e-3
-        assert abs(inv_mills(5.0) - 1.48672e-6) < 1e-10
+        assert abs(ratios(-40.0)[0] - 40.02499) < 1e-3
+        assert abs(ratios(5.0)[0] - 1.48672e-6) < 1e-10
 
     def test_deep_negative_tail_tracks_minus_x(self):
         # lambda(x) ~ -x - 1/x for x -> -inf
         for x in (-50.0, -200.0, -1e4, -1e6):
-            assert abs(inv_mills(x) - (-x - 1.0 / x)) < 1e-3 * abs(x)
+            assert abs(ratios(x)[0] - (-x - 1.0 / x)) < 1e-3 * abs(x)
 
     def test_strictly_positive_and_decreasing(self):
         grid = np.linspace(-40.0, 38.0, 4001)
-        vals = inv_mills(grid)
+        vals = ratios(grid)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
     def test_vectorized_matches_scalar(self):
-        grid = np.array([-3.0, 0.0, 7.5])
-        vals = inv_mills(grid)
-        assert np.array_equal(vals, [inv_mills(float(v)) for v in grid])
+        # Each entry's ratio is the one it gets alone, on either side of -40.
+        grid = np.array([-50.0, -3.0, 0.0, 7.5])
+        vals = ratios(grid)
+        assert np.array_equal(vals, [ratios(v)[0] for v in grid])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            inv_mills(np.inf)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                sign_terms(np.array([0.0, bad]))
 
 
 def literal_f(ctx, x, dense_A):
@@ -144,7 +155,7 @@ def literal_f(ctx, x, dense_A):
     x_r = real_form(np.asarray(x, dtype=complex))
     total = 0.0
     for i in range(A_R.shape[0]):
-        total += log_ndtr(np.sqrt(2 * ctx.rho) * y_r[i] * float(A_R[i] @ x_r))
+        total += log_cdf(np.sqrt(2 * ctx.rho) * y_r[i] * float(A_R[i] @ x_r))
     return total
 
 
@@ -239,9 +250,9 @@ class TestGradient:
 
     def test_zero_estimate_closed_form(self):
         # At x = 0 the prior term vanishes and every likelihood argument is
-        # 0, so the gradient is inv_mills(0) * A^H(sqrt(2 rho) y_hat).
+        # 0, so the gradient is lambda(0) * A^H(sqrt(2 rho) y_hat).
         op, ctx, _ = make_problem(rho=3.0)
-        want = inv_mills(0.0) * op.apply_adjoint(
+        want = ratios(0.0)[0] * op.apply_adjoint(
             np.sqrt(2 * ctx.rho) * ctx.y_hat.y_hat.astype(complex)
         )
         got = grad_h(ctx, np.zeros(op.B, dtype=complex))
