@@ -19,6 +19,9 @@ whose images it already has) then pays no operator apply for f.  Both f and
 the inverse Mills ratios come from :func:`sign_terms`, the one kernel over
 the likelihood arguments v = s .* u_R; a solver that forms v itself (the
 restricted Newton solve, on its sign-folded block) calls it directly.
+log Phi is log(ndtr(v)), with log_ndtr where ndtr underflows; its error is
+a few units of 2^-52 absolute, which is the measure that matters because
+every consumer sums log Phi or exponentiates a difference with it.
 """
 
 from __future__ import annotations
@@ -51,23 +54,60 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _ERFCX_BELOW = -40.0
 
 
+def _log_cdf(v: np.ndarray) -> np.ndarray:
+    """log Phi(v) elementwise: log(ndtr(v)), or log_ndtr where ndtr(v) underflows.
+
+    Below the smallest normal float (v below about -37.5) a subnormal or zero
+    ndtr(v) has lost its relative precision.
+    """
+    log_cdf = special.ndtr(v)
+    tiny = np.finfo(float).tiny
+    if log_cdf.min(initial=1.0) < tiny:
+        under = log_cdf < tiny
+        log_cdf[under] = 1.0
+        np.log(log_cdf, out=log_cdf)
+        log_cdf[under] = special.log_ndtr(v[under])
+        return log_cdf
+    return np.log(log_cdf, out=log_cdf)
+
+
 def sign_terms(v: np.ndarray):
     """(sum_i log Phi(v_i), lambda(v)) at the likelihood arguments v.
+
+    log Phi(v) is log(ndtr(v)), with log_ndtr where ndtr(v) is not a
+    normal float (v below about -37.5).  It stays within 8 * 2^-52 *
+    max(1, |log Phi(v)|) of log_ndtr; the two differ most near v = -1.3
+    (4.9 units on a dense grid), where ndtr forms 1 - erf and each is a few
+    units from the exact value.  That error is absolute, and absolute error
+    is what the consumers see: the sum f, lambda through exp(... - log
+    Phi), and the Armijo and FISTA tests, whose noise floors are at least
+    1e-12 |h|.  No caller reads log Phi per element, where near Phi = 1 its
+    relative error is large.  On 10 240 arguments of standard deviation
+    0.4-1.7 the sum takes 49-67% of log_ndtr's time, but 112-115% at
+    standard deviation 30, where 11% of them fall back (2-vCPU Xeon, one
+    BLAS thread).  Every SNR point of configs/nmse_sweep_full.cfg and
+    configs/nmse_sweep_desk.cfg gave arguments of standard deviation
+    0.3-1.7, none below -14 (4 trials per point).
 
     lambda(v) = phi(v) / Phi(v), the inverse Mills ratio, is strictly
     positive and strictly decreasing.  The ratios reuse the log Phi values
     of the sum: exp(-v^2/2 - log sqrt(2 pi) - log Phi(v)) takes one exp
-    pass over them.  Below v = -40 the exponent is a difference of two
-    terms near v^2/2 whose rounding grows with v^2, so those (rare) entries
-    go through the scaled complementary error function instead: lambda(v)
-    = sqrt(2/pi) / erfcx(-v / sqrt(2)).  A non-finite v raises ValueError.
+    pass over them, formed in place.  Below v = -40 the exponent is a
+    difference of two terms near v^2/2 whose rounding grows with v^2, so
+    those (rare) entries go through the scaled complementary error function
+    instead: lambda(v) = sqrt(2/pi) / erfcx(-v / sqrt(2)).  A non-finite v
+    raises ValueError.
     """
     if not np.isfinite(v).all():
         raise ValueError("likelihood requires a finite operator image")
-    log_cdf = special.log_ndtr(v)
-    lam = np.exp(-0.5 * v * v - _LOG_SQRT_2PI - log_cdf)
-    deep = v < _ERFCX_BELOW
-    if deep.any():
+    log_cdf = _log_cdf(v)
+    lam = np.multiply(v, -0.5)
+    lam *= v
+    lam -= _LOG_SQRT_2PI
+    lam -= log_cdf
+    np.exp(lam, out=lam)
+    if v.min(initial=0.0) < _ERFCX_BELOW:
+        deep = v < _ERFCX_BELOW
         lam[deep] = _SQRT_2_OVER_PI / special.erfcx(-v[deep] / _SQRT_2)
     return float(log_cdf.sum()), lam
 
@@ -113,16 +153,12 @@ class Likelihood(NamedTuple):
 def loglik(ctx: ObjectiveContext, u: np.ndarray) -> float:
     """Log-likelihood f at the estimate whose operator image is u = A x.
 
-    The sum of :func:`sign_terms` without its inverse Mills ratios, for the
-    callers that need f alone (step-size trials, objective traces).  It is
-    not ``sign_terms(v)[0]``: the ratios' exp pass and finiteness check
-    raise a call from 17-25 to 24-39 us on the 640 arguments of a
-    desk-scale image (standard deviation 1-3), which FISTA evaluates about
-    90 times per row, and from 360 to 594 us on 10 240 arguments of
-    standard deviation 30, as at full scale and high SNR (2-vCPU Xeon, one
-    BLAS thread).
+    The sum of :func:`sign_terms`, the same log Phi values summed the same
+    way, so it equals ``likelihood(ctx, u).f`` bit for bit.  It skips the
+    inverse Mills ratios and the finiteness check, for the callers that
+    need f alone: step-size trials and objective traces.
     """
-    return float(np.sum(special.log_ndtr(ctx.signs * real_form(u))))
+    return float(_log_cdf(ctx.signs * real_form(u)).sum())
 
 
 def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:

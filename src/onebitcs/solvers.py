@@ -235,11 +235,19 @@ def _folded_neg_hessian(kt: np.ndarray, curv: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kept_set_is_certain(x: np.ndarray, keep: int, grad_norm: float) -> bool:
+    """Whether the keep largest |b_j| of b = complex_form(x) lead the rest by over grad_norm."""
+    mags = np.append(np.sort(np.abs(complex_form(x)))[::-1], 0.0)
+    k = min(keep, mags.size - 1)
+    return k > 0 and mags[k - 1] - mags[k] > grad_norm
+
+
 def restricted_maximize(
     ctx: ObjectiveContext,
     support,
     x0: np.ndarray | None = None,
     inner_tol: float = 1e-8,
+    keep: int | None = None,
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
@@ -249,6 +257,15 @@ def restricted_maximize(
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
     drops to inner_tol, for at most NEWTON_MAX_ITERS iterations.
+
+    A caller that keeps only the keep largest magnitudes of the result
+    passes keep, and the solve also stops once that set is certain: when
+    the keep-th largest |b_j| exceeds the next one (zero if there is none)
+    by more than the gradient norm.  Since the negative Hessian is at least
+    2I, the maximizer b* lies within ||grad h(b)|| / 2 of b, and so does
+    each |b*_j| of |b_j|: no entry can cross that gap, and the kept entries
+    of b are those of b* (all nonzero).  The trace is then a prefix of the
+    full solve's.
 
     The whole solve runs on the iterate's real form x_R and on one real
     block built once, K^T = (diag(s) C_R)^T for the restricted columns C
@@ -291,7 +308,9 @@ def restricted_maximize(
 
     for _ in range(NEWTON_MAX_ITERS):
         grad = kt @ lam - 2.0 * x
-        if math.sqrt(grad @ grad) <= inner_tol:
+        grad_norm = math.sqrt(grad @ grad)
+        if grad_norm <= inner_tol or (
+                keep is not None and _kept_set_is_certain(x, keep, grad_norm)):
             return complex_form(x), trace
 
         d = np.linalg.solve(_folded_neg_hessian(kt, lam * (v + lam)), grad)
@@ -408,16 +427,19 @@ def _grasp_step(ctx, config, x, support, bands):
     merged = np.union1d(idx, support)
     if merged.size > 3 * L:
         raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
-    b, _ = restricted_maximize(ctx, merged, x0=x[merged], inner_tol=config.inner_tol)
+    b, _ = restricted_maximize(ctx, merged, x0=x[merged], inner_tol=config.inner_tol,
+                               keep=L if config.debias else None)
     pos = hard_threshold(b, L)
-    keep, vals = merged[pos], b[pos]
+    kept, vals = merged[pos], b[pos]
     if config.debias:
-        keep, vals = keep[vals != 0], vals[vals != 0]
-        vals, h_trace = restricted_maximize(ctx, keep, x0=vals, inner_tol=config.inner_tol)
+        kept, vals = kept[vals != 0], vals[vals != 0]
+        if np.array_equal(kept, support):
+            vals = x[support]        # the maximizer there already
+        vals, h_trace = restricted_maximize(ctx, kept, x0=vals, inner_tol=config.inner_tol)
         h = h_trace[-1]
     else:
-        h = loglik(ctx, ctx.op.restricted(keep).image(vals)) + g_logprior(vals)
-    return *_scatter(x.size, keep, vals), h
+        h = loglik(ctx, ctx.op.restricted(kept).image(vals)) + g_logprior(vals)
+    return *_scatter(x.size, kept, vals), h
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -429,6 +451,12 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
     restricted maximization is re-run on the pruned support instead of
     keeping the pruned values.  Halts when the support stops changing, on a
     revisited support, or at the iteration cap.
+
+    Debiasing throws the merged solve's values away, so that solve only
+    runs until its L largest entries are certain (restricted_maximize's
+    keep).  When the pruned support is the current one, the re-run starts
+    from the current iterate, the maximizer there, and returns at its first
+    gradient check: the last iteration of a row repeats no Newton work.
     """
     return _pursuit_loop(ctx, config, use_bms, _grasp_step)
 

@@ -11,14 +11,15 @@ from onebitcs import harness, solvers
 SOURCES = sorted(Path(onebitcs.__file__).parent.glob("*.py"))
 
 # The solvers' public parameters and SolverConfig's fields.  ROADMAP counts
-# the settable solver values among them (9): SolverConfig's five fields,
-# restricted_maximize's x0 and inner_tol, run_fista's max_iters, and
-# tune_gamma's L.  A new knob fails here until both are edited.
+# the settable solver values among them (10): SolverConfig's five fields,
+# restricted_maximize's x0, inner_tol and keep (set only by debiased GraSP),
+# run_fista's max_iters, and tune_gamma's L.  A new knob fails here until
+# both are edited.
 SOLVER_PARAMETERS = {
     "run_grasp": ("ctx", "config", "use_bms"),
     "run_grahtp": ("ctx", "config", "use_bms"),
     "run_fista": ("ctx", "gamma", "max_iters"),
-    "restricted_maximize": ("ctx", "support", "x0", "inner_tol"),
+    "restricted_maximize": ("ctx", "support", "x0", "inner_tol", "keep"),
     "tune_gamma": ("ctxs", "L"),
     "brute_force_map": ("ctx", "L"),
 }

@@ -16,7 +16,14 @@ here:
 * the sign-folded solve derived log Phi and the inverse Mills ratios itself,
   and lambda a second time for its failure report; it now calls the
   likelihood kernel sign_terms once per trial and carries the accepted
-  trial's lambda.
+  trial's lambda;
+* the likelihood kernel took log Phi from log_ndtr; it now takes
+  log(ndtr), with log_ndtr only where ndtr is not a normal float, and the
+  oracles below take log Phi that way in their own code;
+* debiased GraSP ran its merged restricted solve to inner_tol and re-ran
+  the debias solve from the pruned values even on an unchanged support; the
+  merged solve now stops once its L kept entries are certain, and an
+  unchanged support restarts from the current iterate.
 
 The GraHTP gradient step search returned its smallest step when no step
 passed; it now raises ConvergenceError, to which the pursuit loop adds the
@@ -139,6 +146,52 @@ def test_fista_raises_convergence_error_on_blown_up_images(monkeypatch, blowup):
     with pytest.raises(ConvergenceError, match="step size underflow") as err:
         run_fista(ctx, 1.0)
     assert np.array_equal(err.value.best, np.zeros(ctx.op.B, dtype=complex))
+
+
+# -- log Phi through ndtr ----------------------------------------------------
+
+# log Phi stays within LOG_CDF_ULPS * 2^-52 * max(1, |log Phi|) of log_ndtr.
+# Each is a few units of 2^-52 from the exact value; they differ most near
+# v = -1.3, where ndtr forms 1 - erf (4.9 units on a dense grid over (-2, -1)).
+LOG_CDF_ULPS = 8
+# lambda stays within LAMBDA_RTOL of sqrt(2/pi) / erfcx(-v / sqrt 2), or within
+# the smallest normal float where it is subnormal.
+LAMBDA_RTOL = 1e-12
+FLOAT64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),     # subnormals included
+    st.floats(-45.0, -37.5), st.floats(-2.0, 0.0), st.floats(8.3, 40.0),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@SETTINGS
+@given(st.lists(FLOAT64, min_size=1, max_size=32))
+def test_log_cdf_and_ratios_hold_their_bounds_over_float64(values):
+    v = np.array(values)
+    # Arguments near the float64 limits overflow v^2 and log Phi on the way.
+    with np.errstate(all="ignore"):
+        lam = sign_terms(v)[1]
+        for x, lam_x in zip(v, lam):
+            got, want = sign_terms(np.array([x]))[0], special.log_ndtr(x)
+            assert got == want or abs(got - want) <= LOG_CDF_ULPS * 2.0**-52 * max(1.0, -want)
+            ref = np.sqrt(2.0 / np.pi) / special.erfcx(-x / np.sqrt(2.0))
+            # Both overflow to inf together below about -1.3e308.
+            assert lam_x == ref or abs(lam_x - ref) <= LAMBDA_RTOL * ref + np.finfo(float).tiny
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sign_terms(np.append(v, bad))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 10.0, 1000.0]),
+       log_scale=st.floats(-300.0, 250.0))
+def test_loglik_is_the_likelihood_sum_bit_for_bit(seed, rho, log_scale):
+    ctx = make_ctx(seed % 8, rho)
+    rng = np.random.default_rng(seed)
+    n = ctx.op.M * ctx.op.T
+    u = 10.0**log_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    with np.errstate(all="ignore"):
+        assert loglik(ctx, u) == likelihood(ctx, u).f
 
 
 # -- negative Hessian --------------------------------------------------------
@@ -357,11 +410,32 @@ def own_inv_mills_from(v, log_cdf):
     return out
 
 
-def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8):
+def oracle_log_cdf(v):
+    """log Phi(v): log(ndtr(v)) where ndtr(v) is a normal float, log_ndtr elsewhere."""
+    cdf = special.ndtr(v)
+    normal = cdf >= np.finfo(float).tiny
+    return np.where(normal, np.log(np.where(normal, cdf, 1.0)), special.log_ndtr(v))
+
+
+def oracle_kept_set_is_certain(x_r, keep, grad_norm):
+    """Whether the keep largest |b_j| lead the others (or zero) by more than grad_norm.
+
+    b is the complex vector whose real form is x_r.  The maximizer lies within
+    grad_norm / 2 of b, since minus the Hessian is at least 2I.
+    """
+    q = x_r.size // 2
+    mags = np.hypot(x_r[:q], x_r[q:])
+    order = np.argsort(-mags, kind="stable")
+    inside, outside = mags[order[:keep]], mags[order[keep:]]
+    return inside.size > 0 and inside.min() - outside.max(initial=0.0) > grad_norm
+
+
+def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, keep=None):
     """The sign-folded restricted solve with its own log Phi and lambda passes.
 
     lambda comes from the log Phi values at the start of every iteration, and
-    again from v = K x_R at the best iterate for the failure report.  The
+    again from v = K x_R at the best iterate for the failure report.  With
+    keep it also stops once the keep largest magnitudes are certain.  The
     constants and the Hessian assembly are looked up in the solver module,
     so a test that patches them there patches both solves.
     """
@@ -372,7 +446,7 @@ def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8):
     def h_at(v_t, x_t):
         if not np.isfinite(v_t).all():
             raise ValueError("likelihood requires a finite operator image")
-        log_cdf = special.log_ndtr(v_t)
+        log_cdf = oracle_log_cdf(v_t)
         return log_cdf, float(log_cdf.sum()) - float(x_t @ x_t)
 
     v = kt.T @ x
@@ -383,7 +457,10 @@ def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8):
     for _ in range(solvers_module.NEWTON_MAX_ITERS):
         lam = own_inv_mills_from(v, log_cdf)
         grad = kt @ lam - 2.0 * x
-        if math.sqrt(grad @ grad) <= inner_tol:
+        grad_norm = math.sqrt(grad @ grad)
+        if grad_norm <= inner_tol:
+            return complex_form(x), trace
+        if keep is not None and oracle_kept_set_is_certain(x, keep, grad_norm):
             return complex_form(x), trace
 
         d = np.linalg.solve(solvers_module._folded_neg_hessian(kt, lam * (v + lam)), grad)
@@ -414,7 +491,7 @@ def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8):
         stop = "hit the iteration cap"
 
     v = kt.T @ best[1]
-    grad = kt @ own_inv_mills_from(v, special.log_ndtr(v)) - 2.0 * best[1]
+    grad = kt @ own_inv_mills_from(v, oracle_log_cdf(v)) - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
         f"Newton iterations ({stop})",
@@ -439,17 +516,17 @@ def test_restricted_solve_matches_its_own_likelihood_oracle():
     @given(seed=st.integers(0, 2**32 - 1),
            rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
            size=st.integers(0, 6), scale=st.sampled_from([0.1, 1.0, 5.0, 50.0]),
-           warm=st.booleans())
-    def check(seed, rho, size, scale, warm):
+           warm=st.booleans(), keep=st.one_of(st.none(), st.integers(1, 7)))
+    def check(seed, rho, size, scale, warm, keep):
         ctx, support, x0 = restricted_problem(seed, rho, size, scale, warm)
-        got, got_trace = restricted_maximize(ctx, support, x0=x0)
-        want, want_trace = oracle_folded_restricted_maximize(ctx, support, x0=x0)
+        got, got_trace = restricted_maximize(ctx, support, x0=x0, keep=keep)
+        want, want_trace = oracle_folded_restricted_maximize(ctx, support, x0=x0, keep=keep)
         assert np.array_equal(got, want)
         assert got_trace == want_trace
-        starts.add(warm)
+        starts.add((warm, keep is None))
 
     check()
-    assert starts == {False, True}
+    assert starts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def solve_outcome(solve, ctx, support, x0):
@@ -499,6 +576,88 @@ def test_restricted_solve_fails_as_its_own_likelihood_oracle(stop):
     assert set(failed) == {False, True} and len(failed) >= 10
 
 
+# -- the certified stop of the merged solve ----------------------------------
+
+
+def test_certified_stop_is_a_prefix_with_the_converged_top_set():
+    early = []
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1),
+           rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
+           size=st.integers(2, 12), keep=st.integers(1, 13),
+           scale=st.sampled_from([0.1, 1.0, 5.0]), warm=st.booleans())
+    def check(seed, rho, size, keep, scale, warm):
+        ctx, support, x0 = restricted_problem(seed, rho, size, scale, warm)
+        full, full_trace = restricted_maximize(ctx, support, x0=x0)
+        got, got_trace = restricted_maximize(ctx, support, x0=x0, keep=keep)
+        assert got_trace == full_trace[: len(got_trace)]
+        if len(got_trace) == len(full_trace):
+            assert np.array_equal(got, full)
+        top = hard_threshold(got, keep)
+        assert np.array_equal(top, hard_threshold(full, keep))
+        assert np.all(got[top] != 0) and np.all(full[top] != 0)
+        early.append(len(got_trace) < len(full_trace))
+
+    check()
+    assert any(early)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_tie_at_the_kept_boundary_never_certifies(monkeypatch, warm):
+    ctx = make_ctx(13, 10.0, b=16)
+    real_columns = ctx.op.columns
+    # Two equal columns: the maximizer gives them equal values, so no gap
+    # ever separates them, whatever the start.
+    monkeypatch.setattr(ctx.op, "columns", lambda idx: real_columns(idx)[:, [0, 1, 1]])
+    support = np.array([3, 40, 77])
+    x0 = np.array([0.5 - 1j, 2.0 + 1j, -0.3j]) if warm else None
+    full, full_trace = restricted_maximize(ctx, support, x0=x0)
+    assert abs(abs(full[1]) - abs(full[2])) <= 1e-8
+    # The kept set ends inside the tie: keep 1 if the pair leads, 2 if not.
+    keep = 1 if abs(full[1]) > abs(full[0]) else 2
+    got, got_trace = restricted_maximize(ctx, support, x0=x0, keep=keep)
+    assert np.array_equal(got, full) and got_trace == full_trace and len(full_trace) > 2
+
+
+def spy_restricted_solves(monkeypatch):
+    """Record every restricted solve a pursuit makes: (support, x0, keep, values, trace)."""
+    calls = []
+    real = solvers_module.restricted_maximize
+
+    def spy(ctx, support, x0=None, inner_tol=1e-8, keep=None):
+        values, trace = real(ctx, support, x0=x0, inner_tol=inner_tol, keep=keep)
+        calls.append((np.array(support), np.array(x0), keep, values, trace))
+        return values, trace
+
+    monkeypatch.setattr(solvers_module, "restricted_maximize", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unchanged_support_reuses_the_debiased_iterate(monkeypatch, seed):
+    calls = spy_restricted_solves(monkeypatch)
+    ctx = make_ctx(seed, 100.0, b=16)
+    report = run_grasp(ctx, SolverConfig(sparsity=2, debias=True), use_bms=True)
+    assert report.halted_by == "support-fixed"
+    # Merged and debias solves alternate, and only the merged ones pass keep.
+    assert [call[2] for call in calls] == [2, None] * report.iterations
+    support, x0, _, values, trace = calls[-1]
+    previous = calls[-3]
+    assert np.array_equal(support, previous[0]) and np.array_equal(x0, previous[3])
+    assert len(trace) == 1 and np.array_equal(values, x0)
+    assert np.array_equal(report.estimate.x_hat[support], values)
+
+
+@pytest.mark.parametrize("runner", [run_grasp, run_grahtp])
+@pytest.mark.parametrize("use_bms", [False, True])
+def test_only_debiased_grasp_passes_keep(monkeypatch, runner, use_bms):
+    calls = spy_restricted_solves(monkeypatch)
+    for seed in range(3):
+        runner(make_ctx(seed, 100.0, b=16), SolverConfig(sparsity=2), use_bms)
+    assert calls and all(call[2] is None for call in calls)
+
+
 # -- supports carried as index arrays ----------------------------------------
 
 
@@ -506,9 +665,10 @@ def _oracle_support_of(x):
     return np.nonzero(x)[0]
 
 
-def oracle_restricted(ctx, support, init, inner_tol):
+def oracle_restricted(ctx, support, init, inner_tol, keep=None):
     """The restricted maximizer from init as a full-length vector, and its h trace."""
-    values, h_trace = restricted_maximize(ctx, support, x0=init[support], inner_tol=inner_tol)
+    values, h_trace = oracle_folded_restricted_maximize(ctx, support, x0=init[support],
+                                                        inner_tol=inner_tol, keep=keep)
     x = np.zeros(ctx.op.B, dtype=complex)
     x[support] = values
     return x, h_trace
@@ -521,13 +681,18 @@ def oracle_grasp_step(ctx, config, x, bands, trace):
     merged = np.union1d(idx, _oracle_support_of(x))
     if merged.size > 3 * L:
         raise CapacityError("merged support exceeds 3L")
-    b_vec, _ = oracle_restricted(ctx, merged, x, config.inner_tol)
+    # Debiasing keeps only which L entries lead, so that solve may stop
+    # once they are certain.
+    b_vec, _ = oracle_restricted(ctx, merged, x, config.inner_tol,
+                                 keep=L if config.debias else None)
     keep = hard_threshold(b_vec, L)
     pruned = np.zeros_like(b_vec)
     pruned[keep] = b_vec[keep]
     if config.debias:
-        x_new, h_trace = oracle_restricted(ctx, _oracle_support_of(pruned), pruned,
-                                           config.inner_tol)
+        pruned_support = _oracle_support_of(pruned)
+        # On an unchanged support the current iterate is the maximizer.
+        start = x if np.array_equal(pruned_support, _oracle_support_of(x)) else pruned
+        x_new, h_trace = oracle_restricted(ctx, pruned_support, start, config.inner_tol)
         trace.append(h_trace[-1])
         return x_new
     trace.append(loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned))
