@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Work and page faults per row of one benchmark workload's main sweep.
+
+Runs a workload the way ``sweepbench/run.py`` does (its set-up-only warm-up
+sweeps, then the main sweep through ``run_sweep``, one BLAS thread) and
+counts, per solver call of the main sweep after its first trial (the rows
+the benchmark's ``cells_per_s`` times):
+
+* minor page faults (``ru_minflt``);
+* full operator products: ``apply``, ``apply_adjoint`` and ``apply_gram``;
+* likelihood kernel passes: ``sign_terms`` and ``loglik`` calls, and the
+  ``loglik`` calls alone (the step-size trials of GraHTP and FISTA);
+* ``bms_threshold`` calls, and the ``np.partition`` calls made inside them.
+
+It prints one JSON object: the means per row, overall and per algorithm.
+Every count but the faults is a pure function of the workload and seed.
+
+    python3 scripts/row_work.py --workload full-bms --seed 1 --seconds 20
+
+The program is imported from ``src/`` of the checkout the script sits in,
+so a copy of the script in another checkout counts that checkout's work.
+It is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "sweepbench"))
+
+import run as bench  # noqa: E402  (puts this checkout's src/ on the path)
+from onebitcs import harness, objective, operator, solvers  # noqa: E402
+
+COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "kernel_passes", "loglik",
+          "bms_threshold", "partitions")
+
+
+class Counter:
+    def __init__(self):
+        self.now = dict.fromkeys(COUNTS, 0)
+        self.rows = []           # (algorithm, counts of one solver call)
+        self.in_bms = False
+
+    def counted(self, names, fn):
+        def wrapper(*args, **kwargs):
+            for name in names:
+                self.now[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def bms(self, fn):
+        def bms_threshold(*args, **kwargs):
+            self.now["bms_threshold"] += 1
+            self.in_bms = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.in_bms = False
+        return bms_threshold
+
+    def partition(self, fn):
+        def partition(*args, **kwargs):
+            self.now["partitions"] += self.in_bms
+            return fn(*args, **kwargs)
+        return partition
+
+    def row(self, algo, fn):
+        def solver(*args, **kwargs):
+            before = dict(self.now)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts = {k: self.now[k] - before[k] for k in COUNTS}
+                counts["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                self.rows.append((algo, counts))
+        return solver
+
+
+def install(counter):
+    """Wrap every name the counts need; returns the undo list."""
+    undo = []
+
+    def patch(owner, name, value):
+        undo.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
+
+    cls = operator.SensingOperator
+    for name in ("apply", "apply_adjoint", "apply_gram"):
+        if hasattr(cls, name):      # a checkout before apply_gram has none
+            patch(cls, name, counter.counted((name,), getattr(cls, name)))
+    for name, counts in (("sign_terms", ("kernel_passes",)),
+                         ("loglik", ("kernel_passes", "loglik"))):
+        original = getattr(objective, name)
+        wrapper = counter.counted(counts, original)
+        for module in (objective, solvers):
+            if getattr(module, name, None) is original:
+                patch(module, name, wrapper)
+    patch(solvers, "bms_threshold", counter.bms(solvers.bms_threshold))
+    patch(np, "partition", counter.partition(np.partition))
+    solvers_table = dict(harness._SOLVERS)
+    patch(harness, "_SOLVERS", {algo: counter.row(algo, fn) for algo, fn in solvers_table.items()})
+    return undo
+
+
+def summary(rows):
+    n = len(rows)
+    out = {"rows": n}
+    for key in COUNTS:
+        out[key] = round(sum(c[key] for c in rows) / n, 3) if n else 0.0
+    calls = sum(c["bms_threshold"] for c in rows)
+    out["partitions_per_bms_threshold"] = round(
+        sum(c["partitions"] for c in rows) / calls, 3) if calls else 0.0
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="full-bms", choices=sorted(bench.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+
+    workload = bench.WORKLOADS[args.workload]
+    config = replace(workload.config, master_seed=args.seed,
+                     trials=workload.trials(args.seconds))
+    setup_config = replace(config, trials=1, snr_db=config.snr_db[:1])
+    for _ in range(workload.warmups):
+        harness.run_experiment(setup_config, workers=1)
+
+    counter = Counter()
+    undo = install(counter)
+    try:
+        sweep = bench.run_sweep(config, trace=False)
+    finally:
+        for owner, name, value in reversed(undo):
+            setattr(owner, name, value)
+    # The first trial's rows are the benchmark's set-up, not its timed rows.
+    rows = counter.rows[len(config.algorithms):]
+    result = {
+        "workload": workload.name, "seed": args.seed, "seconds": args.seconds,
+        "digest": bench.digest(sweep.records),
+        "per_row": summary([c for _, c in rows]),
+        "per_algorithm": {algo: summary([c for a, c in rows if a == algo])
+                          for algo in config.algorithms},
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

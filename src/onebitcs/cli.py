@@ -87,6 +87,7 @@ def _cmd_run(args) -> int:
         fh.write(f"zc_root = {info.get('zc_root')}\n")
         fh.write(f"zc_shifts = {info.get('zc_shifts')}\n")
         fh.write(f"blas_threads = {info.get('blas_threads')}\n")
+        fh.write(f"heap = {info.get('heap')}\n")
         for snr, (gamma, mean_support) in sorted(info.get("fista_gamma", {}).items()):
             fh.write(f"fista_gamma[{snr!r}] = {gamma!r}  # mean support {mean_support}\n")
     print(f"wrote {csv_path}, {curve_path}, {meta_path}")

@@ -270,10 +270,13 @@ class _SweepState:
         snr_db = config.snr_db[snr_index]
         channel, measurement = self._problem(seed, snr_index)
 
+        # One context per operator: the algorithms on it share its cached
+        # gradient at 0.
+        ctxs = {dims: ObjectiveContext(op, measurement) for dims, op in self.ops.items()}
         records = []
         for algo in config.algorithms:
-            op = self.ops[config.dims_for(algo)]
-            ctx = ObjectiveContext(op, measurement)
+            ctx = ctxs[config.dims_for(algo)]
+            op = ctx.op
             start = time.perf_counter()
             try:
                 report = _SOLVERS[algo](ctx, self.solver_config, gamma)
@@ -329,12 +332,38 @@ def _blas_threads(count: int | None = None) -> int | None:
     return previous
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values _keep_heap gives them.
+_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 1 << 30))
+
+
+def _keep_heap() -> bool | None:
+    """Keep freed memory in the heap, for the rest of the process.
+
+    Blocks up to 32 MiB come from the heap instead of their own mmap, and
+    the heap is trimmed only above 1 GiB, which no sweep reaches.  glibc's
+    defaults return a pursuit step's 1-2 MB temporaries to the OS, so each
+    full-scale step faulted them in again, at 2-5.5 us a 4 KiB page on
+    2-vCPU Xeon hosts.  glibc
+    has no getter for these values, so nothing restores them.  Returns
+    True, or None, changing nothing, where libc has no mallopt or rejects
+    the values (musl's accepts none).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(param, value) for param, value in _HEAP_SETTINGS]) or None
+
+
 _WORKER_STATE = None
 
 
 def _init_worker(config):
     global _WORKER_STATE
     _blas_threads(1)
+    _keep_heap()
     _WORKER_STATE = _SweepState(config)
 
 
@@ -372,16 +401,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
     Linux from Python 3.14), a script that calls this with workers > 1 must
     do so under an ``if __name__ == "__main__":`` guard.  Each process of
     the sweep runs numpy's BLAS on one thread, and the caller's thread
-    count is back when this returns or raises.  workers below 1 raise
-    ValueError.  When an `info` dict is supplied, a finished sweep records
-    its resolved metadata there (training root, tuned FISTA weights, and
-    blas_threads: 1, or "unpinned" where the count cannot be set).
+    count is back when this returns or raises.  Each also keeps its freed
+    memory in its heap (see _keep_heap), and keeps doing so after the
+    sweep.  workers below 1 raise ValueError.  When an `info` dict is
+    supplied, a finished sweep records its resolved metadata there
+    (training root, tuned FISTA weights, blas_threads: 1, or "unpinned"
+    where the count cannot be set, and heap: "kept", or "unpinned" where
+    libc does not take the setting).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     state = _SweepState(config)
     tuning = range(len(config.snr_db)) if "fista" in config.algorithms else ()
     previous = _blas_threads(1)
+    heap = _keep_heap()
     try:
         if workers > 1:
             # Imported here, so that serial runs never load multiprocessing.
@@ -403,6 +436,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, info: dict | None
         info["zc_root"] = state.training.root
         info["zc_shifts"] = state.training.shifts
         info["blas_threads"] = "unpinned" if previous is None else 1
+        info["heap"] = "unpinned" if heap is None else "kept"
         if tuned:
             info["fista_gamma"] = {float(snr): result for snr, result in zip(config.snr_db, tuned)}
     records = [record for block in blocks for record in block]

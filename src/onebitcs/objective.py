@@ -27,6 +27,7 @@ every consumer sums log Phi or exponentiates a difference with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
 _SQRT_2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_TINY = np.finfo(float).tiny
 # sign_terms switches from log Phi to erfcx below this argument.
 _ERFCX_BELOW = -40.0
 
@@ -61,9 +63,8 @@ def _log_cdf(v: np.ndarray) -> np.ndarray:
     ndtr(v) has lost its relative precision.
     """
     log_cdf = special.ndtr(v)
-    tiny = np.finfo(float).tiny
-    if log_cdf.min(initial=1.0) < tiny:
-        under = log_cdf < tiny
+    if log_cdf.min(initial=1.0) < _TINY:
+        under = log_cdf < _TINY
         log_cdf[under] = 1.0
         np.log(log_cdf, out=log_cdf)
         log_cdf[under] = special.log_ndtr(v[under])
@@ -96,9 +97,11 @@ def sign_terms(v: np.ndarray):
     difference of two terms near v^2/2 whose rounding grows with v^2, so
     those (rare) entries go through the scaled complementary error function
     instead: lambda(v) = sqrt(2/pi) / erfcx(-v / sqrt(2)).  A non-finite v
-    raises ValueError.
+    raises ValueError.  One min and one max pass serve both that check (a
+    NaN propagates through both) and the erfcx branch.
     """
-    if not np.isfinite(v).all():
+    lo, hi = v.min(initial=0.0), v.max(initial=0.0)
+    if not -np.inf < lo <= hi < np.inf:
         raise ValueError("likelihood requires a finite operator image")
     log_cdf = _log_cdf(v)
     lam = np.multiply(v, -0.5)
@@ -106,7 +109,7 @@ def sign_terms(v: np.ndarray):
     lam -= _LOG_SQRT_2PI
     lam -= log_cdf
     np.exp(lam, out=lam)
-    if v.min(initial=0.0) < _ERFCX_BELOW:
+    if lo < _ERFCX_BELOW:
         deep = v < _ERFCX_BELOW
         lam[deep] = _SQRT_2_OVER_PI / special.erfcx(-v[deep] / _SQRT_2)
     return float(log_cdf.sum()), lam
@@ -118,6 +121,12 @@ class ObjectiveContext:
 
     rho is the SNR stored with the measurement, and signs the read-only
     scaled sign pattern s = sqrt(2*rho) * y_R.
+
+    The likelihood at u = 0 and its gradient there, one full adjoint, are
+    computed on first use and kept read-only: every solver that starts at
+    x = 0 (the pursuits' first gradient, FISTA's first working set, gamma
+    tuning's gamma_max) reads them, so solvers sharing a context share
+    that adjoint.
     """
 
     op: SensingOperator
@@ -139,6 +148,21 @@ class ObjectiveContext:
         signs = np.sqrt(2.0 * rho) * real_form(y)
         signs.flags.writeable = False
         object.__setattr__(self, "signs", signs)
+
+    @cached_property
+    def at_zero(self) -> Likelihood:
+        """``likelihood(self, 0)``, its arrays read-only."""
+        terms = likelihood(self, np.zeros(self.op.M * self.op.T, dtype=complex))
+        for arr in terms[1:]:
+            arr.flags.writeable = False
+        return terms
+
+    @cached_property
+    def gradient_at_zero(self) -> np.ndarray:
+        """grad f(0) = A^H at_zero.weights, read-only."""
+        g = self.op.apply_adjoint(self.at_zero.weights)
+        g.flags.writeable = False
+        return g
 
 
 class Likelihood(NamedTuple):

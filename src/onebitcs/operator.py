@@ -63,7 +63,8 @@ class SensingOperator:
     """Immutable sensing operator, applied through its two factors.
 
     Built through :func:`build_operator`.  All stored arrays are marked
-    read-only.  The factor Grams and the spectral norm are cached on first
+    read-only.  The factor Grams of A A^H are formed on build; the
+    normalized factor coherences and the spectral norm are cached on first
     use, and so are the coherence bands, per eta, by :meth:`bands_at`
     alone; the object is safe to share across threads and solver runs.
     Mode "dense" also materializes A and applies it as one matrix: it is
@@ -98,6 +99,10 @@ class SensingOperator:
         # Conjugated factors of the adjoint product, formed once.
         self._G_H = self.G.conj().T
         self._A_RX_conj = A_RX.conj()
+        # Factor Grams of A A^H = (G G^H) kron (A_RX A_RX^H), in the layout
+        # of the two products: (T, T) and the (M, M) conj(A_RX) A_RX^T.
+        self._gram_g = self.G @ self._G_H
+        self._gram_rx = self._A_RX_conj @ A_RX.T
 
         self.rx_norms = np.linalg.norm(A_RX, axis=0)
         # Column b = br + bt*B_RX has norm g_norms[bt] * rx_norms[br].
@@ -114,7 +119,7 @@ class SensingOperator:
             self.dense_A.flags.writeable = False
 
         for arr in (self.S, self.A_RX, self.A_TX, self.G, self._G_H, self._A_RX_conj,
-                    self.rx_norms, self.g_norms):
+                    self._gram_g, self._gram_rx, self.rx_norms, self.g_norms):
             arr.flags.writeable = False
 
         self._mu_rx = None
@@ -147,6 +152,21 @@ class SensingOperator:
             return self.dense_A.conj().T @ c
         # Transposed, so the result needs no column-major copy: C order is vec.
         return (self._G_H @ c.reshape(self.T, self.M) @ self._A_RX_conj).reshape(-1)
+
+    def apply_gram(self, c: np.ndarray) -> np.ndarray:
+        """A @ A^H @ c for a length-M*T measurement-space vector.
+
+        Through the factor Grams, unvec(A A^H c)^T = (G G^H) C (conj(A_RX)
+        A_RX^T) with C = unvec(c)^T: O(T^2 M + T M^2) work, with nothing of
+        length B formed, in either mode.  It equals apply(apply_adjoint(c))
+        up to rounding.
+        """
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (self.M * self.T,):
+            raise ValueError(
+                f"expected length-{self.M * self.T} vector, got shape {c.shape}"
+            )
+        return (self._gram_g @ c.reshape(self.T, self.M) @ self._gram_rx).reshape(-1)
 
     def restricted(self, idx) -> RestrictedOperator:
         """A restricted to the columns idx, which must lie in [0, B)."""

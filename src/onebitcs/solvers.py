@@ -116,7 +116,9 @@ def _descending_prefixes(mags: np.ndarray, count: int):
     order.  Only the entries at or above the count-th largest magnitude are
     sorted.
     """
-    vals = mags[mags > 0]     # np.partition is slow on a long, mostly zero vector
+    # np.partition is slow on a long, mostly zero vector; a vector without
+    # zeros needs no copy.
+    vals = mags if mags.min(initial=np.inf) > 0 else mags[mags > 0]
     while 0 < count <= vals.size:
         kth = np.partition(vals, vals.size - count)[vals.size - count]
         top = np.flatnonzero(mags >= kth)
@@ -175,7 +177,9 @@ def bms_threshold(
     Admission depends only on z, current_x and band(i), never on which
     candidates were selected before, so it is evaluated for a whole prefix
     of the scan order at once; the prefix grows fourfold until it admits
-    `budget` candidates or covers every index.
+    `budget` candidates or covers every index.  The first prefix holds 4 *
+    budget indices, since band blocking usually rejects some of the first
+    budget: a pass that fell short would cost a second partition.
 
     Returns the sorted selected indices.
     """
@@ -185,7 +189,7 @@ def bms_threshold(
     mags = np.abs(z)
     admitted = []
     found = scanned = 0
-    for order in _descending_prefixes(mags, budget):
+    for order in _descending_prefixes(mags, 4 * budget):
         tail = order[scanned:]
         scanned = order.size
         admitted.append(tail[_band_admits(tail, mags, current_x, bands)])
@@ -406,8 +410,11 @@ def _gradient_at(ctx, x, support):
     """A x, the likelihood there and the gradient of h at x, whose nonzeros are at support.
 
     A x is the support-sized image, and the prior's term -2x touches only
-    the support; the adjoint is the one pass over all B entries.
+    the support; the adjoint is the one pass over all B entries.  At x = 0
+    both come read-only from the context's cache.
     """
+    if support.size == 0:
+        return np.zeros(ctx.op.M * ctx.op.T, dtype=complex), ctx.at_zero, ctx.gradient_at_zero
     x_s = x[support]
     u = ctx.op.restricted(support).image(x_s)
     at_x = likelihood(ctx, u)
@@ -486,14 +493,19 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     from t = 1 returns.  When none passes, raises ConvergenceError; the
     pursuit loop adds the iterate to salvage.  h is
     concave along g, so the passing steps form an interval [0, t*], and the
-    search may start anywhere on the grid: it starts at the line-Newton step
-    ||g||^2 / (w^T D w + 2 ||g||^2), with D the likelihood's curvature at x,
-    and moves up or down from there.
+    search may start anywhere on the grid: it starts one grid step above the
+    line-Newton step ||g||^2 / (w^T D w + 2 ||g||^2), with D the
+    likelihood's curvature at x, and moves up or down from there.  On a
+    quadratic the Armijo slope admits steps up to 1.8 times the Newton
+    step, and the likelihood's curvature falls along the step, so t* often
+    lies above the guess.
 
-    x is zero off support.  u = A x and at_x = likelihood(ctx, u) are the
-    caller's.  With w = A g formed once, the trial point x + t g has image
+    x is zero off support, and g = A^H at_x.weights - 2x, with u = A x and
+    at_x = likelihood(ctx, u) the caller's.  So w = A g is A A^H
+    at_x.weights - 2u, formed once through the operator's factor Grams
+    without a pass over the B entries.  The trial point x + t g has image
     u + t w and prior -(||x||^2 + 2t Re<x, g> + t^2 ||g||^2), so a trial
-    costs no operator apply and no pass over the B entries.
+    costs no operator apply either.
     """
     gn2 = float(np.vdot(g, g).real)
     if gn2 == 0.0:
@@ -502,7 +514,7 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     xn2 = float(np.vdot(x_s, x_s).real)
     xg2 = 2.0 * float(np.vdot(x_s, g[support]).real)
     h0 = at_x.f - xn2
-    w = ctx.op.apply(g)
+    w = ctx.op.apply_gram(at_x.weights) - 2.0 * u
     w_r = real_form(w)
     curv = float(np.sum(ctx.signs * ctx.signs * at_x.lam * (at_x.v + at_x.lam) * w_r * w_r))
 
@@ -512,7 +524,8 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
         return h_t >= h0 + ARMIJO_SLOPE * t * gn2
 
     newton = gn2 / (curv + 2.0 * gn2)
-    k = min(max(math.floor(math.log(newton) / math.log(ARMIJO_SHRINK)), 0), ARMIJO_MAX_STEPS - 1)
+    k = math.floor(math.log(newton) / math.log(ARMIJO_SHRINK)) - 1
+    k = min(max(k, 0), ARMIJO_MAX_STEPS - 1)
     if passes(k):
         while k > 0 and passes(k - 1):
             k -= 1
@@ -605,9 +618,9 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     W = np.zeros(0, dtype=int)
     x_prev = np.zeros(0, dtype=complex)              # values at W
     u_prev = np.zeros(op.M * op.T, dtype=complex)    # A x_prev
-    at_y = likelihood(ctx, u_prev)
+    at_y = ctx.at_zero
     obj_prev = at_y.f - penalty(x_prev)
-    g = op.apply_adjoint(at_y.weights)    # the full gradient at x_prev
+    g = ctx.gradient_at_zero    # the full gradient at x_prev
     new = violators(g)
     y, u_y, z_prev = x_prev, u_prev, x_prev
     t_mom = 1.0
@@ -684,7 +697,8 @@ def tune_gamma(ctxs, L: int):
     ctxs is a non-empty list of problem contexts.  For gamma at or above
     max|grad f(0)| the l1-penalized estimate is exactly zero (Friedman,
     Hastie & Tibshirani 2010), so the search starts at gamma_max,
-    the largest such threshold over the problems (one adjoint each).  It
+    the largest such threshold over the problems (one adjoint each, which
+    each problem's FISTA solves then reuse).  It
     evaluates gamma_max too (one FISTA iteration per problem), so that the
     empty start is measured, not assumed.  One loop then walks a bracket in
     log(gamma): while no evaluated gamma has its mean above the window
@@ -708,10 +722,7 @@ def tune_gamma(ctxs, L: int):
         raise TuningError(f"window [{target - 1}, {target + 1}] lies above the problems' "
                           f"mean B = {mean_b:g}")
 
-    gamma_max = 0.0
-    for c in ctxs:
-        at_zero = likelihood(c, np.zeros(c.op.M * c.op.T, dtype=complex))
-        gamma_max = max(gamma_max, float(np.max(np.abs(c.op.apply_adjoint(at_zero.weights)))))
+    gamma_max = max(float(np.max(np.abs(c.gradient_at_zero))) for c in ctxs)
     if gamma_max == 0.0:
         raise TuningError("the likelihood gradient vanishes at 0 on every problem")
 

@@ -5,6 +5,12 @@ by column into separate arrays, band-maximum selection walking the
 candidates one at a time in full lexsort order, and hard thresholding by a
 full lexsort.  The new code must reproduce them exactly, including on exact
 magnitude ties, zero blocks and estimates with shared nonzero values.
+
+The prefix scan itself was replaced too: it copied the nonzero magnitudes
+on every call, and band-maximum selection opened with a prefix of budget
+indices; it now skips the copy when no score is zero and opens with 4 *
+budget.  Both thresholders must select what they selected through the
+earlier scan, which is kept below as well.
 """
 
 import numpy as np
@@ -13,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitcs.model import dft_dictionary, steering_vector, zc_training
-from onebitcs.operator import build_operator, coherence_bands, select_eta
-from onebitcs.solvers import bms_threshold, hard_threshold
+from onebitcs.operator import CoherenceStructure, build_operator, coherence_bands, select_eta
+from onebitcs.solvers import _band_admits, bms_threshold, hard_threshold
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -63,6 +69,37 @@ def oracle_bms_threshold(z, current_x, budget, bands):
         if byproduct.size == 0 or mags[i] > np.max(mags[byproduct]):
             selected.append(int(i))
     return np.array(sorted(selected), dtype=int)
+
+
+def oracle_descending_prefixes(mags, count):
+    """The prefix scan that copied the nonzero magnitudes on every call."""
+    vals = mags[mags > 0]
+    while 0 < count <= vals.size:
+        kth = np.partition(vals, vals.size - count)[vals.size - count]
+        top = np.flatnonzero(mags >= kth)
+        yield top[np.argsort(-mags[top], kind="stable")]
+        count = 4 * top.size
+    nz = np.flatnonzero(mags)
+    yield np.concatenate([nz[np.argsort(-mags[nz], kind="stable")], np.flatnonzero(mags == 0)])
+
+
+def oracle_prefix_hard_threshold(z, budget):
+    return np.sort(next(oracle_descending_prefixes(np.abs(z), budget))[: max(budget, 0)])
+
+
+def oracle_prefix_bms_threshold(z, current_x, budget, bands):
+    """Band-maximum selection over the earlier scan, from a prefix of budget indices."""
+    mags = np.abs(z)
+    admitted = []
+    found = scanned = 0
+    for order in oracle_descending_prefixes(mags, budget):
+        tail = order[scanned:]
+        scanned = order.size
+        admitted.append(tail[_band_admits(tail, mags, current_x, bands)])
+        found += admitted[-1].size
+        if found >= budget:
+            break
+    return np.sort(np.concatenate(admitted)[:budget])
 
 
 def off_grid_dictionary(rng, antennas, bins):
@@ -140,6 +177,17 @@ def threshold_cases(draw):
     return op, eta, z, x, budget
 
 
+@st.composite
+def random_bands(draw, size):
+    """Symmetric bands of random members, each holding its own column, as CSR."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    member = rng.random((size, size)) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    member |= member.T
+    np.fill_diagonal(member, True)
+    indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))])
+    return CoherenceStructure(eta=0.5, indptr=indptr, indices=np.nonzero(member)[1])
+
+
 def assert_csr_equals(structure, expected):
     assert structure.indptr.shape == (len(expected) + 1,)
     assert structure.indptr[0] == 0 and structure.indptr[-1] == structure.indices.size
@@ -170,6 +218,25 @@ def test_hard_threshold_matches_lexsort_oracle(size, data):
     z = data.draw(scores(size))
     budget = data.draw(st.integers(-1, size + 1))
     assert np.array_equal(hard_threshold(z, budget), oracle_hard_threshold(z, budget))
+
+
+@SETTINGS
+@given(size=st.integers(1, 80), data=st.data())
+def test_thresholders_select_what_the_copying_scan_selected(size, data):
+    # Scores with ties and zero blocks, or without zeros (the no-copy path),
+    # against estimates with shared values and random bands.
+    z = data.draw(scores(size))
+    if data.draw(st.booleans()):
+        z = np.where(z == 0, 0.05, z)
+    x = data.draw(estimates(size))
+    bands = data.draw(random_bands(size))
+    budget = data.draw(st.integers(1, size + 1))
+    assert np.array_equal(bms_threshold(z, x, budget, bands),
+                          oracle_prefix_bms_threshold(z, x, budget, bands))
+    assert np.array_equal(bms_threshold(z, x, budget, bands),
+                          oracle_bms_threshold(z, x, budget, bands.bands))
+    budget = data.draw(st.integers(-1, size + 1))
+    assert np.array_equal(hard_threshold(z, budget), oracle_prefix_hard_threshold(z, budget))
 
 
 def test_band_views_cannot_write_the_cached_bands():

@@ -5,7 +5,13 @@ images formed as linear combinations of images they already hold, instead
 of applying the operator at every evaluation.  The oracles below are the
 earlier implementations, which did apply it every time.  The pursuit loops
 likewise take their objective trace from values the steps already hold.
+The step search forms the image of the gradient from the factor Grams, not
+by an apply, and starts one grid step above its line-Newton guess; every
+solver that starts at 0 reads the gradient there from its context, so
+solvers sharing a context pay that adjoint once.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from onebitcs.objective import (
     h_objective,
     likelihood,
 )
-from onebitcs.operator import build_operator
+from onebitcs.operator import build_operator, real_form
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
     SolverConfig,
@@ -163,6 +169,43 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
 
 
+def off_guess_problem(seed, rho, size, scale):
+    """x, its image, likelihood and gradient, and the oracle's step exponent."""
+    ctx = make_ctx(seed, rho)
+    rng = np.random.default_rng(seed)
+    x = np.zeros(ctx.op.B, dtype=complex)
+    idx = np.sort(rng.choice(ctx.op.B, size=size, replace=False))
+    x[idx] = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    u = ctx.op.apply(x)
+    at_x = likelihood(ctx, u)
+    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
+    want = oracle_backtrack_gradient_step(ctx, x, g)
+    return ctx, x, idx, u, at_x, g, round(-math.log2(want))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
+       size=st.integers(0, 4), scale=st.floats(0.01, 10.0), offset=st.integers(-2, 2))
+def test_gradient_step_search_matches_oracle_from_an_off_guess(seed, rho, size, scale, offset):
+    # The search starts one grid step above the line-Newton guess.  Give the
+    # likelihood a curvature whose guess puts that start `offset` grid steps
+    # from the oracle's step (above it for offset < 0): the search must walk
+    # to the same step.  Only the guess reads lam and v; f and the weights,
+    # which the trials and the gradient's image use, stay the true ones.
+    ctx, x, idx, u, at_x, g, k_want = off_guess_problem(seed, rho, size, scale)
+    start = k_want + offset
+    if start < 0:
+        return
+    gn2 = float(np.vdot(g, g).real)
+    w_r = real_form(ctx.op.apply(g))
+    newton = 0.75 * 0.5 ** (start + 1)    # inside the grid interval whose start is `start`
+    curvature = float(np.sum(ctx.signs * ctx.signs * at_x.lam * w_r * w_r))
+    alpha = gn2 * (1.0 / newton - 2.0) / curvature
+    guessed = at_x._replace(v=alpha - at_x.lam)     # lam (v + lam) = alpha lam
+    kappa = _backtrack_gradient_step(ctx, x, idx, u, guessed, g)
+    assert kappa == 0.5 ** k_want
+
+
 def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
     ctx = make_ctx(3, 10.0)
     x = np.zeros(ctx.op.B, dtype=complex)
@@ -243,6 +286,33 @@ def test_grahtp_step_costs_two_applies(monkeypatch):
         run_grahtp(ctx, SolverConfig(sparsity=2), use_bms=True)
     assert steps and max(steps) <= 2
     assert any(backtracked)
+
+
+def test_solvers_on_one_context_share_its_gradient_at_zero():
+    # Each pursuit iteration takes one full adjoint; the first reads the
+    # context's cached gradient at 0, which the context computes once.
+    # FISTA's first working set reads the same cache.  Estimates and traces
+    # equal those of solvers on contexts of their own.
+    config = SolverConfig(sparsity=2)
+    for seed in range(3):
+        shared = make_ctx(seed, 100.0, b=16)
+        _, adjoints = count_operator_calls(shared.op)
+        reports = [run_grasp(shared, config, True), run_grahtp(shared, config, True)]
+        assert adjoints.calls == sum(r.iterations for r in reports) - 1
+        alone = [run_grasp(make_ctx(seed, 100.0, b=16), config, True),
+                 run_grahtp(make_ctx(seed, 100.0, b=16), config, True)]
+        for got, want in zip(reports, alone):
+            assert np.array_equal(got.estimate.x_hat, want.estimate.x_hat)
+            assert got.objective_trace == want.objective_trace
+        gamma = 0.5 * float(np.max(np.abs(shared.gradient_at_zero)))
+        adjoints.calls = 0
+        got = run_fista(shared, gamma)
+        fresh = make_ctx(seed, 100.0, b=16)
+        _, fresh_adjoints = count_operator_calls(fresh.op)
+        want = run_fista(fresh, gamma)
+        assert adjoints.calls == fresh_adjoints.calls - 1
+        assert np.array_equal(got.estimate.x_hat, want.estimate.x_hat)
+        assert got.objective_trace == want.objective_trace
 
 
 @pytest.mark.parametrize("runner, debias, applies_per_iteration", [

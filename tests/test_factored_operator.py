@@ -5,7 +5,9 @@ factor went through truncated, phase-twisted FFTs when the factor sat on the
 canonical DFT grid and through dense matmul otherwise, with column-major
 (order="F") reshapes around them.  The two-factor products must agree with it to
 1e-12 relative on and off the grid, for unequal dictionary sizes, for N < T,
-and at desk and full scale.
+and at desk and full scale.  The Gram product A A^H c, formed from the two
+factor Grams, must agree to the same tolerance with an adjoint followed by
+an apply and with the dense matrix.
 """
 
 import numpy as np
@@ -127,3 +129,32 @@ def test_desk_and_full_scale(m, t, bins):
     # At desk scale the B-sized products are issued as two row halves.
     op = build_operator(zc_training(m, t).S, dft_dictionary(m, bins), dft_dictionary(m, bins))
     check_against_oracle(op, np.random.default_rng(2))
+
+
+def check_gram_product(op, rng, dense=True):
+    c = rand_complex(rng, op.M * op.T)
+    got = op.apply_gram(c)
+    assert got.shape == (op.M * op.T,)
+    assert got.flags.c_contiguous
+    assert relative_error(got, op.apply(op.apply_adjoint(c))) <= RTOL
+    if dense:
+        A = build_operator(op.S, op.A_RX, op.A_TX, mode="dense").dense_A
+        assert relative_error(got, A @ (A.conj().T @ c)) <= RTOL
+    with pytest.raises(ValueError, match="length"):
+        op.apply_gram(c[1:])
+
+
+@SETTINGS
+@given(operators())
+def test_gram_product_matches_adjoint_then_apply_and_dense(case):
+    op, rng = case
+    check_gram_product(op, rng)
+    dense_op = build_operator(op.S, op.A_RX, op.A_TX, mode="dense")
+    c = rand_complex(rng, op.M * op.T)
+    assert relative_error(dense_op.apply_gram(c), op.apply_gram(c)) <= RTOL
+
+
+@pytest.mark.parametrize("m, t, bins", [(16, 20, 64), (64, 80, 256)])
+def test_gram_product_at_desk_and_full_scale(m, t, bins):
+    op = build_operator(zc_training(m, t).S, dft_dictionary(m, bins), dft_dictionary(m, bins))
+    check_gram_product(op, np.random.default_rng(3), dense=m == 16)

@@ -388,6 +388,36 @@ class TestBlasThreads:
             replace(r, runtime_ms=0.0) for r in pinned]
 
 
+def without_runtime(records):
+    return [replace(r, runtime_ms=0.0) for r in records]
+
+
+class TestKeepHeap:
+    def test_sweep_records_the_heap_setting(self, monkeypatch):
+        info = {}
+        run_experiment(TINY, info=info)
+        assert info["heap"] == ("unpinned" if harness._keep_heap() is None else "kept")
+        monkeypatch.setattr(harness, "_keep_heap", lambda: None)
+        run_experiment(TINY, info=info)
+        assert info["heap"] == "unpinned"
+
+    def test_libc_without_mallopt_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: object())
+        assert harness._keep_heap() is None
+
+    def test_serial_and_pooled_rows_agree_with_the_heap_kept(self):
+        serial = run_experiment(TINY, workers=1)
+        pooled = run_experiment(TINY, workers=2)
+        assert without_runtime(pooled) == without_runtime(serial)
+
+    def test_worker_initializer_keeps_the_heap(self, monkeypatch):
+        kept = []
+        monkeypatch.setattr(harness, "_keep_heap", lambda: kept.append(None))
+        monkeypatch.setattr(harness, "_WORKER_STATE", None)
+        harness._init_worker(replace(TINY, trials=1))
+        assert kept == [None]
+
+
 class TestConfigValidation:
     def test_rejects_undersized_dictionary(self):
         with pytest.raises(ValueError):
@@ -615,6 +645,18 @@ class TestCli:
         assert f"blas_threads = {want}" in metadata(tmp_path / "default")
         monkeypatch.setattr(harness, "_BLAS_THREAD_SYMBOLS", ("no_such_get", "no_such_set"))
         assert "blas_threads = unpinned" in metadata(tmp_path / "unresolved")
+
+    def test_metadata_records_the_heap_setting(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+
+        def metadata(out):
+            assert cli_main(["run", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
+            return (out / "metadata.txt").read_text().splitlines()
+
+        want = "unpinned" if harness._keep_heap() is None else "kept"
+        assert f"heap = {want}" in metadata(tmp_path / "default")
+        monkeypatch.setattr(harness, "_keep_heap", lambda: None)
+        assert "heap = unpinned" in metadata(tmp_path / "unkept")
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -53,8 +53,8 @@ PACKAGE_EXPORTS = (
 )
 SENSING_OPERATOR_MEMBERS = (
     "A_RX", "A_TX", "B", "B_RX", "B_TX", "G", "M", "N", "S", "T", "apply", "apply_adjoint",
-    "bands_at", "columns", "dense_A", "g_norms", "mode", "restricted", "rx_norms",
-    "spectral_norm_estimate",
+    "apply_gram", "bands_at", "columns", "dense_A", "g_norms", "mode", "restricted",
+    "rx_norms", "spectral_norm_estimate",
 )
 
 

@@ -23,7 +23,10 @@ here:
 * debiased GraSP ran its merged restricted solve to inner_tol and re-ran
   the debias solve from the pruned values even on an unchanged support; the
   merged solve now stops once its L kept entries are certain, and an
-  unchanged support restarts from the current iterate.
+  unchanged support restarts from the current iterate;
+* the likelihood kernel checked its arguments with isfinite and took a
+  second min pass for its erfcx branch, and log Phi looked up the smallest
+  normal float on every call; one min and one max pass now serve both.
 
 The GraHTP gradient step search returned its smallest step when no step
 passed; it now raises ConvergenceError, to which the pursuit loop adds the
@@ -180,6 +183,56 @@ def test_log_cdf_and_ratios_hold_their_bounds_over_float64(values):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sign_terms(np.append(v, bad))
+
+
+def oracle_sign_terms(v):
+    """The kernel with an isfinite check and a min pass of its own for erfcx."""
+    if not np.isfinite(v).all():
+        raise ValueError("likelihood requires a finite operator image")
+    log_cdf = special.ndtr(v)
+    tiny = np.finfo(float).tiny
+    if log_cdf.min(initial=1.0) < tiny:
+        under = log_cdf < tiny
+        log_cdf[under] = 1.0
+        np.log(log_cdf, out=log_cdf)
+        log_cdf[under] = special.log_ndtr(v[under])
+    else:
+        np.log(log_cdf, out=log_cdf)
+    lam = np.multiply(v, -0.5)
+    lam *= v
+    lam -= 0.5 * np.log(2.0 * np.pi)
+    lam -= log_cdf
+    np.exp(lam, out=lam)
+    if v.min(initial=0.0) < -40.0:
+        deep = v < -40.0
+        lam[deep] = np.sqrt(2.0 / np.pi) / special.erfcx(-v[deep] / np.sqrt(2.0))
+    return float(log_cdf.sum()), lam
+
+
+def assert_kernel_matches_oracle(v):
+    f, lam = sign_terms(v)
+    want_f, want_lam = oracle_sign_terms(v)
+    assert f == want_f
+    assert np.array_equal(lam.view(np.int64), want_lam.view(np.int64))
+
+
+def test_kernel_checks_match_the_isfinite_kernel_from_minus_45_to_40():
+    grid = np.linspace(-45.0, 40.0, 170_001)
+    assert_kernel_matches_oracle(grid)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        assert_kernel_matches_oracle(rng.choice(grid, size=int(rng.integers(1, 64))))
+    for sd in (0.3, 1.5, 30.0):
+        assert_kernel_matches_oracle(np.clip(sd * rng.standard_normal(10_240), -45.0, 40.0))
+    assert_kernel_matches_oracle(np.zeros(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in (0, 5, -1):
+            v = grid[:11].copy()
+            v[where] = bad
+            with pytest.raises(ValueError, match="finite"):
+                oracle_sign_terms(v)
+            with pytest.raises(ValueError, match="finite"):
+                sign_terms(v)
 
 
 @SETTINGS

@@ -19,6 +19,7 @@ from onebitcs.objective import (
     g_logprior,
     grad_h,
     h_objective,
+    likelihood,
     sign_terms,
 )
 from onebitcs.operator import build_operator, complex_form, real_form
@@ -319,3 +320,27 @@ class TestObjective:
         op, ctx, _ = make_problem()
         with pytest.raises(ValueError):
             ObjectiveContext(op, replace(ctx.y_hat, rho=-1.0))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1000.0])
+def test_zero_point_terms_are_the_likelihood_and_adjoint_at_zero(rho):
+    op, ctx, _ = make_problem(rho=rho, seed=3)
+    calls = []
+    real_adjoint = op.apply_adjoint
+    op.apply_adjoint = lambda c: calls.append(None) or real_adjoint(c)
+    want = likelihood(ctx, np.zeros(op.M * op.T, dtype=complex))
+    want_g = real_adjoint(want.weights)
+    got, got_g = ctx.at_zero, ctx.gradient_at_zero
+    assert got.f == want.f
+    assert all(same_bits(a, b) for a, b in zip(got[1:], want[1:]))
+    assert same_bits(got_g, want_g)
+    # Computed once per context, and read-only to every reader.
+    assert ctx.at_zero is got and ctx.gradient_at_zero is got_g and len(calls) == 1
+    for arr in (*got[1:], got_g):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert same_bits(got_g, want_g)
