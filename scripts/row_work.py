@@ -8,8 +8,11 @@ the benchmark's ``cells_per_s`` times):
 
 * minor page faults (``ru_minflt``);
 * full operator products: ``apply``, ``apply_adjoint`` and ``apply_gram``;
-* likelihood kernel passes: ``sign_terms`` and ``loglik`` calls, and the
-  ``loglik`` calls alone (the step-size trials of GraHTP and FISTA);
+* likelihood kernel passes: ``sign_terms`` and ``loglik`` calls, the
+  ``loglik`` calls alone (the step-size trials of GraHTP and FISTA), and the
+  passes made inside the pursuits' ``_gradient_at``;
+* restricted solves (``restricted_maximize`` calls), and their Newton steps,
+  one negative-Hessian assembly each, by the size 2q of the block;
 * ``bms_threshold`` calls, and the ``np.partition`` calls made inside them.
 
 It prints one JSON object: the means per row, overall and per algorithm.
@@ -40,7 +43,10 @@ import run as bench  # noqa: E402  (puts this checkout's src/ on the path)
 from onebitcs import harness, objective, operator, solvers  # noqa: E402
 
 COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "kernel_passes", "loglik",
-          "bms_threshold", "partitions")
+          "gradient_passes", "restricted_solves", "hessians", "bms_threshold", "partitions")
+# The module-level negative-Hessian assembly, under its name in either
+# checkout: from the Kronecker factors, or (before) from the sign-folded block.
+HESSIANS = ("_neg_hessian", "_folded_neg_hessian")
 
 
 class Counter:
@@ -48,13 +54,34 @@ class Counter:
         self.now = dict.fromkeys(COUNTS, 0)
         self.rows = []           # (algorithm, counts of one solver call)
         self.in_bms = False
+        self.in_gradient = False
 
     def counted(self, names, fn):
         def wrapper(*args, **kwargs):
             for name in names:
                 self.now[name] += 1
+            if "kernel_passes" in names:
+                self.now["gradient_passes"] += self.in_gradient
             return fn(*args, **kwargs)
         return wrapper
+
+    def gradient(self, fn):
+        def _gradient_at(*args, **kwargs):
+            self.in_gradient = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.in_gradient = False
+        return _gradient_at
+
+    def hessian(self, fn):
+        def assembly(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.now["hessians"] += 1
+            key = f"hessians_{out.shape[0]}"
+            self.now[key] = self.now.get(key, 0) + 1
+            return out
+        return assembly
 
     def bms(self, fn):
         def bms_threshold(*args, **kwargs):
@@ -79,7 +106,7 @@ class Counter:
             try:
                 return fn(*args, **kwargs)
             finally:
-                counts = {k: self.now[k] - before[k] for k in COUNTS}
+                counts = {k: self.now[k] - before.get(k, 0) for k in self.now}
                 counts["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
                 self.rows.append((algo, counts))
         return solver
@@ -104,6 +131,12 @@ def install(counter):
         for module in (objective, solvers):
             if getattr(module, name, None) is original:
                 patch(module, name, wrapper)
+    patch(solvers, "restricted_maximize",
+          counter.counted(("restricted_solves",), solvers.restricted_maximize))
+    patch(solvers, "_gradient_at", counter.gradient(solvers._gradient_at))
+    for name in HESSIANS:
+        if hasattr(solvers, name):
+            patch(solvers, name, counter.hessian(getattr(solvers, name)))
     patch(solvers, "bms_threshold", counter.bms(solvers.bms_threshold))
     patch(np, "partition", counter.partition(np.partition))
     solvers_table = dict(harness._SOLVERS)
@@ -114,8 +147,10 @@ def install(counter):
 def summary(rows):
     n = len(rows)
     out = {"rows": n}
-    for key in COUNTS:
-        out[key] = round(sum(c[key] for c in rows) / n, 3) if n else 0.0
+    sizes = sorted({k for c in rows for k in c if k.startswith("hessians_")},
+                   key=lambda k: int(k.split("_")[1]))
+    for key in COUNTS + tuple(sizes):
+        out[key] = round(sum(c.get(key, 0) for c in rows) / n, 3) if n else 0.0
     calls = sum(c["bms_threshold"] for c in rows)
     out["partitions_per_bms_threshold"] = round(
         sum(c["partitions"] for c in rows) / calls, 3) if calls else 0.0

@@ -18,7 +18,8 @@ its iterates (every iterate it forms is a linear combination of points
 whose images it already has) then pays no operator apply for f.  Both f and
 the inverse Mills ratios come from :func:`sign_terms`, the one kernel over
 the likelihood arguments v = s .* u_R; a solver that forms v itself (the
-restricted Newton solve, on its sign-folded block) calls it directly.
+restricted Newton solve, on the float view of its complex image) calls it
+directly.
 log Phi is log(ndtr(v)), with log_ndtr where ndtr underflows; its error is
 a few units of 2^-52 absolute, which is the measure that matters because
 every consumer sums log Phi or exponentiates a difference with it.
@@ -52,18 +53,22 @@ _SQRT_2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _TINY = np.finfo(float).tiny
+# ndtr(v) is a normal float at every v at or above this argument (ndtr(-37)
+# is about 5.7e-300), so sign_terms skips the underflow scan there.
+_NDTR_NORMAL_FROM = -37.0
 # sign_terms switches from log Phi to erfcx below this argument.
 _ERFCX_BELOW = -40.0
 
 
-def _log_cdf(v: np.ndarray) -> np.ndarray:
+def _log_cdf(v: np.ndarray, scan: bool = True) -> np.ndarray:
     """log Phi(v) elementwise: log(ndtr(v)), or log_ndtr where ndtr(v) underflows.
 
     Below the smallest normal float (v below about -37.5) a subnormal or zero
-    ndtr(v) has lost its relative precision.
+    ndtr(v) has lost its relative precision.  A caller that knows no v lies
+    below _NDTR_NORMAL_FROM passes scan=False and saves the scan's min pass.
     """
     log_cdf = special.ndtr(v)
-    if log_cdf.min(initial=1.0) < _TINY:
+    if scan and log_cdf.min(initial=1.0) < _TINY:
         under = log_cdf < _TINY
         log_cdf[under] = 1.0
         np.log(log_cdf, out=log_cdf)
@@ -98,12 +103,13 @@ def sign_terms(v: np.ndarray):
     those (rare) entries go through the scaled complementary error function
     instead: lambda(v) = sqrt(2/pi) / erfcx(-v / sqrt(2)).  A non-finite v
     raises ValueError.  One min and one max pass serve both that check (a
-    NaN propagates through both) and the erfcx branch.
+    NaN propagates through both), the erfcx branch and, at or above
+    v = -37, where ndtr cannot underflow, skipping log Phi's underflow scan.
     """
     lo, hi = v.min(initial=0.0), v.max(initial=0.0)
     if not -np.inf < lo <= hi < np.inf:
         raise ValueError("likelihood requires a finite operator image")
-    log_cdf = _log_cdf(v)
+    log_cdf = _log_cdf(v, scan=lo < _NDTR_NORMAL_FROM)
     lam = np.multiply(v, -0.5)
     lam *= v
     lam -= _LOG_SQRT_2PI
@@ -120,7 +126,12 @@ class ObjectiveContext:
     """Fixed data of one estimation problem: operator, signs, SNR.
 
     rho is the SNR stored with the measurement, and signs the read-only
-    scaled sign pattern s = sqrt(2*rho) * y_R.
+    scaled sign pattern s = sqrt(2*rho) * y_R.  Every entry of y_hat is
+    +-1 +- 1j, so every s_i^2 is 2*rho, to rounding.  interleaved_signs holds the same
+    values in the layout of u.view(float), the real and imaginary part of
+    each entry of a complex image u side by side: the restricted Newton
+    solve forms its likelihood arguments as interleaved_signs * u.view(float)
+    without copying u into its real form.
 
     The likelihood at u = 0 and its gradient there, one full adjoint, are
     computed on first use and kept read-only: every solver that starts at
@@ -133,6 +144,7 @@ class ObjectiveContext:
     y_hat: QuantizedMeasurement
     rho: float = field(init=False)
     signs: np.ndarray = field(init=False, repr=False)
+    interleaved_signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = self.y_hat.rho
@@ -146,8 +158,10 @@ class ObjectiveContext:
                 f"output length {self.op.M * self.op.T}"
             )
         signs = np.sqrt(2.0 * rho) * real_form(y)
-        signs.flags.writeable = False
-        object.__setattr__(self, "signs", signs)
+        interleaved = signs.reshape(2, -1).T.flatten()
+        for name, arr in (("signs", signs), ("interleaved_signs", interleaved)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def at_zero(self) -> Likelihood:

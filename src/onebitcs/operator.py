@@ -66,7 +66,8 @@ class SensingOperator:
     read-only.  The factor Grams of A A^H are formed on build; the
     normalized factor coherences and the spectral norm are cached on first
     use, and so are the coherence bands, per eta, by :meth:`bands_at`
-    alone; the object is safe to share across threads and solver runs.
+    alone, and the stacked factors of :meth:`pair_products`; the object is
+    safe to share across threads and solver runs.
     Mode "dense" also materializes A and applies it as one matrix: it is
     the reference the factored path is tested against.
     """
@@ -126,6 +127,7 @@ class SensingOperator:
         self._mu_g = None
         self._bands = {}    # eta as configured -> bands_at(eta)
         self._spectral_norm = None
+        self._pair_factors = None
 
     # -- application ------------------------------------------------------
 
@@ -185,6 +187,34 @@ class SensingOperator:
         br, bt = idx % self.B_RX, idx // self.B_RX
         rows = np.multiply(self.G.T[bt, :, None], self.A_RX.T[br, None, :])
         return rows.reshape(idx.size, self.M * self.T).T
+
+    def pair_products(self, idx):
+        """Products of the factor columns of A[:, idx] over every pair (j, k).
+
+        Column idx[j] = br + bt*B_RX is g_j kron a_j, with g_j = G[:, bt] and
+        a_j = A_RX[:, br].  Returns (rx, tx): rx, of shape (2, M, q, q), holds
+        rx[0][m, j, k] = a_j[m] conj(a_k[m]) and rx[1][m, j, k] = conj(a_j[m]
+        a_k[m]), and tx, of shape (2, T, q, q), the same products of the g_j.
+        For real weights W of shape (T, M) on the entries t*M + m of the
+        block C = A[:, idx], the weighted Grams factor through them:
+
+            conj(C^H diag(W) C)[j, k] = sum_t tx[0][t, j, k] sum_m W[t, m] rx[0][m, j, k]
+            conj(C^T diag(W) C)[j, k] = sum_t tx[1][t, j, k] sum_m W[t, m] rx[1][m, j, k]
+
+        at O((M + T) q^2) work here and O(T M q^2) per weighting, against
+        O(T M q^2) complex multiplies for each Gram of C.  The stacked
+        factors, [A_RX, conj(A_RX)] and [G, conj(G)], are formed on first use.
+        """
+        idx = self._column_indices(idx)
+        if self._pair_factors is None:
+            stacks = (np.stack([self.A_RX, self._A_RX_conj]), np.stack([self.G, self.G.conj()]))
+            for arr in stacks:
+                arr.flags.writeable = False
+            self._pair_factors = stacks
+        bt, br = np.divmod(idx, self.B_RX)
+        a2, g2 = self._pair_factors[0][:, :, br], self._pair_factors[1][:, :, bt]
+        return (np.multiply(a2[..., None], a2[1][:, None, :], order="C"),
+                np.multiply(g2[..., None], g2[1][:, None, :], order="C"))
 
     def _column_indices(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)

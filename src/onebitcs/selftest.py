@@ -129,7 +129,7 @@ def check_solver_round_trip():
     report = run_grasp(ctx, config, use_bms=True)
     support = report.estimate.support
     _require(support.size <= 2, "support exceeds the sparsity")
-    values, _ = restricted_maximize(ctx, support, x0=report.estimate.x_hat[support])
+    values, _, _ = restricted_maximize(ctx, support, x0=report.estimate.x_hat[support])
     x = np.zeros(op.B, dtype=complex)
     x[support] = values
     g = real_form(grad_h(ctx, x))[np.concatenate([support, support + op.B])]

@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, TuningError
 from .objective import ObjectiveContext, g_logprior, likelihood, loglik, sign_terms
-from .operator import CoherenceStructure, complex_form, real_form
+from .operator import CoherenceStructure
 
 __all__ = [
     "SparseEstimate",
     "SolverConfig",
     "SolverReport",
+    "ImageTerms",
     "hard_threshold",
     "bms_threshold",
     "restricted_maximize",
@@ -202,46 +203,96 @@ def bms_threshold(
 # -- restricted concave maximization ---------------------------------------
 
 
-def _folded_block(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """K^T for K = diag(s) C_R, the sign-folded real form of the block C = cols.
+class ImageTerms(NamedTuple):
+    """The likelihood terms at an estimate whose operator image is u = A x.
 
-    C_R = [[Re C, -Im C], [Im C, Re C]] maps x_R to (C x)_R, so K x_R is the
-    likelihood argument v = s .* (C x)_R.  K^T = C_R^T diag(s) has rows
-    [Re C^T, Im C^T] over [-Im C^T, Re C^T], each column scaled by its sign.
-    It is stored C-contiguous, (2q, 2MT), so that both K^T y and K x read it
-    along its rows.
+    v and lam are laid out as u.view(float), the real and imaginary part of
+    each entry side by side: v = ctx.interleaved_signs .* u.view(float), and
+    weights = (lam .* ctx.interleaved_signs).view(complex), so that grad f =
+    A^H weights.  So they cost no copy of u, unlike the real_form(u) layout
+    of :func:`~onebitcs.objective.likelihood`, whose sums FISTA keeps.  The
+    restricted solve forms them at every trial and returns them at its
+    result; the pursuit steps hand them on, so no iterate's image or
+    likelihood is formed twice.
     """
-    ct = cols.T
-    q, n = ct.shape
-    s_re, s_im = signs[:n], signs[n:]
-    kt = np.empty((2 * q, 2 * n))
-    np.multiply(ct.real, s_re, out=kt[:q, :n])
-    np.multiply(ct.imag, s_im, out=kt[:q, n:])
-    np.multiply(ct.imag, -s_re, out=kt[q:, :n])
-    np.multiply(ct.real, s_im, out=kt[q:, n:])
-    return kt
+
+    u: np.ndarray         # A x, complex
+    f: float              # sum_i log Phi(v_i)
+    v: np.ndarray         # likelihood arguments
+    lam: np.ndarray       # inverse Mills ratios lambda(v)
+    weights: np.ndarray   # grad f = A^H weights
 
 
-def _folded_neg_hessian(kt: np.ndarray, curv: np.ndarray) -> np.ndarray:
-    """2I + K^T diag(curv) K for the sign-folded block kt = K^T.
+def _image_terms(ctx: ObjectiveContext, u: np.ndarray) -> ImageTerms:
+    """The likelihood terms at the image u: one :func:`sign_terms` pass, no copy of u."""
+    v = ctx.interleaved_signs * u.view(float)
+    f, lam = sign_terms(v)
+    return ImageTerms(u, f, v, lam, (lam * ctx.interleaved_signs).view(complex))
 
-    With curv = lam .* (v + lam), the likelihood's curvature in v, this is
-    the negative Hessian of h over x_R: SPD, with eigenvalues at least 2.
-    It is summed over the real-part and the imaginary-part measurements, so
-    that the scaled copy of K^T it forms is half of K^T, the size of the
-    complex column block: at full scale a whole copy raised the peak memory
-    of a sweep by about 1 MB.
+
+def _terms_at_zero(ctx: ObjectiveContext) -> ImageTerms:
+    """The terms at x = 0, from the context's cache.
+
+    There every likelihood argument is zero, and so every lambda is the same:
+    the cached terms, laid out as real_form(u), hold the values of the
+    interleaved layout.
     """
-    n = kt.shape[1] // 2
-    out = (kt[:, :n] * curv[:n]) @ kt[:, :n].T
-    out += (kt[:, n:] * curv[n:]) @ kt[:, n:].T
-    out.flat[:: out.shape[0] + 1] += 2.0
-    return out
+    at = ctx.at_zero
+    return ImageTerms(np.zeros(ctx.op.M * ctx.op.T, dtype=complex), at.f, at.v, at.lam, at.weights)
 
 
-def _kept_set_is_certain(x: np.ndarray, keep: int, grad_norm: float) -> bool:
-    """Whether the keep largest |b_j| of b = complex_form(x) lead the rest by over grad_norm."""
-    mags = np.append(np.sort(np.abs(complex_form(x)))[::-1], 0.0)
+# (c_re, c_im) -> (c_re + c_im, c_re - c_im), and the two rows of the negative
+# Hessian that conj(H_c) and conj(H_s) make (see _neg_hessian).
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_ROW_MIX = np.array([[1.0, 1.0], [1j, -1j]])
+
+
+def _hessian_factors(ctx: ObjectiveContext, support: np.ndarray):
+    """What _neg_hessian needs of the support, formed once per solve, at its first Newton step.
+
+    rho times the plus-minus mix, the operator's receive pair products as
+    their (2, M, 2q^2) float view, and its transmit pair products, (2, T,
+    q*q) complex (see SensingOperator.pair_products).
+    """
+    rx, tx = ctx.op.pair_products(support)
+    return (ctx.rho * _PLUS_MINUS, rx.reshape(2, ctx.op.M, -1).view(float),
+            tx.reshape(2, ctx.op.T, -1))
+
+
+def _neg_hessian(factors, curv: np.ndarray) -> np.ndarray:
+    """2I + 2 rho C_R^T diag(curv) C_R over the interleaved real form of the support.
+
+    curv = lam .* (v + lam) is the likelihood's curvature in v, laid out as
+    the image's float view, and factors is _hessian_factors' output; since
+    every s_i^2 is 2 rho, this is the negative Hessian of h: SPD, with
+    eigenvalues at least 2.  Rows and columns run over the interleaved real
+    form b.view(float), (Re b_0, Im b_0, Re b_1, ...).
+
+    With P, Q = rho (c_re +- c_im) over the real-part and imaginary-part
+    measurements (each (T, M)), the C_R^T diag C_R term is made of H_c =
+    C^H P C and H_s = C^T Q C (Wirtinger calculus): row (j, Re) holds
+    conj(H_c + H_s)[j] and row (j, Im) holds i conj(H_c - H_s)[j], each
+    complex entry the pair (Re, Im) of two columns.  Every column of C is a
+    Kronecker product, so both contract in two steps through the pair
+    products: over m, one (T, M) x (M, 2q^2) product of P (and of Q) with
+    the receive pairs' float view, and over t, the product with the
+    transmit pairs summed down their T rows.  That is half the multiplies
+    of the (2q x 2MT) x (2MT x 2q) product of the real-form block, and no
+    such block is formed.
+    """
+    mix, rx, tx = factors
+    pq = mix @ curv.reshape(-1, 2).T
+    r = np.matmul(pq.reshape(2, tx.shape[1], -1), rx).view(complex)
+    r *= tx
+    h = r.sum(axis=1)
+    q = math.isqrt(h.shape[1])
+    h[0, :: q + 1] += 2.0    # 2I: conj(H_c)[j, j] + 2 adds 2 to both diagonal entries of block j
+    return (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
+
+
+def _kept_set_is_certain(b: np.ndarray, keep: int, grad_norm: float) -> bool:
+    """Whether the keep largest |b_j| lead the rest by over grad_norm."""
+    mags = np.append(np.sort(np.abs(b))[::-1], 0.0)
     k = min(keep, mags.size - 1)
     return k > 0 and mags[k - 1] - mags[k] > grad_norm
 
@@ -252,12 +303,15 @@ def restricted_maximize(
     x0: np.ndarray | None = None,
     inner_tol: float = 1e-8,
     keep: int | None = None,
+    start: ImageTerms | None = None,
 ):
     """Maximize the penalized log-likelihood over {x : supp(x) <= support}.
 
     support must be sorted and free of repeats.  x0, if given, holds the
-    start's values at support; the ascent starts at zero otherwise.  The
-    objective is strictly concave (the prior contributes -2I to the
+    start's values at support; the ascent starts at zero otherwise.  A
+    caller that holds the likelihood terms at that start passes them as
+    start, and the solve forms neither its image nor a kernel pass there.
+    The objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
     drops to inner_tol, for at most NEWTON_MAX_ITERS iterations.
@@ -271,62 +325,63 @@ def restricted_maximize(
     of b are those of b* (all nonzero).  The trace is then a prefix of the
     full solve's.
 
-    The whole solve runs on the iterate's real form x_R and on one real
-    block built once, K^T = (diag(s) C_R)^T for the restricted columns C
-    (see _folded_block): v = K x_R is the likelihood argument, the gradient
-    is K^T lam - 2 x_R, the Newton direction solves the negative Hessian
-    K^T diag(lam .* (v + lam)) K + 2I against it, and an Armijo trial
-    needs only :func:`sign_terms` at v + t K d, whose inverse Mills ratios
-    the next iteration reuses when the trial is accepted.  The cost per
-    iteration is O(M*T*|support|^2), and nothing of length B is formed.
+    The solve runs on the complex column block C = op.columns(support) and
+    on b's float view x = b.view(float): the image is u = C b, the
+    likelihood arguments v = s .* u.view(float) (see ImageTerms), the
+    gradient is the float view of C^H weights - 2b, and the Newton
+    direction solves the negative Hessian, assembled from the Kronecker
+    factors of C (see _neg_hessian), against it.  An Armijo trial needs the
+    image u + t C d and one :func:`sign_terms` pass, whose terms the next
+    iteration reuses when the trial is accepted.  The cost per iteration is
+    O(M*T*|support|^2), and nothing of length B is formed.
 
     Returns (the maximizer's values at support, the trace of h over the
-    iterates).  Raises ConvergenceError carrying the best iterate's values
-    at support if the solve stops first: at the cap, or when it stalls
-    because the raw Newton step measurably descends.  Its message gives
-    the Newton iterations taken and which stop happened.  A non-finite
-    image raises ValueError, as :func:`sign_terms` does.
+    iterates, the ImageTerms there).  Raises ConvergenceError carrying the
+    best iterate's values at support if the solve stops first: at the cap,
+    or when it stalls because the raw Newton step measurably descends.  Its
+    message gives the Newton iterations taken and which stop happened.  A
+    non-finite image raises ValueError, as :func:`sign_terms` does.
     """
     support = np.asarray(support, dtype=int)
     if np.any(support[1:] <= support[:-1]):
         raise ValueError("support must be sorted and free of repeats")
-    if x0 is None:
-        x = np.zeros(2 * support.size)
-    else:
-        x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != support.shape:
-            raise ValueError(f"x0 has shape {x0.shape}, support {support.shape}")
-        x = real_form(x0)
+    b = np.zeros(support.size, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
+    if b.shape != support.shape:
+        raise ValueError(f"x0 has shape {b.shape}, support {support.shape}")
 
-    kt = _folded_block(ctx.op.columns(support), ctx.signs)
-
-    def h_at(v_t, x_t):
-        # An accepted trial's inverse Mills ratios serve the next iteration.
-        f, lam_t = sign_terms(v_t)
-        return lam_t, f - float(x_t @ x_t)
-
-    v = kt.T @ x
-    lam, h_val = h_at(v, x)
+    cols = ctx.op.columns(support)
+    cols_h = cols.T.conj()
+    terms = _image_terms(ctx, cols @ b) if start is None else start
+    x = b.view(float)
+    h_val = terms.f - float(x @ x)
     trace = [h_val]
-    best = (h_val, x, lam)
+    best = (h_val, x, terms)
+    factors = None
+
+    def trial(t, d, w):
+        # The full Newton step, t = 1, needs no multiply.
+        x_t = x + d if t == 1.0 else x + t * d
+        at_t = _image_terms(ctx, terms.u + w if t == 1.0 else terms.u + t * w)
+        return x_t, at_t, at_t.f - float(x_t @ x_t)
 
     for _ in range(NEWTON_MAX_ITERS):
-        grad = kt @ lam - 2.0 * x
+        grad = (cols_h @ terms.weights).view(float) - 2.0 * x
         grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= inner_tol or (
-                keep is not None and _kept_set_is_certain(x, keep, grad_norm)):
-            return complex_form(x), trace
+                keep is not None and _kept_set_is_certain(x.view(complex), keep, grad_norm)):
+            return x.view(complex), trace, terms
 
-        d = np.linalg.solve(_folded_neg_hessian(kt, lam * (v + lam)), grad)
+        if factors is None:
+            factors = _hessian_factors(ctx, support)
+        d = np.linalg.solve(_neg_hessian(factors, terms.lam * (terms.v + terms.lam)), grad)
         slope = float(grad @ d)               # > 0: ascent direction
-        w = kt.T @ d
+        w = cols @ d.view(complex)
         noise_floor = 1e-12 * (1.0 + abs(h_val))
         t = 1.0
         accepted = False
         if slope > noise_floor:
             for _ in range(ARMIJO_MAX_STEPS):
-                v_t, x_t = v + t * w, x + t * d
-                lam_t, h_t = h_at(v_t, x_t)
+                x_t, at_t, h_t = trial(t, d, w)
                 if h_t >= h_val + ARMIJO_SLOPE * t * slope:
                     accepted = True
                     break
@@ -336,23 +391,22 @@ def restricted_maximize(
             # noise of h, making backtracking comparisons meaningless; the
             # raw Newton step still contracts the gradient quadratically,
             # so take it unless it measurably descends.
-            v_t, x_t = v + w, x + d
-            lam_t, h_t = h_at(v_t, x_t)
+            x_t, at_t, h_t = trial(1.0, d, w)
             if h_t < h_val - noise_floor:
                 stop = "stalled: the next Newton step descends"
                 break
-        x, v, lam, h_val = x_t, v_t, lam_t, h_t
+        x, terms, h_val = x_t, at_t, h_t
         trace.append(h_val)
         if h_val > best[0]:
-            best = (h_val, x, lam)
+            best = (h_val, x, terms)
     else:
         stop = "hit the iteration cap"
 
-    grad = kt @ best[2] - 2.0 * best[1]
+    grad = (cols_h @ best[2].weights).view(float) - 2.0 * best[1]
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
         f"Newton iterations ({stop})",
-        best=complex_form(best[1]),
+        best=best[1].view(complex),
         grad_norm=float(np.linalg.norm(grad)),
     )
 
@@ -375,20 +429,23 @@ def _pursuit_loop(ctx, config, use_bms, step):
     """Shared outer loop: halt on fixed support, revisited support, or cap.
 
     Each step takes the iterate with its support, the sorted indices of its
-    nonzeros, and returns the new pair, so no step scans all B entries for
-    them, and h at the new iterate from values it already holds, so the
-    trace costs no operator apply.  A step's ConvergenceError is re-raised
-    carrying the current iterate: at most L nonzeros, zeros at first.
+    nonzeros, and its ImageTerms, and returns the new three, so no step
+    scans all B entries for the support or forms an image or a likelihood
+    pass that the step before it already formed; it also returns h at the
+    new iterate from values it already holds, so the trace costs no
+    operator apply.  A step's ConvergenceError is re-raised carrying the
+    current iterate: at most L nonzeros, zeros at first.
     """
     bands = ctx.op.bands_at(config.eta) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     support = np.zeros(0, dtype=int)
+    at_x = _terms_at_zero(ctx)
     visited = [()]
     trace = []
     halted_by = "max-iters"
     for _ in range(config.max_outer_iters):
         try:
-            x, support, h = step(ctx, config, x, support, bands)
+            x, support, at_x, h = step(ctx, config, x, support, at_x, bands)
         except ConvergenceError as err:
             err.best = x
             raise
@@ -406,47 +463,48 @@ def _pursuit_loop(ctx, config, use_bms, step):
                         halted_by=halted_by, objective_trace=trace)
 
 
-def _gradient_at(ctx, x, support):
-    """A x, the likelihood there and the gradient of h at x, whose nonzeros are at support.
+def _gradient_at(ctx, x, support, at_x):
+    """The gradient of h at x, whose nonzeros are at support and whose terms are at_x.
 
-    A x is the support-sized image, and the prior's term -2x touches only
-    the support; the adjoint is the one pass over all B entries.  At x = 0
-    both come read-only from the context's cache.
+    The prior's term -2x touches only the support; the adjoint is the one
+    pass over all B entries.  At x = 0 the gradient comes read-only from
+    the context's cache.
     """
     if support.size == 0:
-        return np.zeros(ctx.op.M * ctx.op.T, dtype=complex), ctx.at_zero, ctx.gradient_at_zero
-    x_s = x[support]
-    u = ctx.op.restricted(support).image(x_s)
-    at_x = likelihood(ctx, u)
+        return ctx.gradient_at_zero
     g = ctx.op.apply_adjoint(at_x.weights)
-    g[support] -= 2.0 * x_s
-    return u, at_x, g
+    g[support] -= 2.0 * x[support]
+    return g
 
 
-def _grasp_step(ctx, config, x, support, bands):
-    """One GraSP iteration from x, whose nonzeros are at support.
+def _grasp_step(ctx, config, x, support, at_x, bands):
+    """One GraSP iteration from x, whose nonzeros are at support and whose terms are at_x.
 
-    Returns the new iterate, its support and h there.
+    Returns the new iterate, its support, its terms and h there.
     """
     L = config.sparsity
-    _, _, z = _gradient_at(ctx, x, support)
+    z = _gradient_at(ctx, x, support, at_x)
     idx = _threshold(z, x, 2 * L, bands)
     merged = np.union1d(idx, support)
     if merged.size > 3 * L:
         raise CapacityError(f"merged support of {merged.size} exceeds the 3L = {3 * L} budget")
-    b, _ = restricted_maximize(ctx, merged, x0=x[merged], inner_tol=config.inner_tol,
-                               keep=L if config.debias else None)
+    # merged holds the support, so the merged solve starts at x itself.
+    b, _, _ = restricted_maximize(ctx, merged, x0=x[merged], inner_tol=config.inner_tol,
+                                  keep=L if config.debias else None, start=at_x)
     pos = hard_threshold(b, L)
     kept, vals = merged[pos], b[pos]
     if config.debias:
         kept, vals = kept[vals != 0], vals[vals != 0]
+        start = None
         if np.array_equal(kept, support):
-            vals = x[support]        # the maximizer there already
-        vals, h_trace = restricted_maximize(ctx, kept, x0=vals, inner_tol=config.inner_tol)
+            vals, start = x[support], at_x     # the maximizer there already
+        vals, h_trace, at_new = restricted_maximize(ctx, kept, x0=vals,
+                                                    inner_tol=config.inner_tol, start=start)
         h = h_trace[-1]
     else:
-        h = loglik(ctx, ctx.op.restricted(kept).image(vals)) + g_logprior(vals)
-    return *_scatter(x.size, kept, vals), h
+        at_new = _image_terms(ctx, ctx.op.restricted(kept).image(vals))
+        h = at_new.f + g_logprior(vals)
+    return *_scatter(x.size, kept, vals), at_new, h
 
 
 def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> SolverReport:
@@ -464,28 +522,36 @@ def run_grasp(ctx: ObjectiveContext, config: SolverConfig, use_bms: bool) -> Sol
     keep).  When the pruned support is the current one, the re-run starts
     from the current iterate, the maximizer there, and returns at its first
     gradient check: the last iteration of a row repeats no Newton work.
+    The merged solve starts at the current iterate with its terms in hand,
+    and the terms at each new iterate (the debias solve's, or one kernel
+    pass at the pruned point) serve the next iteration's gradient.
     """
     return _pursuit_loop(ctx, config, use_bms, _grasp_step)
 
 
-def _grahtp_step(ctx, config, x, support, bands):
-    """One GraHTP iteration from x, whose nonzeros are at support.
+def _grahtp_step(ctx, config, x, support, at_x, bands):
+    """One GraHTP iteration from x, whose nonzeros are at support and whose terms are at_x.
 
-    Returns the new iterate, its support and h there.
+    Returns the new iterate, its support, its terms and h there.
     """
     L = config.sparsity
-    u, at_x, g = _gradient_at(ctx, x, support)
-    kappa = _backtrack_gradient_step(ctx, x, support, u, at_x, g)
+    g = _gradient_at(ctx, x, support, at_x)
+    kappa = _backtrack_gradient_step(ctx, x, support, at_x, g)
     z = kappa * g
     z[support] += x[support]
     idx = _threshold(z, x, L, bands)
     if idx.size > L:
         raise CapacityError(f"thresholded support of {idx.size} exceeds the L = {L} budget")
-    vals, h_trace = restricted_maximize(ctx, idx, x0=x[idx], inner_tol=config.inner_tol)
-    return *_scatter(x.size, idx, vals), h_trace[-1]
+    x0 = x[idx]
+    # When idx holds the whole support (a fixed support, or the first step
+    # from zero), x0 is x itself, whose terms are at hand.
+    start = at_x if np.count_nonzero(x0) == support.size else None
+    vals, h_trace, at_new = restricted_maximize(ctx, idx, x0=x0, inner_tol=config.inner_tol,
+                                                start=start)
+    return *_scatter(x.size, idx, vals), at_new, h_trace[-1]
 
 
-def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
+def _backtrack_gradient_step(ctx, x, support, at_x, g) -> float:
     """Armijo step size for the ascent step along the gradient g at x.
 
     Returns the largest t = ARMIJO_SHRINK^k, k < ARMIJO_MAX_STEPS, with
@@ -500,8 +566,8 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     step, and the likelihood's curvature falls along the step, so t* often
     lies above the guess.
 
-    x is zero off support, and g = A^H at_x.weights - 2x, with u = A x and
-    at_x = likelihood(ctx, u) the caller's.  So w = A g is A A^H
+    x is zero off support, and g = A^H at_x.weights - 2x, with at_x the
+    caller's ImageTerms at x and u = at_x.u = A x.  So w = A g is A A^H
     at_x.weights - 2u, formed once through the operator's factor Grams
     without a pass over the B entries.  The trial point x + t g has image
     u + t w and prior -(||x||^2 + 2t Re<x, g> + t^2 ||g||^2), so a trial
@@ -514,9 +580,11 @@ def _backtrack_gradient_step(ctx, x, support, u, at_x, g) -> float:
     xn2 = float(np.vdot(x_s, x_s).real)
     xg2 = 2.0 * float(np.vdot(x_s, g[support]).real)
     h0 = at_x.f - xn2
+    u = at_x.u
     w = ctx.op.apply_gram(at_x.weights) - 2.0 * u
-    w_r = real_form(w)
-    curv = float(np.sum(ctx.signs * ctx.signs * at_x.lam * (at_x.v + at_x.lam) * w_r * w_r))
+    w_f = w.view(float)
+    s = ctx.interleaved_signs
+    curv = float(np.sum(s * s * at_x.lam * (at_x.v + at_x.lam) * w_f * w_f))
 
     def passes(k):
         t = ARMIJO_SHRINK ** k
@@ -794,7 +862,7 @@ def brute_force_map(ctx: ObjectiveContext, L: int) -> SolverReport:
     x_hat = np.zeros(B, dtype=complex)
     for support in itertools.combinations(range(B), k):
         try:
-            values, trace = restricted_maximize(ctx, support)
+            values, trace, _ = restricted_maximize(ctx, support)
         except ConvergenceError as err:
             if best_support is not None:
                 x_hat[list(best_support)] = best_values

@@ -28,11 +28,12 @@ from onebitcs.objective import (
     h_objective,
     likelihood,
 )
-from onebitcs.operator import build_operator, real_form
+from onebitcs.operator import build_operator
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
     SolverConfig,
     _backtrack_gradient_step,
+    _image_terms,
     _soft_threshold,
     run_fista,
     run_grahtp,
@@ -162,25 +163,24 @@ def test_gradient_step_search_matches_oracle(seed, rho, size, scale):
     idx = rng.choice(ctx.op.B, size=size, replace=False)
     x[idx] = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
     u = ctx.op.apply(x)
-    at_x = likelihood(ctx, u)
-    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
+    g = ctx.op.apply_adjoint(likelihood(ctx, u).weights) - 2.0 * x
     assert np.array_equal(g, grad_h(ctx, x))
-    kappa = _backtrack_gradient_step(ctx, x, np.flatnonzero(x), u, at_x, g)
+    # The search takes the pursuit's terms at x, laid out as u.view(float).
+    kappa = _backtrack_gradient_step(ctx, x, np.flatnonzero(x), _image_terms(ctx, u), g)
     assert kappa == oracle_backtrack_gradient_step(ctx, x, g)
 
 
 def off_guess_problem(seed, rho, size, scale):
-    """x, its image, likelihood and gradient, and the oracle's step exponent."""
+    """x, its support, its terms and gradient, and the oracle's step exponent."""
     ctx = make_ctx(seed, rho)
     rng = np.random.default_rng(seed)
     x = np.zeros(ctx.op.B, dtype=complex)
     idx = np.sort(rng.choice(ctx.op.B, size=size, replace=False))
     x[idx] = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    u = ctx.op.apply(x)
-    at_x = likelihood(ctx, u)
+    at_x = _image_terms(ctx, ctx.op.apply(x))
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     want = oracle_backtrack_gradient_step(ctx, x, g)
-    return ctx, x, idx, u, at_x, g, round(-math.log2(want))
+    return ctx, x, idx, at_x, g, round(-math.log2(want))
 
 
 @SETTINGS
@@ -192,17 +192,18 @@ def test_gradient_step_search_matches_oracle_from_an_off_guess(seed, rho, size, 
     # from the oracle's step (above it for offset < 0): the search must walk
     # to the same step.  Only the guess reads lam and v; f and the weights,
     # which the trials and the gradient's image use, stay the true ones.
-    ctx, x, idx, u, at_x, g, k_want = off_guess_problem(seed, rho, size, scale)
+    ctx, x, idx, at_x, g, k_want = off_guess_problem(seed, rho, size, scale)
     start = k_want + offset
     if start < 0:
         return
     gn2 = float(np.vdot(g, g).real)
-    w_r = real_form(ctx.op.apply(g))
+    w_f = ctx.op.apply(g).view(float)
     newton = 0.75 * 0.5 ** (start + 1)    # inside the grid interval whose start is `start`
-    curvature = float(np.sum(ctx.signs * ctx.signs * at_x.lam * w_r * w_r))
+    s = ctx.interleaved_signs
+    curvature = float(np.sum(s * s * at_x.lam * w_f * w_f))
     alpha = gn2 * (1.0 / newton - 2.0) / curvature
     guessed = at_x._replace(v=alpha - at_x.lam)     # lam (v + lam) = alpha lam
-    kappa = _backtrack_gradient_step(ctx, x, idx, u, guessed, g)
+    kappa = _backtrack_gradient_step(ctx, x, idx, guessed, g)
     assert kappa == 0.5 ** k_want
 
 
@@ -210,12 +211,11 @@ def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
     ctx = make_ctx(3, 10.0)
     x = np.zeros(ctx.op.B, dtype=complex)
     x[[2, 5]] = [1.0 - 0.5j, 0.25j]
-    u = ctx.op.apply(x)
-    at_x = likelihood(ctx, u)
+    at_x = _image_terms(ctx, ctx.op.apply(x))
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     monkeypatch.setattr(solvers_module, "loglik", lambda ctx, u: -np.inf)
     with pytest.raises(ConvergenceError) as err:
-        _backtrack_gradient_step(ctx, x, np.array([2, 5]), u, at_x, g)
+        _backtrack_gradient_step(ctx, x, np.array([2, 5]), at_x, g)
     # The pursuit loop, not the search, attaches the iterate to salvage.
     assert err.value.best is None
     assert err.value.grad_norm == pytest.approx(np.linalg.norm(g))

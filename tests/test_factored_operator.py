@@ -7,7 +7,9 @@ canonical DFT grid and through dense matmul otherwise, with column-major
 1e-12 relative on and off the grid, for unequal dictionary sizes, for N < T,
 and at desk and full scale.  The Gram product A A^H c, formed from the two
 factor Grams, must agree to the same tolerance with an adjoint followed by
-an apply and with the dense matrix.
+an apply and with the dense matrix.  The pair products of the factor
+columns must give the weighted Grams C^H diag(W) C and C^T diag(W) C of a
+block of the dense matrix, to the same tolerance.
 """
 
 import numpy as np
@@ -158,3 +160,23 @@ def test_gram_product_matches_adjoint_then_apply_and_dense(case):
 def test_gram_product_at_desk_and_full_scale(m, t, bins):
     op = build_operator(zc_training(m, t).S, dft_dictionary(m, bins), dft_dictionary(m, bins))
     check_gram_product(op, np.random.default_rng(3), dense=m == 16)
+
+
+@SETTINGS
+@given(operators(), st.integers(1, 12))
+def test_pair_products_give_the_weighted_grams(case, size):
+    op, rng = case
+    idx = rng.choice(op.B, size=min(size, op.B), replace=False)    # in any order
+    q = idx.size
+    rx, tx = op.pair_products(idx)
+    assert rx.shape == (2, op.M, q, q) and tx.shape == (2, op.T, q, q)
+    assert rx.flags.c_contiguous and tx.flags.c_contiguous
+    cols = np.kron(op.G, op.A_RX)[:, idx]
+    weights = rng.standard_normal((op.T, op.M))     # on the entries t*M + m
+    w = weights.reshape(-1, 1)
+    for k, gram in ((0, cols.conj().T @ (w * cols)), (1, cols.T @ (w * cols))):
+        got = np.einsum("tjk,tm,mjk->jk", tx[k], weights, rx[k])
+        scale = np.abs(cols).T @ (np.abs(w) * np.abs(cols))
+        assert np.all(np.abs(got - gram.conj()) <= RTOL * np.max(scale))
+    with pytest.raises(ValueError, match="out of range"):
+        op.pair_products([0, op.B])

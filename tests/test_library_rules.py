@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import onebitcs
@@ -11,15 +14,16 @@ from onebitcs import harness, solvers
 SOURCES = sorted(Path(onebitcs.__file__).parent.glob("*.py"))
 
 # The solvers' public parameters and SolverConfig's fields.  ROADMAP counts
-# the settable solver values among them (10): SolverConfig's five fields,
-# restricted_maximize's x0, inner_tol and keep (set only by debiased GraSP),
+# the settable solver values among them (11): SolverConfig's five fields,
+# restricted_maximize's x0, inner_tol, keep (set only by debiased GraSP) and
+# start (the likelihood terms at x0, which the pursuit steps hand on),
 # run_fista's max_iters, and tune_gamma's L.  A new knob fails here until
 # both are edited.
 SOLVER_PARAMETERS = {
     "run_grasp": ("ctx", "config", "use_bms"),
     "run_grahtp": ("ctx", "config", "use_bms"),
     "run_fista": ("ctx", "gamma", "max_iters"),
-    "restricted_maximize": ("ctx", "support", "x0", "inner_tol", "keep"),
+    "restricted_maximize": ("ctx", "support", "x0", "inner_tol", "keep", "start"),
     "tune_gamma": ("ctxs", "L"),
     "brute_force_map": ("ctx", "L"),
 }
@@ -53,8 +57,8 @@ PACKAGE_EXPORTS = (
 )
 SENSING_OPERATOR_MEMBERS = (
     "A_RX", "A_TX", "B", "B_RX", "B_TX", "G", "M", "N", "S", "T", "apply", "apply_adjoint",
-    "apply_gram", "bands_at", "columns", "dense_A", "g_norms", "mode", "restricted",
-    "rx_norms", "spectral_norm_estimate",
+    "apply_gram", "bands_at", "columns", "dense_A", "g_norms", "mode", "pair_products",
+    "restricted", "rx_norms", "spectral_norm_estimate",
 )
 
 
@@ -113,3 +117,21 @@ def test_public_surface_is_pinned():
     op = onebitcs.build_operator(S, onebitcs.dft_dictionary(2, 2), onebitcs.dft_dictionary(2, 2))
     members = sorted(name for name in dir(op) if not name.startswith("_"))
     assert tuple(members) == SENSING_OPERATOR_MEMBERS
+
+
+def test_a_sweep_leaves_scipy_linalg_unimported():
+    # scipy.linalg brings its own OpenBLAS: importing it adds about 5.3 MB to
+    # a sweep process's peak memory, more than a LAPACK call could save.
+    code = (
+        "import sys\n"
+        "import onebitcs\n"
+        "config = onebitcs.ExperimentConfig(m=4, n=4, t=6, l=2, b_rx=8, b_tx=8, snr_db=(10.0,),\n"
+        "                                   trials=1, master_seed=3, algorithms=onebitcs.ALGORITHMS)\n"
+        "assert len(onebitcs.run_experiment(config, workers=1)) == len(onebitcs.ALGORITHMS)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(onebitcs.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -75,7 +75,7 @@ def hand_bands(band_sets, B):
 
 def solve_full(ctx, support, **kwargs):
     """restricted_maximize's maximizer as a full-length vector."""
-    values, _ = restricted_maximize(ctx, support, **kwargs)
+    values, _, _ = restricted_maximize(ctx, support, **kwargs)
     x = np.zeros(ctx.op.B, dtype=complex)
     x[support] = values
     return x
@@ -178,7 +178,7 @@ class TestBmsThreshold:
 class TestRestrictedMaximize:
     def test_empty_support_returns_zero(self):
         _, ctx, _ = make_problem()
-        values, trace = restricted_maximize(ctx, [])
+        values, trace, _ = restricted_maximize(ctx, [])
         assert values.shape == (0,)
         assert trace == [h_objective(ctx, np.zeros(ctx.op.B, dtype=complex))]
 
@@ -212,20 +212,20 @@ class TestRestrictedMaximize:
         flat = (fine_re[:, None] + 1j * fine_im[None, :]).ravel()
         best = flat[np.argmax(h_batch(flat))]
 
-        values, _ = restricted_maximize(ctx, [b])
+        values, _, _ = restricted_maximize(ctx, [b])
         assert abs(values[0] - best) <= 1e-3
 
     def test_trace_is_nondecreasing(self):
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=4)
-        _, trace = restricted_maximize(ctx, [3, 30, 61])
+        _, trace, _ = restricted_maximize(ctx, [3, 30, 61])
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9)
 
     def test_unique_maximizer_from_any_start(self):
         _, ctx, _ = make_problem(l=2, rho=2.0, seed=5)
         support = [7, 23]
-        x1, _ = restricted_maximize(ctx, support)
-        x2, _ = restricted_maximize(ctx, support, x0=np.array([3 - 2j, -1 + 4j]))
+        x1, _, _ = restricted_maximize(ctx, support)
+        x2, _, _ = restricted_maximize(ctx, support, x0=np.array([3 - 2j, -1 + 4j]))
         assert np.max(np.abs(x1 - x2)) < 1e-6
 
     def test_rejects_x0_not_matching_a_sorted_support(self):
@@ -257,8 +257,8 @@ class TestRestrictedMaximize:
         # With -I for the negative Hessian, the first Newton direction
         # descends, so the solve stalls before taking a step.
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
-        monkeypatch.setattr(solvers_module, "_folded_neg_hessian",
-                            lambda kt, curv: -np.eye(kt.shape[0]))
+        monkeypatch.setattr(solvers_module, "_neg_hessian",
+                            lambda factors, curv: -np.eye(2 * 3))
         with pytest.raises(ConvergenceError, match=r"in 0 Newton iterations \(stalled") as err:
             restricted_maximize(ctx, [1, 2, 3])
         assert str(solvers_module.NEWTON_MAX_ITERS) not in str(err.value)
@@ -302,7 +302,7 @@ class TestGrasp:
         assert hits >= 90
 
     def test_halting_is_idempotent(self):
-        from onebitcs.solvers import _grasp_step
+        from onebitcs.solvers import _grasp_step, _image_terms
 
         checked = 0
         for seed in range(20):
@@ -315,8 +315,9 @@ class TestGrasp:
                 continue
             checked += 1
             bands = ctx.op.bands_at(config.eta)
-            again, _, _ = _grasp_step(ctx, config, report.estimate.x_hat,
-                                      report.estimate.support, bands)
+            x_hat = report.estimate.x_hat
+            again, *_ = _grasp_step(ctx, config, x_hat, report.estimate.support,
+                                    _image_terms(ctx, ctx.op.apply(x_hat)), bands)
             assert np.array_equal(np.sort(np.nonzero(again)[0]),
                                   report.estimate.support)
         assert checked == 10
@@ -635,10 +636,10 @@ class TestBruteForce:
         real_solve = solvers_module.restricted_maximize
 
         def nudged_solve(ctx, support, *args, **kwargs):
-            values, trace = real_solve(ctx, support, *args, **kwargs)
+            values, trace, terms = real_solve(ctx, support, *args, **kwargs)
             if tuple(support) == nudged:
                 trace = trace[:-1] + [trace[-1] + shift]
-            return values, trace
+            return values, trace, terms
 
         monkeypatch.setattr(solvers_module, "restricted_maximize", nudged_solve)
         assert np.array_equal(brute_force_map(ctx, 1).estimate.support, [0])
