@@ -1,25 +1,27 @@
 """Penalized log-likelihood of the sign-quantized measurements.
 
-The estimate lives in C^B but is handled through its real form
-x_R = [Re(x); Im(x)].  With s = sqrt(2*rho) * y_R elementwise over the sign
-pattern y_R = [Re(y_hat); Im(y_hat)], the data term and its gradient are
+Every complex measurement carries two one-bit samples, the signs of its
+real and imaginary part.  Both the estimate x in C^B and its image u = A x
+are handled in complex storage, and the per-sample quantities are laid out
+as u.view(float): the real and imaginary part of each entry side by side.
+With s = sqrt(2*rho) * y.view(float) over the sign pattern y = y_hat, the
+data term and its gradient are
 
-    f(x)      = sum_i log Phi(s_i * (A_R x_R)_i)
-    grad f    = A_R^T (lambda(s .* A_R x_R) .* s)
+    f(x)      = sum_i log Phi(v_i),        v = s .* u.view(float)
+    grad f    = A^H (lambda(v) .* s).view(complex)
 
 with lambda(v) = phi(v) / Phi(v) the inverse Mills ratio, and the Gaussian
-prior contributes g(x) = -||x_R||^2, grad -2 x_R.  All of it reduces to one
-operator application (and one adjoint for the gradient) because A_R x_R and
-A_R^T w are the real forms of A x and A^H w.
+prior contributes g(x) = -||x||^2, grad -2 x.  The gradient's real and
+imaginary parts are the derivatives in Re x and Im x, so all of it reduces
+to one operator application (and one adjoint for the gradient).
 
 The data term depends on x only through u = A x, so the kernels
 :func:`loglik` and :func:`likelihood` take u.  A solver that knows A x for
 its iterates (every iterate it forms is a linear combination of points
 whose images it already has) then pays no operator apply for f.  Both f and
 the inverse Mills ratios come from :func:`sign_terms`, the one kernel over
-the likelihood arguments v = s .* u_R; a solver that forms v itself (the
-restricted Newton solve, on the float view of its complex image) calls it
-directly.
+the likelihood arguments v, and :func:`likelihood` returns them as
+:class:`ImageTerms`, which need no copy of u.
 log Phi is log(ndtr(v)), with log_ndtr where ndtr underflows; its error is
 a few units of 2^-52 absolute, which is the measure that matters because
 every consumer sums log Phi or exponentiates a difference with it.
@@ -35,11 +37,11 @@ import numpy as np
 from scipy import special
 
 from .model import QuantizedMeasurement
-from .operator import SensingOperator, complex_form, real_form
+from .operator import SensingOperator
 
 __all__ = [
     "ObjectiveContext",
-    "Likelihood",
+    "ImageTerms",
     "sign_terms",
     "loglik",
     "likelihood",
@@ -121,17 +123,33 @@ def sign_terms(v: np.ndarray):
     return float(log_cdf.sum()), lam
 
 
+class ImageTerms(NamedTuple):
+    """The likelihood terms at an estimate whose operator image is u = A x.
+
+    v and lam are laid out as u.view(float), the real and imaginary part of
+    each entry side by side: v = ctx.interleaved_signs .* u.view(float), and
+    weights = (lam .* ctx.interleaved_signs).view(complex), so that grad f =
+    A^H weights.  So they cost no copy of u.  The restricted solve forms
+    them at every trial and returns them at its result; the pursuit steps
+    hand them on, so no iterate's image or likelihood is formed twice.
+    """
+
+    u: np.ndarray         # A x, complex
+    f: float              # sum_i log Phi(v_i)
+    v: np.ndarray         # likelihood arguments
+    lam: np.ndarray       # inverse Mills ratios lambda(v)
+    weights: np.ndarray   # grad f = A^H weights
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveContext:
     """Fixed data of one estimation problem: operator, signs, SNR.
 
-    rho is the SNR stored with the measurement, and signs the read-only
-    scaled sign pattern s = sqrt(2*rho) * y_R.  Every entry of y_hat is
-    +-1 +- 1j, so every s_i^2 is 2*rho, to rounding.  interleaved_signs holds the same
-    values in the layout of u.view(float), the real and imaginary part of
-    each entry of a complex image u side by side: the restricted Newton
-    solve forms its likelihood arguments as interleaved_signs * u.view(float)
-    without copying u into its real form.
+    rho is the SNR stored with the measurement, and interleaved_signs the
+    read-only scaled sign pattern s = sqrt(2*rho) * y_hat.view(float), in
+    the layout of u.view(float) for a complex image u: the real and
+    imaginary part of each entry side by side.  Every entry of y_hat is
+    +-1 +- 1j, so every s_i^2 is 2*rho, to rounding.
 
     The likelihood at u = 0 and its gradient there, one full adjoint, are
     computed on first use and kept read-only: every solver that starts at
@@ -143,7 +161,6 @@ class ObjectiveContext:
     op: SensingOperator
     y_hat: QuantizedMeasurement
     rho: float = field(init=False)
-    signs: np.ndarray = field(init=False, repr=False)
     interleaved_signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,17 +174,15 @@ class ObjectiveContext:
                 f"measurement length {y.shape} does not match operator "
                 f"output length {self.op.M * self.op.T}"
             )
-        signs = np.sqrt(2.0 * rho) * real_form(y)
-        interleaved = signs.reshape(2, -1).T.flatten()
-        for name, arr in (("signs", signs), ("interleaved_signs", interleaved)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        signs = np.sqrt(2.0 * rho) * np.ascontiguousarray(y, dtype=complex).view(float)
+        signs.flags.writeable = False
+        object.__setattr__(self, "interleaved_signs", signs)
 
     @cached_property
-    def at_zero(self) -> Likelihood:
+    def at_zero(self) -> ImageTerms:
         """``likelihood(self, 0)``, its arrays read-only."""
         terms = likelihood(self, np.zeros(self.op.M * self.op.T, dtype=complex))
-        for arr in terms[1:]:
+        for arr in (terms.u, terms.v, terms.lam, terms.weights):
             arr.flags.writeable = False
         return terms
 
@@ -179,35 +194,27 @@ class ObjectiveContext:
         return g
 
 
-class Likelihood(NamedTuple):
-    """The data term and its first-order terms at one point u = A x."""
-
-    f: float              # sum_i log Phi(v_i)
-    v: np.ndarray         # likelihood arguments s .* u_R
-    lam: np.ndarray       # inverse Mills ratios lambda(v)
-    weights: np.ndarray   # complex_form(lam .* s): grad f = A^H weights
-
-
 def loglik(ctx: ObjectiveContext, u: np.ndarray) -> float:
     """Log-likelihood f at the estimate whose operator image is u = A x.
 
-    The sum of :func:`sign_terms`, the same log Phi values summed the same
-    way, so it equals ``likelihood(ctx, u).f`` bit for bit.  It skips the
-    inverse Mills ratios and the finiteness check, for the callers that
-    need f alone: step-size trials and objective traces.
+    The sum of :func:`sign_terms` over the same arguments v =
+    ctx.interleaved_signs .* u.view(float), the same log Phi values summed
+    the same way, so it equals ``likelihood(ctx, u).f`` bit for bit.  It
+    skips the inverse Mills ratios and the finiteness check, for the
+    callers that need f alone: step-size trials and objective traces.
     """
-    return float(_log_cdf(ctx.signs * real_form(u)).sum())
+    return float(_log_cdf(ctx.interleaved_signs * u.view(float)).sum())
 
 
-def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> Likelihood:
-    """f and the adjoint weights at the estimate whose image is u = A x.
+def likelihood(ctx: ObjectiveContext, u: np.ndarray) -> ImageTerms:
+    """The likelihood terms at the estimate whose image is u = A x.
 
-    Costs no operator call; the gradient of f is then one adjoint,
-    ``ctx.op.apply_adjoint(terms.weights)``.
+    One :func:`sign_terms` pass, no operator call and no copy of u; the
+    gradient of f is then one adjoint, ``ctx.op.apply_adjoint(terms.weights)``.
     """
-    v = ctx.signs * real_form(u)
+    v = ctx.interleaved_signs * u.view(float)
     f, lam = sign_terms(v)
-    return Likelihood(f, v, lam, complex_form(lam * ctx.signs))
+    return ImageTerms(u, f, v, lam, (lam * ctx.interleaved_signs).view(complex))
 
 
 def f_loglik(ctx: ObjectiveContext, x: np.ndarray) -> float:
@@ -229,8 +236,8 @@ def h_objective(ctx: ObjectiveContext, x: np.ndarray) -> float:
 def grad_h(ctx: ObjectiveContext, x: np.ndarray) -> np.ndarray:
     """Gradient of f + g in complex storage.
 
-    The returned vector's real and imaginary parts are the two halves of
-    the real-form gradient A_R^T (lambda(v) .* s) - 2 x_R.  It is the
+    The returned vector's real and imaginary parts are the derivatives of
+    f + g in Re x and Im x, A^H weights - 2 x.  It is the
     reference gradient of the self-test and the tests; no solver calls it,
     since each forms the gradient from an image it already holds.  Costs
     one apply and one adjoint.

@@ -16,14 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, TuningError
-from .objective import ObjectiveContext, g_logprior, likelihood, loglik, sign_terms
+from .objective import ImageTerms, ObjectiveContext, g_logprior, likelihood, loglik
 from .operator import CoherenceStructure
 
 __all__ = [
     "SparseEstimate",
     "SolverConfig",
     "SolverReport",
-    "ImageTerms",
     "hard_threshold",
     "bms_threshold",
     "restricted_maximize",
@@ -203,44 +202,6 @@ def bms_threshold(
 # -- restricted concave maximization ---------------------------------------
 
 
-class ImageTerms(NamedTuple):
-    """The likelihood terms at an estimate whose operator image is u = A x.
-
-    v and lam are laid out as u.view(float), the real and imaginary part of
-    each entry side by side: v = ctx.interleaved_signs .* u.view(float), and
-    weights = (lam .* ctx.interleaved_signs).view(complex), so that grad f =
-    A^H weights.  So they cost no copy of u, unlike the real_form(u) layout
-    of :func:`~onebitcs.objective.likelihood`, whose sums FISTA keeps.  The
-    restricted solve forms them at every trial and returns them at its
-    result; the pursuit steps hand them on, so no iterate's image or
-    likelihood is formed twice.
-    """
-
-    u: np.ndarray         # A x, complex
-    f: float              # sum_i log Phi(v_i)
-    v: np.ndarray         # likelihood arguments
-    lam: np.ndarray       # inverse Mills ratios lambda(v)
-    weights: np.ndarray   # grad f = A^H weights
-
-
-def _image_terms(ctx: ObjectiveContext, u: np.ndarray) -> ImageTerms:
-    """The likelihood terms at the image u: one :func:`sign_terms` pass, no copy of u."""
-    v = ctx.interleaved_signs * u.view(float)
-    f, lam = sign_terms(v)
-    return ImageTerms(u, f, v, lam, (lam * ctx.interleaved_signs).view(complex))
-
-
-def _terms_at_zero(ctx: ObjectiveContext) -> ImageTerms:
-    """The terms at x = 0, from the context's cache.
-
-    There every likelihood argument is zero, and so every lambda is the same:
-    the cached terms, laid out as real_form(u), hold the values of the
-    interleaved layout.
-    """
-    at = ctx.at_zero
-    return ImageTerms(np.zeros(ctx.op.M * ctx.op.T, dtype=complex), at.f, at.v, at.lam, at.weights)
-
-
 # (c_re, c_im) -> (c_re + c_im, c_re - c_im), and the two rows of the negative
 # Hessian that conj(H_c) and conj(H_s) make (see _neg_hessian).
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -331,7 +292,7 @@ def restricted_maximize(
     gradient is the float view of C^H weights - 2b, and the Newton
     direction solves the negative Hessian, assembled from the Kronecker
     factors of C (see _neg_hessian), against it.  An Armijo trial needs the
-    image u + t C d and one :func:`sign_terms` pass, whose terms the next
+    image u + t C d and one :func:`likelihood` pass, whose terms the next
     iteration reuses when the trial is accepted.  The cost per iteration is
     O(M*T*|support|^2), and nothing of length B is formed.
 
@@ -340,7 +301,7 @@ def restricted_maximize(
     best iterate's values at support if the solve stops first: at the cap,
     or when it stalls because the raw Newton step measurably descends.  Its
     message gives the Newton iterations taken and which stop happened.  A
-    non-finite image raises ValueError, as :func:`sign_terms` does.
+    non-finite image raises ValueError, as :func:`likelihood` does.
     """
     support = np.asarray(support, dtype=int)
     if np.any(support[1:] <= support[:-1]):
@@ -351,7 +312,7 @@ def restricted_maximize(
 
     cols = ctx.op.columns(support)
     cols_h = cols.T.conj()
-    terms = _image_terms(ctx, cols @ b) if start is None else start
+    terms = likelihood(ctx, cols @ b) if start is None else start
     x = b.view(float)
     h_val = terms.f - float(x @ x)
     trace = [h_val]
@@ -361,7 +322,7 @@ def restricted_maximize(
     def trial(t, d, w):
         # The full Newton step, t = 1, needs no multiply.
         x_t = x + d if t == 1.0 else x + t * d
-        at_t = _image_terms(ctx, terms.u + w if t == 1.0 else terms.u + t * w)
+        at_t = likelihood(ctx, terms.u + w if t == 1.0 else terms.u + t * w)
         return x_t, at_t, at_t.f - float(x_t @ x_t)
 
     for _ in range(NEWTON_MAX_ITERS):
@@ -439,7 +400,7 @@ def _pursuit_loop(ctx, config, use_bms, step):
     bands = ctx.op.bands_at(config.eta) if use_bms else None
     x = np.zeros(ctx.op.B, dtype=complex)
     support = np.zeros(0, dtype=int)
-    at_x = _terms_at_zero(ctx)
+    at_x = ctx.at_zero
     visited = [()]
     trace = []
     halted_by = "max-iters"
@@ -502,7 +463,7 @@ def _grasp_step(ctx, config, x, support, at_x, bands):
                                                     inner_tol=config.inner_tol, start=start)
         h = h_trace[-1]
     else:
-        at_new = _image_terms(ctx, ctx.op.restricted(kept).image(vals))
+        at_new = likelihood(ctx, ctx.op.restricted(kept).image(vals))
         h = at_new.f + g_logprior(vals)
     return *_scatter(x.size, kept, vals), at_new, h
 

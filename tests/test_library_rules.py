@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import onebitcs
-from onebitcs import harness, solvers
+from onebitcs import harness, objective, solvers
 
 SOURCES = sorted(Path(onebitcs.__file__).parent.glob("*.py"))
 
@@ -55,6 +55,9 @@ PACKAGE_EXPORTS = (
     "run_experiment", "run_fista", "run_grahtp", "run_grasp", "select_eta", "sign_terms",
     "steering_vector", "synthesize_measurement", "tune_gamma", "zc_training",
 )
+# The fixed data of one problem, with one sign array, laid out as the float
+# view of a complex image.
+OBJECTIVE_CONTEXT_FIELDS = ("op", "y_hat", "rho", "interleaved_signs")
 SENSING_OPERATOR_MEMBERS = (
     "A_RX", "A_TX", "B", "B_RX", "B_TX", "G", "M", "N", "S", "T", "apply", "apply_adjoint",
     "apply_gram", "bands_at", "columns", "dense_A", "g_norms", "mode", "pair_products",
@@ -117,6 +120,31 @@ def test_public_surface_is_pinned():
     op = onebitcs.build_operator(S, onebitcs.dft_dictionary(2, 2), onebitcs.dft_dictionary(2, 2))
     members = sorted(name for name in dir(op) if not name.startswith("_"))
     assert tuple(members) == SENSING_OPERATOR_MEMBERS
+
+
+def named(path):
+    """Every name path's code uses: variables, attributes and imported names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_the_likelihood_has_one_layout():
+    # The objective and the solvers lay the likelihood out as u.view(float)
+    # only: neither converts to or from the real form, and the context keeps
+    # one sign array.
+    paths = [path for path in SOURCES if path.name in ("objective.py", "solvers.py")]
+    assert len(paths) == 2
+    assert [(path.name, name) for path in paths for name in ("real_form", "complex_form")
+            if name in named(path)] == []
+    fields = tuple(field.name for field in dataclasses.fields(objective.ObjectiveContext))
+    assert fields == OBJECTIVE_CONTEXT_FIELDS
 
 
 def test_a_sweep_leaves_scipy_linalg_unimported():

@@ -37,7 +37,11 @@ here:
   Newton counts, since the two sum in different orders;
 * each pursuit step formed the image and a likelihood pass at the iterate
   that the step before had just returned; the solves now take the terms at
-  their start and return them at their result, and the steps hand them on.
+  their start and return them at their result, and the steps hand them on;
+* FISTA and the GraHTP step search took the likelihood in the real-form
+  layout s .* real_form(u), with weights complex_form(lam .* s), beside the
+  pursuits' interleaved layout; the likelihood now has the one layout of
+  u.view(float), and the real-form likelihood is the oracle here.
 
 The GraHTP gradient step search returned its smallest step when no step
 passed; it now raises ConvergenceError, to which the pursuit loop adds the
@@ -46,6 +50,7 @@ current iterate.  FISTA fails through ConvergenceError too.
 
 import math
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -78,7 +83,6 @@ from onebitcs.solvers import (
     SolverReport,
     SparseEstimate,
     _hessian_factors,
-    _image_terms,
     _neg_hessian,
     _threshold,
     hard_threshold,
@@ -130,6 +134,28 @@ def test_inv_mills_matches_oracle_on_dense_grid():
     assert np.max(np.abs(sign_terms(x)[1] - want) / want) <= RTOL
 
 
+class RealFormTerms(NamedTuple):
+    """The likelihood terms in the real-form layout, as the oracle returns them."""
+
+    f: float              # sum_i log Phi(v_i)
+    v: np.ndarray         # likelihood arguments s .* real_form(u)
+    lam: np.ndarray       # inverse Mills ratios lambda(v)
+    weights: np.ndarray   # complex_form(lam .* s): grad f = A^H weights
+
+
+def real_form_signs(ctx):
+    """The scaled sign pattern s = sqrt(2 rho) * real_form(y_hat), from the measurement."""
+    return np.sqrt(2.0 * ctx.y_hat.rho) * real_form(ctx.y_hat.y_hat)
+
+
+def oracle_real_form_likelihood(ctx, u):
+    """The likelihood terms at the image u, laid out as real_form(u)."""
+    signs = real_form_signs(ctx)
+    v = signs * real_form(u)
+    f, lam = sign_terms(v)
+    return RealFormTerms(f, v, lam, complex_form(lam * signs))
+
+
 @pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
 def test_likelihood_terms_match_oracles(rho):
     ctx = make_ctx(3, rho)
@@ -139,12 +165,15 @@ def test_likelihood_terms_match_oracles(rho):
         u = scale * (rng.standard_normal(ctx.op.M * ctx.op.T)
                      + 1j * rng.standard_normal(ctx.op.M * ctx.op.T))
         terms = likelihood(ctx, u)
-        v = ctx.signs * real_form(u)
-        assert np.array_equal(terms.v, v)
-        f, lam = sign_terms(v)
+        want = oracle_real_form_likelihood(ctx, u)
+        assert np.array_equal(as_real_form(terms.v), want.v)
+        assert np.array_equal(as_real_form(terms.lam), want.lam)
+        assert np.array_equal(terms.weights, want.weights)
+        assert abs(terms.f - want.f) <= 1e-13 * abs(want.f)
+        f, lam = sign_terms(terms.v)
         assert f == terms.f and np.array_equal(lam, terms.lam)
-        want = oracle_inv_mills(v)
-        assert np.all(np.abs(terms.lam - want) <= RTOL * want)
+        mills = oracle_inv_mills(terms.v)
+        assert np.all(np.abs(terms.lam - mills) <= RTOL * mills)
         assert terms.f == loglik(ctx, u)
 
 
@@ -391,11 +420,12 @@ def test_folded_hessian_assembly_at_full_scale_columns():
     support = np.sort(np.random.default_rng(8).choice(ctx.op.B, 12, replace=False))
     cols = ctx.op.columns(support)
     u = cols @ (np.random.default_rng(9).standard_normal(12) * (1 + 1j))
-    terms = likelihood(ctx, u)
+    terms = oracle_real_form_likelihood(ctx, u)
     curv = terms.lam * (terms.v + terms.lam)
-    want = oracle_neg_hessian(cols, ctx.signs * ctx.signs * curv)
-    assert np.max(np.abs(folded_hessian(cols, ctx.signs, curv) - want)) <= RTOL * np.max(np.abs(want))
-    at_u = _image_terms(ctx, u)
+    signs = real_form_signs(ctx)
+    want = oracle_neg_hessian(cols, signs * signs * curv)
+    assert np.max(np.abs(folded_hessian(cols, signs, curv) - want)) <= RTOL * np.max(np.abs(want))
+    at_u = likelihood(ctx, u)
     order = interleaved(12)
     got = _neg_hessian(_hessian_factors(ctx, support), at_u.lam * (at_u.v + at_u.lam))
     assert np.max(np.abs(got - want[np.ix_(order, order)])) <= RTOL * np.max(np.abs(want))
@@ -405,10 +435,10 @@ def test_folded_block_gives_the_likelihood_argument_and_gradient():
     ctx = make_ctx(10, 10.0)
     support = np.array([1, 4, 6])
     cols = ctx.op.columns(support)
-    kt = oracle_folded_block(cols, ctx.signs)
+    kt = oracle_folded_block(cols, real_form_signs(ctx))
     assert kt.flags.c_contiguous and kt.shape == (6, 2 * ctx.op.M * ctx.op.T)
     x = np.array([0.3 - 1j, -2.0 + 0.5j, 1j])
-    terms = likelihood(ctx, cols @ x)
+    terms = oracle_real_form_likelihood(ctx, cols @ x)
     assert np.allclose(kt.T @ real_form(x), terms.v, rtol=0.0, atol=1e-13)
     assert np.allclose(kt @ terms.lam, real_form(cols.conj().T @ terms.weights),
                        rtol=0.0, atol=1e-12)
@@ -416,16 +446,16 @@ def test_folded_block_gives_the_likelihood_argument_and_gradient():
 
 @pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
 def test_image_terms_are_the_likelihood_terms_interleaved(rho):
-    # The same arguments, ratios and weights as the likelihood, entry for
-    # entry, in the layout of the image's float view; f sums them in that
-    # order, so it agrees to rounding.
+    # The same arguments, ratios and weights as the real-form likelihood,
+    # entry for entry, in the layout of the image's float view; f sums them
+    # in that order, so it agrees to rounding.
     ctx = make_ctx(14, rho)
     rng = np.random.default_rng(15)
-    assert np.array_equal(as_real_form(ctx.interleaved_signs), ctx.signs)
+    assert np.array_equal(as_real_form(ctx.interleaved_signs), real_form_signs(ctx))
     for scale in (0.1, 1.0, 10.0):
         n = ctx.op.M * ctx.op.T
         u = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        got, want = _image_terms(ctx, u), likelihood(ctx, u)
+        got, want = likelihood(ctx, u), oracle_real_form_likelihood(ctx, u)
         assert got.u is u
         assert np.array_equal(as_real_form(got.v), want.v)
         assert np.array_equal(as_real_form(got.lam), want.lam)
@@ -470,10 +500,11 @@ def oracle_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, max_iters=
         x = np.array(x0, dtype=complex)
     cols = ctx.op.columns(support)
     cols_h = cols.conj().T
-    rho_term = ctx.signs * ctx.signs
+    signs = real_form_signs(ctx)
+    rho_term = signs * signs
 
     def h_at(u_t, x_t):
-        terms = likelihood(ctx, u_t)
+        terms = oracle_real_form_likelihood(ctx, u_t)
         xr = real_form(x_t)
         return terms, terms.f - float(xr @ xr)
 
@@ -626,7 +657,7 @@ def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, kee
     """
     support = np.asarray(support, dtype=int)
     x = np.zeros(2 * support.size) if x0 is None else real_form(np.asarray(x0, dtype=complex))
-    kt = oracle_folded_block(ctx.op.columns(support), ctx.signs)
+    kt = oracle_folded_block(ctx.op.columns(support), real_form_signs(ctx))
 
     def h_at(v_t, x_t):
         if not np.isfinite(v_t).all():
@@ -840,15 +871,15 @@ def test_a_tie_at_the_kept_boundary_never_certifies(warm):
 
 
 def counted_kernel_passes(monkeypatch):
-    """A list that grows by one at every sign_terms pass the solvers make."""
+    """A list that grows by one at every sign_terms pass the likelihood makes."""
     passes = []
-    real = solvers_module.sign_terms
+    real = objective_module.sign_terms
 
     def counted(v):
         passes.append(v.size)
         return real(v)
 
-    monkeypatch.setattr(solvers_module, "sign_terms", counted)
+    monkeypatch.setattr(objective_module, "sign_terms", counted)
     return passes
 
 
@@ -864,13 +895,11 @@ def test_solve_returns_the_terms_at_its_result_and_takes_them_at_its_start(monke
             # likelihood there, to rounding.
             image = ctx.op.columns(support) @ values
             assert np.max(np.abs(terms.u - image)) <= 1e-12 * np.max(np.abs(image))
-            fresh = likelihood(ctx, terms.u)
-            assert terms.f == _image_terms(ctx, terms.u).f
-            assert abs(terms.f - fresh.f) <= 1e-12 * abs(fresh.f)
+            assert terms.f == likelihood(ctx, terms.u).f
             assert trace[-1] == terms.f - float(values.view(float) @ values.view(float))
             # Handed its start's terms, the same solve makes one kernel pass
             # fewer and agrees to rounding.
-            start = _image_terms(ctx, ctx.op.columns(support) @ x0)
+            start = likelihood(ctx, ctx.op.columns(support) @ x0)
             del passes[:]
             got = restricted_maximize(ctx, support, x0=x0, keep=keep, start=start)
             assert len(passes) == from_scratch - 1
@@ -991,7 +1020,7 @@ def oracle_grasp_step(ctx, config, x, bands, trace):
 
 def oracle_grahtp_step(ctx, config, x, bands, trace):
     L = config.sparsity
-    at_x = _image_terms(ctx, ctx.op.apply(x))
+    at_x = likelihood(ctx, ctx.op.apply(x))
     g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
     kappa = solvers_module._backtrack_gradient_step(ctx, x, _oracle_support_of(x), at_x, g)
     idx = _threshold(x + kappa * g, x, L, bands)

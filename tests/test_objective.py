@@ -335,12 +335,13 @@ def test_zero_point_terms_are_the_likelihood_and_adjoint_at_zero(rho):
     want = likelihood(ctx, np.zeros(op.M * op.T, dtype=complex))
     want_g = real_adjoint(want.weights)
     got, got_g = ctx.at_zero, ctx.gradient_at_zero
+    arrays = [got.u, got.v, got.lam, got.weights]
     assert got.f == want.f
-    assert all(same_bits(a, b) for a, b in zip(got[1:], want[1:]))
+    assert all(same_bits(a, b) for a, b in zip(arrays, [want.u, want.v, want.lam, want.weights]))
     assert same_bits(got_g, want_g)
     # Computed once per context, and read-only to every reader.
     assert ctx.at_zero is got and ctx.gradient_at_zero is got_g and len(calls) == 1
-    for arr in (*got[1:], got_g):
+    for arr in (*arrays, got_g):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     assert same_bits(got_g, want_g)
