@@ -51,8 +51,6 @@ from .operator import (
     SensingOperator,
     build_operator,
     coherence_bands,
-    complex_form,
-    real_form,
     select_eta,
 )
 from .solvers import (

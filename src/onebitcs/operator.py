@@ -2,8 +2,8 @@
 
 The vectorized measurement matrix is A = S^T conj(A_TX) kron A_RX = G kron
 A_RX, mapping the length-B virtual channel vector to the length-M*T receive
-block.  It is never applied as a dense matrix unless explicitly requested:
-the factored path evaluates the two small products
+block.  It is never formed as a matrix: the full products evaluate the
+two small products
 
     unvec(A x)^T    = G (X^T A_RX^T)
     unvec(A^H c)^T  = G^H C^T conj(A_RX)
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateOperatorError
+from .errors import DegenerateOperatorError
 
 __all__ = [
     "SensingOperator",
@@ -33,30 +33,10 @@ __all__ = [
     "build_operator",
     "coherence_bands",
     "select_eta",
-    "real_form",
-    "complex_form",
 ]
-
-# Largest dense cache, in matrix entries (MT * B).
-DENSE_CACHE_LIMIT = 2**26
 
 # Coherences at or below this are treated as exact zeros when selecting eta.
 ORTHO_TOL = 1e-12
-
-
-def real_form(x: np.ndarray) -> np.ndarray:
-    """Stack the real part over the imaginary part."""
-    x = np.asarray(x)
-    return np.concatenate([x.real, x.imag])
-
-
-def complex_form(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`real_form`."""
-    v = np.asarray(v)
-    if v.shape[0] % 2 != 0:
-        raise ValueError(f"real-form vector must have even length, got {v.shape[0]}")
-    half = v.shape[0] // 2
-    return v[:half] + 1j * v[half:]
 
 
 class SensingOperator:
@@ -67,14 +47,11 @@ class SensingOperator:
     normalized factor coherences and the spectral norm are cached on first
     use, and so are the coherence bands, per eta, by :meth:`bands_at`
     alone, and the stacked factors of :meth:`pair_products`; the object is
-    safe to share across threads and solver runs.
-    Mode "dense" also materializes A and applies it as one matrix: it is
-    the reference the factored path is tested against.
+    safe to share across threads and solver runs.  A itself is never
+    formed; np.kron(op.G, op.A_RX) is the matrix it applies.
     """
 
-    def __init__(self, S: np.ndarray, A_RX: np.ndarray, A_TX: np.ndarray, mode: str):
-        if mode not in ("dense", "fft"):
-            raise ValueError(f"mode must be 'dense' or 'fft', got {mode!r}")
+    def __init__(self, S: np.ndarray, A_RX: np.ndarray, A_TX: np.ndarray):
         S = np.ascontiguousarray(np.asarray(S, dtype=complex))
         A_RX = np.ascontiguousarray(np.asarray(A_RX, dtype=complex))
         A_TX = np.ascontiguousarray(np.asarray(A_TX, dtype=complex))
@@ -92,7 +69,6 @@ class SensingOperator:
         self.N, self.B_TX = A_TX.shape
         self.T = S.shape[1]
         self.B = self.B_RX * self.B_TX
-        self.mode = mode
 
         # Training-mixed transmit factor: columns g_bt = S^T conj(a_tx_bt).
         self.G = S.T @ A_TX.conj()
@@ -108,16 +84,6 @@ class SensingOperator:
         self.rx_norms = np.linalg.norm(A_RX, axis=0)
         # Column b = br + bt*B_RX has norm g_norms[bt] * rx_norms[br].
         self.g_norms = np.linalg.norm(self.G, axis=0)
-
-        self.dense_A = None
-        if mode == "dense":
-            if self.M * self.T * self.B > DENSE_CACHE_LIMIT:
-                raise CapacityError(
-                    f"dense cache of {self.M * self.T * self.B} entries exceeds "
-                    f"limit {DENSE_CACHE_LIMIT}; use fft mode"
-                )
-            self.dense_A = np.kron(self.G, A_RX)
-            self.dense_A.flags.writeable = False
 
         for arr in (self.S, self.A_RX, self.A_TX, self.G, self._G_H, self._A_RX_conj,
                     self._gram_g, self._gram_rx, self.rx_norms, self.g_norms):
@@ -136,8 +102,6 @@ class SensingOperator:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.B,):
             raise ValueError(f"expected length-{self.B} vector, got shape {x.shape}")
-        if self.mode == "dense":
-            return self.dense_A @ x
         # x.reshape(B_TX, B_RX) is X^T, and the (T, M) result is unvec(A x)^T.
         # Contracting B_RX first costs B*M + T*B_TX*M multiplies, not B*T +
         # T*B_RX*M: fewer whenever M < T, as in the shipped configs.
@@ -150,8 +114,6 @@ class SensingOperator:
             raise ValueError(
                 f"expected length-{self.M * self.T} vector, got shape {c.shape}"
             )
-        if self.mode == "dense":
-            return self.dense_A.conj().T @ c
         # Transposed, so the result needs no column-major copy: C order is vec.
         return (self._G_H @ c.reshape(self.T, self.M) @ self._A_RX_conj).reshape(-1)
 
@@ -160,8 +122,7 @@ class SensingOperator:
 
         Through the factor Grams, unvec(A A^H c)^T = (G G^H) C (conj(A_RX)
         A_RX^T) with C = unvec(c)^T: O(T^2 M + T M^2) work, with nothing of
-        length B formed, in either mode.  It equals apply(apply_adjoint(c))
-        up to rounding.
+        length B formed.  It equals apply(apply_adjoint(c)) up to rounding.
         """
         c = np.asarray(c, dtype=complex)
         if c.shape != (self.M * self.T,):
@@ -353,14 +314,14 @@ class EtaSelection:
 def build_operator(S, A_RX, A_TX, mode: str = "fft") -> SensingOperator:
     """Assemble the sensing operator for a training block and two dictionaries.
 
-    mode "fft", the default, keeps the factored form and applies A as two
-    small matrix products with G = S^T conj(A_TX) and A_RX, for any
-    dictionaries; no FFT is left, and the name is the factored path's old
-    one, which callers still pass.  Mode "dense" also materializes the full
-    M*T x B matrix (capacity-checked) and applies it directly, as the
-    reference for the factored path.
+    A is applied as two small matrix products with G = S^T conj(A_TX) and
+    A_RX, for any dictionaries.  mode accepts only "fft", the factored
+    path's old name, which callers still pass; no FFT is left, and any
+    other value raises ValueError.
     """
-    return SensingOperator(S, A_RX, A_TX, mode)
+    if mode != "fft":
+        raise ValueError(f"mode must be 'fft', got {mode!r}")
+    return SensingOperator(S, A_RX, A_TX)
 
 
 def coherence_bands(op: SensingOperator, eta: float) -> CoherenceStructure:

@@ -20,15 +20,7 @@ from hypothesis import strategies as st
 
 import onebitcs.solvers as solvers_module
 from onebitcs.errors import ConvergenceError
-from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import (
-    ObjectiveContext,
-    f_loglik,
-    grad_h,
-    h_objective,
-    likelihood,
-)
-from onebitcs.operator import build_operator
+from onebitcs.objective import f_loglik, grad_h, h_objective, likelihood
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
     SolverConfig,
@@ -39,15 +31,9 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
+from oracles import make_ctx
+
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
-
-
-def make_ctx(seed, rho, m=4, n=4, t=6, b=8, paths=2):
-    rng = np.random.default_rng(seed)
-    tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
-    H = draw_channel(paths, m, n, rng).H
-    return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
 
 
 def oracle_run_fista(ctx, gamma, max_iters=500, tol=1e-6):

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitcs.errors import ConvergenceError
-from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, likelihood, loglik
-from onebitcs.operator import RestrictedOperator, build_operator
+from onebitcs.objective import likelihood, loglik
+from onebitcs.operator import RestrictedOperator
 from onebitcs.solvers import (
     FISTA_SUPPORT_EPS,
     FISTA_TOL,
@@ -24,6 +23,8 @@ from onebitcs.solvers import (
     _soft_threshold,
     run_fista,
 )
+
+from oracles import make_ctx
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -107,14 +108,6 @@ def oracle_run_fista(ctx, gamma, max_iters=500):
     report = SolverReport(estimate=estimate, iterations=len(trace) - 1,
                           halted_by=halted_by, objective_trace=trace)
     return report, touched
-
-
-def make_ctx(seed, rho, m=4, n=4, t=6, b=8, paths=2):
-    rng = np.random.default_rng(seed)
-    tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
-    H = draw_channel(paths, m, n, rng).H
-    return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
 
 
 def gradient_at_zero(ctx):

@@ -447,8 +447,8 @@ class TestConfigValidation:
             replace(TINY, algorithms=("grasp", "bmsgrasp", "grasp"))
 
     def test_rejects_dense_operator_mode(self):
-        # The dense matrix is only the tests' reference, built through
-        # build_operator(..., mode="dense"); sweeps run the factored operator.
+        # The dense matrix is only the tests' reference, formed from the
+        # factors in tests/oracles.py; sweeps run the factored operator.
         with pytest.raises(ValueError, match="operator_mode"):
             replace(TINY, operator_mode="dense")
 

@@ -77,7 +77,7 @@ from onebitcs.objective import (
     loglik,
     sign_terms,
 )
-from onebitcs.operator import RestrictedOperator, build_operator, complex_form, real_form
+from onebitcs.operator import RestrictedOperator, build_operator
 from onebitcs.solvers import (
     SolverConfig,
     SolverReport,
@@ -92,16 +92,10 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
+from oracles import complex_form, make_ctx, real_form
+
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
-
-
-def make_ctx(seed, rho, m=4, n=4, t=6, b=8, paths=2):
-    rng = np.random.default_rng(seed)
-    tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
-    H = draw_channel(paths, m, n, rng).H
-    return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
 
 
 # -- inverse Mills ratio -----------------------------------------------------

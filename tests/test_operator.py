@@ -7,26 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebitcs.errors import CapacityError, DegenerateOperatorError
+from onebitcs.errors import DegenerateOperatorError
 from onebitcs.model import dft_dictionary, zc_training
-from onebitcs.operator import (
-    build_operator,
-    coherence_bands,
-    complex_form,
-    real_form,
-    select_eta,
-)
+from onebitcs.operator import build_operator, coherence_bands, select_eta
+
+from oracles import complex_form, dense_matrix, real_form
 
 
 def make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16):
-    """Matching fft- and dense-mode operators for one training block."""
+    """The operator for one training block and the dense matrix A it applies."""
     tr = zc_training(n, t)
-    a_rx = dft_dictionary(m, b_rx)
-    a_tx = dft_dictionary(n, b_tx)
-    return (
-        build_operator(tr.S, a_rx, a_tx, "fft"),
-        build_operator(tr.S, a_rx, a_tx, "dense"),
-    )
+    op = build_operator(tr.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx), "fft")
+    return op, dense_matrix(op)
 
 
 def rand_complex(rng, n):
@@ -53,17 +45,12 @@ class TestBuildAndShapes:
         assert op.apply(x).shape == (24,)
         assert op.apply_adjoint(op.apply(x)).shape == (32,)
 
-    def test_dense_cache_only_in_dense_mode(self):
-        op_fft, op_dense = make_pair(m=4, n=4, t=5, b_rx=4, b_tx=4)
-        assert op_fft.dense_A is None
-        assert op_dense.dense_A is not None
-
     def test_apply_unit_vector_gives_dense_column(self):
-        op_fft, op_dense = make_pair(m=4, n=4, t=5, b_rx=8, b_tx=8)
+        op_fft, A = make_pair(m=4, n=4, t=5, b_rx=8, b_tx=8)
         for b in (0, 17, 63):
             e = np.zeros(64, dtype=complex)
             e[b] = 1.0
-            col = op_dense.dense_A[:, b]
+            col = A[:, b]
             assert np.max(np.abs(op_fft.apply(e) - col)) < 1e-12
             assert np.max(np.abs(column(op_fft, b) - col)) < 1e-12
 
@@ -87,22 +74,18 @@ class TestBuildAndShapes:
         # N == T ZC training has orthogonal columns too, so the full Gram is
         # a scaled identity: the Gram computation oracle.
         tr = zc_training(4, 4)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "dense")
-        gram = op.dense_A.conj().T @ op.dense_A
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        A = dense_matrix(op)
+        gram = A.conj().T @ A
         expected = np.diag(np.kron(op.g_norms, op.rx_norms) ** 2)
         assert np.max(np.abs(gram - expected)) < 1e-10
 
-    def test_dense_capacity_limit(self):
-        tr = zc_training(1, 2)
-        a_rx = dft_dictionary(1, 1 << 13)
-        a_tx = dft_dictionary(1, 1 << 13)
-        with pytest.raises(CapacityError):
-            build_operator(tr.S, a_rx, a_tx, "dense")
-
     def test_rejects_bad_mode_and_shapes(self):
+        # "fft" is the one mode: the dense matrix is formed only where it is checked.
         tr = zc_training(4, 6)
-        with pytest.raises(ValueError):
-            build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "auto")
+        for mode in ("auto", "dense"):
+            with pytest.raises(ValueError, match="mode"):
+                build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), mode)
         with pytest.raises(ValueError):
             build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(3, 4), "fft")
 
@@ -120,20 +103,20 @@ class TestApplication:
         assert empty.shape == (op.M * op.T,) and np.all(empty == 0)
 
     def test_fft_matches_dense_on_random_vectors(self):
-        op_fft, op_dense = make_pair()
+        op_fft, A = make_pair()
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rand_complex(rng, op_fft.B)
-            ref = op_dense.apply(x)
+            ref = A @ x
             err = np.linalg.norm(op_fft.apply(x) - ref) / np.linalg.norm(ref)
             assert err < 1e-10
 
     def test_fft_adjoint_matches_dense(self):
-        op_fft, op_dense = make_pair()
+        op_fft, A = make_pair()
         rng = np.random.default_rng(2)
         for _ in range(100):
             c = rand_complex(rng, op_fft.M * op_fft.T)
-            ref = op_dense.apply_adjoint(c)
+            ref = A.conj().T @ c
             err = np.linalg.norm(op_fft.apply_adjoint(c) - ref) / np.linalg.norm(ref)
             assert err < 1e-10
 
@@ -166,25 +149,24 @@ class TestApplication:
             assert abs(back[b] - column_norms[b] ** 2) < 1e-10
 
     def test_energy_identity(self):
-        _, op_dense = make_pair(m=4, n=4, t=6, b_rx=8, b_tx=8)
-        dense_energy = np.linalg.norm(op_dense.dense_A) ** 2
-        factored_energy = np.sum(np.kron(op_dense.g_norms, op_dense.rx_norms) ** 2)
+        op, A = make_pair(m=4, n=4, t=6, b_rx=8, b_tx=8)
+        dense_energy = np.linalg.norm(A) ** 2
+        factored_energy = np.sum(np.kron(op.g_norms, op.rx_norms) ** 2)
         assert abs(dense_energy - factored_energy) / dense_energy < 1e-10
 
     @pytest.mark.parametrize("dims", [(4, 4, 5, 8, 8), (8, 4, 6, 16, 12), (6, 6, 6, 6, 6)])
     def test_spectral_norm_is_exact(self, dims):
-        op, op_dense = make_pair(*dims)
-        want = np.linalg.norm(op_dense.dense_A, 2)
+        op, A = make_pair(*dims)
+        want = np.linalg.norm(A, 2)
         assert abs(op.spectral_norm_estimate() - want) <= 1e-12 * want
-        assert abs(op_dense.spectral_norm_estimate() - want) <= 1e-12 * want
 
     def test_spectral_norm_off_grid(self):
         rng = np.random.default_rng(3)
         S = zc_training(4, 6).S
         a_rx = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
         a_tx = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        op = build_operator(S, a_rx, a_tx, "dense")
-        want = np.linalg.norm(op.dense_A, 2)
+        op = build_operator(S, a_rx, a_tx, "fft")
+        want = np.linalg.norm(dense_matrix(op), 2)
         assert abs(op.spectral_norm_estimate() - want) <= 1e-12 * want
 
     def test_rejects_wrong_lengths(self):
@@ -203,9 +185,9 @@ class TestApplication:
 
 @functools.cache
 def image_operators(scale):
-    """(factored, dense or None) operators at desk scale or at full scale.
+    """An operator and its dense matrix (None at full scale) at desk or full scale.
 
-    At full scale (B = 65536) the dense matrix exceeds the cache limit.
+    At full scale (B = 65536) the dense matrix would take 5.4 GB.
     """
     if scale == "desk":
         return make_pair(m=16, n=16, t=20, b_rx=64, b_tx=64)
@@ -222,7 +204,7 @@ def test_image_matches_apply_and_dense_operator(scale, data):
     x = np.zeros(op.B, dtype=complex)
     x[idx] = values
     if dense is not None:
-        want = dense.apply(x)
+        want = dense @ x
     else:
         # The columns of the dense matrix, each formed as a Kronecker product.
         want = sum((v * column(op, b) for b, v in zip(idx, values)),
@@ -298,8 +280,7 @@ class TestCoherence:
         assert abs(coherence(op, 2, 3) - 1.0) < 1e-12
 
     def test_matches_dense_gram(self):
-        op, op_dense = make_pair(m=4, n=4, t=6, b_rx=8, b_tx=8)
-        A = op_dense.dense_A
+        op, A = make_pair(m=4, n=4, t=6, b_rx=8, b_tx=8)
         norms = np.linalg.norm(A, axis=0)
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -316,9 +297,8 @@ class TestCoherence:
             select_eta(op)
 
 
-def brute_force_bands(op_dense, eta):
-    """Band computation oracle straight from the full Gram matrix."""
-    A = op_dense.dense_A
+def brute_force_bands(A, eta):
+    """Band computation oracle straight from the full Gram matrix of A."""
     norms = np.linalg.norm(A, axis=0)
     mu = np.abs(A.conj().T @ A) / np.outer(norms, norms)
     np.fill_diagonal(mu, 1.0)
@@ -356,9 +336,8 @@ class TestCoherenceBands:
         a_rx = dft_dictionary(m, b_rx)
         a_tx = dft_dictionary(n, b_tx)
         op = build_operator(tr.S, a_rx, a_tx, "fft")
-        op_dense = build_operator(tr.S, a_rx, a_tx, "dense")
         bands = coherence_bands(op, eta)
-        expected = brute_force_bands(op_dense, eta)
+        expected = brute_force_bands(dense_matrix(op), eta)
         for got, want in zip(bands.bands, expected):
             assert np.array_equal(got, want)
 
@@ -395,8 +374,7 @@ class TestBandsAt:
 
 class TestSelectEta:
     def test_matches_brute_force_on_oversampled_grid(self):
-        op, op_dense = make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16)
-        A = op_dense.dense_A
+        op, A = make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16)
         norms = np.linalg.norm(A, axis=0)
         mu = np.abs(A.conj().T @ A) / np.outer(norms, norms)
         np.fill_diagonal(mu, 0.0)

@@ -15,7 +15,6 @@ from onebitcs.operator import (
     SensingOperator,
     build_operator,
     coherence_bands,
-    real_form,
     select_eta,
 )
 from onebitcs.solvers import (
@@ -30,6 +29,8 @@ from onebitcs.solvers import (
     tune_gamma,
     _soft_threshold,
 )
+
+from oracles import real_form
 
 
 def make_problem(m=8, n=8, t=10, b_rx=8, b_tx=8, l=1, rho=10.0, seed=0, on_grid=True):
