@@ -12,11 +12,17 @@ the benchmark's ``cells_per_s`` times):
   ``loglik`` calls alone (the step-size trials of GraHTP and FISTA), and the
   passes made inside the pursuits' ``_gradient_at``;
 * restricted solves (``restricted_maximize`` calls), and their Newton steps,
-  one negative-Hessian assembly each, by the size 2q of the block;
-* ``bms_threshold`` calls, and the ``np.partition`` calls made inside them.
+  one negative-Hessian assembly each, by the size 2q of the block, with
+  the ``pair_products`` calls that the Hessians are formed from;
+* ``bms_threshold`` calls, and the ``np.partition`` calls made inside them;
+* the iterations each report gives, and for FISTA how they split: its
+  proximal iterations, the Newton steps of its finishes (accepted or not),
+  its finish attempts and its accepted finishes.
 
-It prints one JSON object: the means per row, overall and per algorithm.
-Every count but the faults is a pure function of the workload and seed.
+It prints one JSON object: the means per row, overall and per algorithm,
+and the same counts per ``tune_gamma`` call of the main sweep's set-up,
+with the FISTA solves that tuning ran.  Every count but the faults is a
+pure function of the workload and seed.
 
     python3 scripts/row_work.py --workload full-bms --seed 1 --seconds 20
 
@@ -43,7 +49,9 @@ import run as bench  # noqa: E402  (puts this checkout's src/ on the path)
 from onebitcs import harness, objective, operator, solvers  # noqa: E402
 
 COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "kernel_passes", "loglik",
-          "gradient_passes", "restricted_solves", "hessians", "bms_threshold", "partitions")
+          "gradient_passes", "restricted_solves", "hessians", "pair_products", "bms_threshold",
+          "partitions", "iterations", "fista_solves", "proximal_iterations", "newton_steps",
+          "finish_attempts", "finishes_accepted")
 # The module-level negative-Hessian assembly, under its name in either
 # checkout: from the Kronecker factors, or (before) from the sign-folded block.
 HESSIANS = ("_neg_hessian", "_folded_neg_hessian")
@@ -53,8 +61,11 @@ class Counter:
     def __init__(self):
         self.now = dict.fromkeys(COUNTS, 0)
         self.rows = []           # (algorithm, counts of one solver call)
+        self.tunings = []        # counts of one tune_gamma call
         self.in_bms = False
         self.in_gradient = False
+        self.in_finish = False
+        self.finish_steps = 0    # Newton steps of the accepted finish of the current solve
 
     def counted(self, names, fn):
         def wrapper(*args, **kwargs):
@@ -78,10 +89,43 @@ class Counter:
         def assembly(*args, **kwargs):
             out = fn(*args, **kwargs)
             self.now["hessians"] += 1
+            self.now["newton_steps"] += self.in_finish
             key = f"hessians_{out.shape[0]}"
             self.now[key] = self.now.get(key, 0) + 1
             return out
         return assembly
+
+    def finish(self, fn):
+        def _fista_finish(*args, **kwargs):
+            self.now["finish_attempts"] += 1
+            self.in_finish = True
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                self.in_finish = False
+            if out is not None:
+                self.now["finishes_accepted"] += 1
+                self.finish_steps = len(out[-1])
+            return out
+        return _fista_finish
+
+    def fista(self, fn):
+        def run_fista(*args, **kwargs):
+            self.finish_steps = 0
+            report = fn(*args, **kwargs)
+            self.now["fista_solves"] += 1
+            self.now["proximal_iterations"] += report.iterations - self.finish_steps
+            return report
+        return run_fista
+
+    def tune(self, fn):
+        def tune_gamma(*args, **kwargs):
+            before = dict(self.now)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.tunings.append({k: self.now[k] - before.get(k, 0) for k in self.now})
+        return tune_gamma
 
     def bms(self, fn):
         def bms_threshold(*args, **kwargs):
@@ -103,11 +147,14 @@ class Counter:
         def solver(*args, **kwargs):
             before = dict(self.now)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            report = None
             try:
-                return fn(*args, **kwargs)
+                report = fn(*args, **kwargs)
+                return report
             finally:
                 counts = {k: self.now[k] - before.get(k, 0) for k in self.now}
                 counts["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                counts["iterations"] = report.iterations if report is not None else 0
                 self.rows.append((algo, counts))
         return solver
 
@@ -121,7 +168,7 @@ def install(counter):
         setattr(owner, name, value)
 
     cls = operator.SensingOperator
-    for name in ("apply", "apply_adjoint", "apply_gram"):
+    for name in ("apply", "apply_adjoint", "apply_gram", "pair_products"):
         if hasattr(cls, name):      # a checkout before apply_gram has none
             patch(cls, name, counter.counted((name,), getattr(cls, name)))
     for name, counts in (("sign_terms", ("kernel_passes",)),
@@ -138,6 +185,12 @@ def install(counter):
         if hasattr(solvers, name):
             patch(solvers, name, counter.hessian(getattr(solvers, name)))
     patch(solvers, "bms_threshold", counter.bms(solvers.bms_threshold))
+    if hasattr(solvers, "_fista_finish"):      # a checkout before the finish has none
+        patch(solvers, "_fista_finish", counter.finish(solvers._fista_finish))
+    # Rows and tuning both reach FISTA through the solvers module's name.
+    patch(solvers, "run_fista", counter.fista(solvers.run_fista))
+    patch(harness, "run_fista", solvers.run_fista)
+    patch(harness, "tune_gamma", counter.tune(harness.tune_gamma))
     patch(np, "partition", counter.partition(np.partition))
     solvers_table = dict(harness._SOLVERS)
     patch(harness, "_SOLVERS", {algo: counter.row(algo, fn) for algo, fn in solvers_table.items()})
@@ -186,6 +239,7 @@ def main(argv=None) -> int:
         "per_row": summary([c for _, c in rows]),
         "per_algorithm": {algo: summary([c for a, c in rows if a == algo])
                           for algo in config.algorithms},
+        "per_tuning": summary(counter.tunings),
     }
     print(json.dumps(result, indent=1))
     return 0

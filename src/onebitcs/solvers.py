@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,13 @@ __all__ = [
 # point moves by at most FISTA_TOL relative to its norm.
 FISTA_SUPPORT_EPS = 1e-8
 FISTA_TOL = 1e-6
+# FISTA tries its Newton finish once the accepted iterate's nonzero set has
+# been the same for FINISH_STABLE_ITERS iterations and holds at most
+# FINISH_MAX_SUPPORT entries; the finish stops at a restricted gradient of
+# FINISH_TOL * sqrt(entries).
+FINISH_STABLE_ITERS = 5
+FINISH_MAX_SUPPORT = 32
+FINISH_TOL = 1e-8
 # Armijo backtracking: step shrink factor, sufficient-ascent slope, step cap.
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 0.1
@@ -96,8 +103,8 @@ class SolverReport(NamedTuple):
     """Outcome of one solver run.
 
     halted_by is one of "support-fixed", "max-iters", "cycle" for the
-    pursuits, "converged" or "max-iters" for FISTA, and "enumerated" for
-    the oracle.
+    pursuits, "newton", "converged" or "max-iters" for FISTA, and
+    "enumerated" for the oracle.
     """
 
     estimate: SparseEstimate
@@ -220,14 +227,17 @@ def _hessian_factors(ctx: ObjectiveContext, support: np.ndarray):
             tx.reshape(2, ctx.op.T, -1))
 
 
-def _neg_hessian(factors, curv: np.ndarray) -> np.ndarray:
-    """2I + 2 rho C_R^T diag(curv) C_R over the interleaved real form of the support.
+def _neg_hessian(factors, curv: np.ndarray, penalty_curv=2.0) -> np.ndarray:
+    """2 rho C_R^T diag(curv) C_R plus the penalty's curvature, over the interleaved real form.
 
     curv = lam .* (v + lam) is the likelihood's curvature in v, laid out as
     the image's float view, and factors is _hessian_factors' output; since
-    every s_i^2 is 2 rho, this is the negative Hessian of h: SPD, with
-    eigenvalues at least 2.  Rows and columns run over the interleaved real
-    form b.view(float), (Re b_0, Im b_0, Re b_1, ...).
+    every s_i^2 is 2 rho, the first term is the negative Hessian of f.
+    penalty_curv is the negative Hessian of the penalty (see _Penalty): a
+    float c for c I, the prior's 2I by default, which makes the result SPD
+    with eigenvalues at least 2, or an array of one (2, 2) block per entry,
+    added on the diagonal.  Rows and columns run over the interleaved real form
+    b.view(float), (Re b_0, Im b_0, Re b_1, ...).
 
     With P, Q = rho (c_re +- c_im) over the real-part and imaginary-part
     measurements (each (T, M)), the C_R^T diag C_R term is made of H_c =
@@ -247,8 +257,65 @@ def _neg_hessian(factors, curv: np.ndarray) -> np.ndarray:
     r *= tx
     h = r.sum(axis=1)
     q = math.isqrt(h.shape[1])
-    h[0, :: q + 1] += 2.0    # 2I: conj(H_c)[j, j] + 2 adds 2 to both diagonal entries of block j
-    return (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
+    blocks = isinstance(penalty_curv, np.ndarray)
+    if not blocks:
+        # c I: conj(H_c)[j, j] + c adds c to both diagonal entries of block j
+        h[0, :: q + 1] += penalty_curv
+    neg = (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
+    if blocks:
+        j = np.arange(q)
+        neg.reshape(q, 2, q, 2)[j, :, j, :] += penalty_curv
+    return neg
+
+
+class _Penalty(NamedTuple):
+    """A concave penalty p on a support's values b, as the Newton loop takes it.
+
+    Each function takes the interleaved real form x = b.view(float):
+    value(x) is p, gradient(x) its gradient in x, and curvature(x) the
+    negative Hessian of p that _neg_hessian adds to the likelihood's.
+    crossing, where p is not smooth at zero, takes x and a Newton direction
+    d and returns the mask of the entries that the full step sends through
+    zero; the loop stops there and hands the mask back.
+    """
+
+    value: Callable
+    gradient: Callable
+    curvature: Callable
+    crossing: Callable | None = None
+
+
+# The Gaussian prior -||b||^2: gradient -2b, curvature 2I.  Its arithmetic
+# is the one the pursuits' solves have always done.
+_GAUSSIAN_PRIOR = _Penalty(lambda x: -float(x @ x), lambda x: -2.0 * x, lambda x: 2.0)
+
+
+def _l1_penalty(gamma: float) -> _Penalty:
+    """-gamma sum_j |b_j| on a support where no b_j is zero.
+
+    Its gradient is -gamma b_j / |b_j|, and its curvature one (2, 2) block
+    gamma (I - u u^T) / |b_j| per entry over (Re b_j, Im b_j), with u =
+    (Re b_j, Im b_j) / |b_j|: zero along b_j, and gamma / |b_j| across it.
+    An entry crosses zero when Re(conj(b_j) (b_j + d_j)) <= 0; a shorter
+    step b + t d, 0 < t < 1, then never reaches zero on the others.
+    """
+    def value(x):
+        return -gamma * float(np.sum(np.abs(x.view(complex))))
+
+    def gradient(x):
+        pairs = x.reshape(-1, 2)
+        return (pairs * (-gamma / np.abs(x.view(complex)))[:, None]).reshape(-1)
+
+    def curvature(x):
+        mags = np.abs(x.view(complex))
+        unit = x.reshape(-1, 2) / mags[:, None]
+        return (gamma / mags)[:, None, None] * (np.eye(2) - unit[:, :, None] * unit[:, None, :])
+
+    def crossing(x, d):
+        b = x.view(complex)
+        return (b.conj() * (b + d.view(complex))).real <= 0.0
+
+    return _Penalty(value, gradient, curvature, crossing)
 
 
 def _kept_set_is_certain(b: np.ndarray, keep: int, grad_norm: float) -> bool:
@@ -275,16 +342,17 @@ def restricted_maximize(
     The objective is strictly concave (the prior contributes -2I to the
     Hessian), so the maximizer is unique; iterates ascend along Newton
     directions with Armijo backtracking until the restricted gradient norm
-    drops to inner_tol, for at most NEWTON_MAX_ITERS iterations.
+    drops to inner_tol, for at most NEWTON_MAX_ITERS iterations.  This is
+    _newton_loop with the Gaussian prior.
 
     A caller that keeps only the keep largest magnitudes of the result
     passes keep, and the solve also stops once that set is certain: when
     the keep-th largest |b_j| exceeds the next one (zero if there is none)
-    by more than the gradient norm.  Since the negative Hessian is at least
-    2I, the maximizer b* lies within ||grad h(b)|| / 2 of b, and so does
-    each |b*_j| of |b_j|: no entry can cross that gap, and the kept entries
-    of b are those of b* (all nonzero).  The trace is then a prefix of the
-    full solve's.
+    by more than the gradient norm.  The certificate rests on the prior:
+    since its 2I makes the negative Hessian at least 2I, the maximizer b*
+    lies within ||grad h(b)|| / 2 of b, and so does each |b*_j| of |b_j|:
+    no entry can cross that gap, and the kept entries of b are those of b*
+    (all nonzero).  The trace is then a prefix of the full solve's.
 
     The solve runs on the complex column block C = op.columns(support) and
     on b's float view x = b.view(float): the image is u = C b, the
@@ -309,12 +377,35 @@ def restricted_maximize(
     b = np.zeros(support.size, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
     if b.shape != support.shape:
         raise ValueError(f"x0 has shape {b.shape}, support {support.shape}")
+    b, trace, terms, _ = _newton_loop(ctx, support, b, inner_tol, _GAUSSIAN_PRIOR, keep, start)
+    return b, trace, terms
 
+
+def _newton_loop(ctx, support, b, inner_tol, penalty, keep=None, start=None):
+    """Maximize f(C b) + penalty(b) over the values b at support, from b.
+
+    The library's one restricted Newton loop: Armijo backtracking along the
+    Newton direction, the raw step near the optimum, the stall rule and
+    the NEWTON_MAX_ITERS cap (see restricted_maximize, which runs it with
+    the Gaussian prior, and _fista_finish, which runs it with the l1
+    penalty).  C = op.columns(support); start, if given, holds the
+    likelihood terms at C b.  keep (see restricted_maximize) needs the
+    prior's curvature bound.
+
+    Returns (the values at the last iterate, the trace of the objective
+    over the iterates, the ImageTerms there, crossed): crossed is None when
+    the restricted gradient norm reached inner_tol or the keep set is
+    certain, and otherwise the mask of the entries that the next full
+    Newton step would send through zero (penalty.crossing), found before
+    any trial of that step.  Raises ConvergenceError as restricted_maximize
+    documents.
+    """
+    value, gradient, curvature, crossing = penalty
     cols = ctx.op.columns(support)
     cols_h = cols.T.conj()
     terms = likelihood(ctx, cols @ b) if start is None else start
     x = b.view(float)
-    h_val = terms.f - float(x @ x)
+    h_val = terms.f + value(x)
     trace = [h_val]
     best = (h_val, x, terms)
     factors = None
@@ -323,18 +414,23 @@ def restricted_maximize(
         # The full Newton step, t = 1, needs no multiply.
         x_t = x + d if t == 1.0 else x + t * d
         at_t = likelihood(ctx, terms.u + w if t == 1.0 else terms.u + t * w)
-        return x_t, at_t, at_t.f - float(x_t @ x_t)
+        return x_t, at_t, at_t.f + value(x_t)
 
     for _ in range(NEWTON_MAX_ITERS):
-        grad = (cols_h @ terms.weights).view(float) - 2.0 * x
+        grad = (cols_h @ terms.weights).view(float) + gradient(x)
         grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= inner_tol or (
                 keep is not None and _kept_set_is_certain(x.view(complex), keep, grad_norm)):
-            return x.view(complex), trace, terms
+            return x.view(complex), trace, terms, None
 
         if factors is None:
             factors = _hessian_factors(ctx, support)
-        d = np.linalg.solve(_neg_hessian(factors, terms.lam * (terms.v + terms.lam)), grad)
+        d = np.linalg.solve(_neg_hessian(factors, terms.lam * (terms.v + terms.lam), curvature(x)),
+                            grad)
+        if crossing is not None:
+            crossed = crossing(x, d)
+            if crossed.any():
+                return x.view(complex), trace, terms, crossed
         slope = float(grad @ d)               # > 0: ascent direction
         w = cols @ d.view(complex)
         noise_floor = 1e-12 * (1.0 + abs(h_val))
@@ -363,7 +459,7 @@ def restricted_maximize(
     else:
         stop = "hit the iteration cap"
 
-    grad = (cols_h @ best[2].weights).view(float) - 2.0 * best[1]
+    grad = (cols_h @ best[2].weights).view(float) + gradient(best[1])
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
         f"Newton iterations ({stop})",
@@ -590,6 +686,43 @@ def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return v * (1.0 - tau / np.maximum(np.abs(v), tau))
 
 
+def _fista_finish(ctx, gamma, support, values, u):
+    """Maximize f - gamma ||x||_1 on FISTA's settled nonzero set by Newton, and certify it.
+
+    support is the sorted nonzero set of FISTA's accepted iterate, values
+    its values there and u its carried image.  The one Newton loop runs
+    with the l1 penalty from there down to a restricted gradient of
+    FINISH_TOL * sqrt(q) (Wen, Yin, Goldfarb & Zhang 2010, FPC_AS; Lee,
+    Sun & Saunders 2014).  On the set no entry is zero, so the objective
+    is smooth there.  When a full Newton step would send entries through
+    zero, they leave the set and the loop goes on with the rest from the
+    values it holds.  The result is the maximizer of the whole problem
+    when one full adjoint there gives |grad_j f| <= gamma for every j off
+    the set: with the restricted gradient zero, that is the optimality
+    condition of the l1 problem.
+
+    Returns (support, values, the Newton steps' objectives), or None when
+    the check fails, the set empties, or the loop stops on its cap, a
+    stall or a singular system: FISTA then goes on from its own iterate.
+    """
+    penalty = _l1_penalty(gamma)
+    start = likelihood(ctx, u)
+    trace = []
+    while support.size:
+        try:
+            values, steps, terms, crossed = _newton_loop(
+                ctx, support, values, FINISH_TOL * math.sqrt(support.size), penalty, start=start)
+        except (ConvergenceError, np.linalg.LinAlgError):
+            return None
+        trace += steps[1:]
+        if crossed is None:
+            off = np.abs(ctx.op.apply_adjoint(terms.weights)) > gamma
+            off[support] = False
+            return None if off.any() else (support, values, trace)
+        support, values, start = support[~crossed], values[~crossed], None
+    return None
+
+
 def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> SolverReport:
     """Maximize f(x) - gamma * ||x||_1 by monotone accelerated proximal ascent.
 
@@ -602,8 +735,7 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     keeps the failed trials few where the step is already at its limit.
     The accepted iterate never decreases the objective; when this guard
     rejects the prox point, the momentum restarts from the accepted iterate
-    (O'Donoghue & Candes 2015).  Most solves therefore stop at FISTA_TOL,
-    well before max_iters.
+    (O'Donoghue & Candes 2015).
 
     The iterates live on a working set W of columns (Friedman, Hastie &
     Tibshirani 2010; Massias, Gramfort & Salmon 2018).  A prox step leaves
@@ -617,12 +749,27 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     ascent continues from the accepted iterate with its momentum reset.
     All rounds share max_iters.
 
+    Most of the iterations come after the nonzero set has settled, and on
+    it the objective is smooth.  So once the accepted iterate's nonzero
+    set has been the same for FINISH_STABLE_ITERS iterations, the solve
+    tries to finish there by Newton, at most once per set (_fista_finish).
+    A certified finish ends the solve; otherwise FISTA goes on from its own
+    iterate, having spent the finish's Newton steps and at most one full
+    adjoint.  The set may hold at most FINISH_MAX_SUPPORT entries: while
+    gamma is tuned, sets of hundreds settle for a few iterations at a time
+    and rarely certify, and without the limit full-scale -10 dB tuning took
+    17.5 s instead of 2.2 s.
+
     Returns a SolverReport whose estimate carries its eps-support
     (|x_b| > 1e-8; entries at or below the eps threshold are zeroed so the
-    support contains supp(x_hat)), halted_by "converged" or "max-iters",
-    and the objective at the start and after every iteration.  Raises
-    ConvergenceError carrying the last accepted iterate, of length B, when
-    the objective becomes non-finite or the step size underflows.
+    support contains supp(x_hat)), and halted_by "newton" (finished on its
+    nonzero set), "converged" (stopped at FISTA_TOL) or "max-iters".  Its
+    trace holds the objective at the start, after every proximal
+    iteration and after each Newton step of the finish, so it ends with
+    the finished objective; iterations counts both kinds of step, and
+    max_iters caps the proximal ones.  Raises ConvergenceError carrying the
+    last accepted iterate, of length B, when the objective becomes
+    non-finite or the step size underflows.
     """
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -655,6 +802,9 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     t_mom = 1.0
     trace = [obj_prev]
     passes = 0    # iterations in a row whose first step-size trial passed
+    settled, stable = W, 0      # the accepted nonzero set, and iterations it has held
+    tried = set()               # the sets the finish was tried on
+    finished = None
     halted_by = "max-iters"
 
     for _ in range(max_iters):
@@ -704,6 +854,10 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
         trace.append(obj_new)
         converged = np.linalg.norm(z - z_prev) <= FISTA_TOL * max(1.0, np.linalg.norm(z))
         x_prev, u_prev, obj_prev, z_prev = x_new, u_new, obj_new, z
+        on = x_prev != 0
+        nonzero = W[on]
+        stable = stable + 1 if np.array_equal(nonzero, settled) else 1
+        settled = nonzero
         if converged:
             at_y = likelihood(ctx, u_prev)
             g = op.apply_adjoint(at_y.weights)
@@ -712,9 +866,19 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
                 halted_by = "converged"
                 break
             u_y, t_mom = u_prev, 1.0
+        elif (stable >= FINISH_STABLE_ITERS and 0 < nonzero.size <= FINISH_MAX_SUPPORT
+              and nonzero.tobytes() not in tried):
+            tried.add(nonzero.tobytes())
+            order = np.argsort(nonzero)
+            finished = _fista_finish(ctx, gamma, nonzero[order], x_prev[on][order], u_prev)
+            if finished is not None:
+                trace += finished[2]
+                halted_by = "newton"
+                break
 
-    keep = np.abs(x_prev) > FISTA_SUPPORT_EPS
-    x_final, support = _scatter(op.B, W[keep], x_prev[keep])
+    idx, values = (W, x_prev) if finished is None else finished[:2]
+    keep = np.abs(values) > FISTA_SUPPORT_EPS
+    x_final, support = _scatter(op.B, idx[keep], values[keep])
     estimate = SparseEstimate(x_hat=x_final, support=np.sort(support))
     return SolverReport(estimate=estimate, iterations=len(trace) - 1,
                         halted_by=halted_by, objective_trace=trace)

@@ -3,7 +3,8 @@
 run_fista and the GraHTP step search evaluate the likelihood at operator
 images formed as linear combinations of images they already hold, instead
 of applying the operator at every evaluation.  The oracles below are the
-earlier implementations, which did apply it every time.  The pursuit loops
+earlier implementations, which did apply it every time; the FISTA one is
+oracles.fista_applying_every_product.  The pursuit loops
 likewise take their objective trace from values the steps already hold.
 The step search forms the image of the gradient from the factor Grams, not
 by an apply, and starts one grid step above its line-Newton guess; every
@@ -22,7 +23,6 @@ import onebitcs.solvers as solvers_module
 from onebitcs.errors import ConvergenceError
 from onebitcs.objective import f_loglik, grad_h, h_objective, likelihood
 from onebitcs.solvers import (
-    FISTA_SUPPORT_EPS,
     SolverConfig,
     _backtrack_gradient_step,
     _soft_threshold,
@@ -31,52 +31,9 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
-from oracles import make_ctx
+from oracles import fista_applying_every_product, make_ctx
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
-
-
-def oracle_run_fista(ctx, gamma, max_iters=500, tol=1e-6):
-    """Monotone FISTA applying the operator for every f and gradient."""
-    sigma = ctx.op.spectral_norm_estimate()
-    step = 1.0 / max(2.0 * ctx.rho * sigma * sigma, 1e-3)
-
-    def penalty(x):
-        return gamma * float(np.sum(np.abs(x)))
-
-    x_prev = np.zeros(ctx.op.B, dtype=complex)
-    obj_prev = f_loglik(ctx, x_prev) - penalty(x_prev)
-    y = x_prev
-    t_mom = 1.0
-    trace = [obj_prev]
-    z_prev = x_prev
-    for _ in range(max_iters):
-        gy = grad_h(ctx, y) + 2.0 * y
-        fy = f_loglik(ctx, y)
-        while True:
-            z = _soft_threshold(y + step * gy, gamma * step)
-            dz = z - y
-            fz = f_loglik(ctx, z)
-            quad = fy + float(np.vdot(gy, dz).real) - float(np.vdot(dz, dz).real) / (2.0 * step)
-            if fz >= quad - 1e-12 * abs(quad):
-                break
-            step *= 0.5
-        obj_z = fz - penalty(z)
-        if obj_z >= obj_prev:
-            x_new, obj_new = z, obj_z
-        else:
-            x_new, obj_new = x_prev, obj_prev
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x_new + (t_mom / t_next) * (z - x_new) + ((t_mom - 1.0) / t_next) * (x_new - x_prev)
-        t_mom = t_next
-        trace.append(obj_new)
-        converged = np.linalg.norm(z - z_prev) <= tol * max(1.0, np.linalg.norm(z))
-        x_prev, obj_prev, z_prev = x_new, obj_new, z
-        if converged:
-            break
-    x_final = x_prev.copy()
-    x_final[np.abs(x_final) <= FISTA_SUPPORT_EPS] = 0.0
-    return x_final, trace
 
 
 def oracle_backtrack_gradient_step(ctx, x, g, shrink=0.5, slope=0.1, max_steps=50):
@@ -129,10 +86,10 @@ def test_fista_matches_oracle(seed, rho, fraction):
     ctx = make_ctx(seed, rho)
     gamma = gamma_for(ctx, fraction)
     scale = abs(f_loglik(ctx, np.zeros(ctx.op.B, dtype=complex)))
-    want_x, _ = oracle_run_fista(ctx, gamma)
+    want_x, _ = fista_applying_every_product(ctx, gamma)
     got = run_fista(ctx, gamma).estimate
     assert penalized(ctx, gamma, got.x_hat) >= penalized(ctx, gamma, want_x) - 1e-9 * scale
-    want_x, _ = oracle_run_fista(ctx, gamma, max_iters=20_000)
+    want_x, _ = fista_applying_every_product(ctx, gamma, max_iters=20_000)
     got = run_fista(ctx, gamma, max_iters=20_000).estimate
     want = penalized(ctx, gamma, want_x)
     assert abs(penalized(ctx, gamma, got.x_hat) - want) <= 1e-6 * abs(want)
@@ -209,14 +166,31 @@ def test_gradient_step_search_raises_when_no_step_passes(monkeypatch):
 
 def test_fista_costs_one_adjoint_per_iteration(monkeypatch):
     # A round of the working-set solve starts from a full adjoint, the one
-    # at 0 or the KKT check that grew W; every other iteration costs one
-    # restricted adjoint, and every step-size trial one restricted image.
-    # At gamma 0.5 max|grad f(0)| W stays on the gathered side: no full
-    # apply, and full adjoints = 1 + KKT checks.  At 0.2, W is past the
-    # full products' multiply count, so each restricted product is a full
-    # one: one apply per step-size trial and iterations + 1 adjoints.
+    # at 0 or the KKT check that grew W; every other proximal iteration
+    # costs one restricted adjoint, and every step-size trial one
+    # restricted image.  The Newton finishes are counted apart: they make
+    # no apply and no restricted product, and each one that reaches its
+    # certificate costs one full adjoint.  Every solve here ends by a
+    # certified finish, in place of its last round's KKT check, and its
+    # Newton steps are the report's last iterations.  At gamma 0.5
+    # max|grad f(0)| W stays on the gathered side: no full apply, and full
+    # adjoints = 1 + KKT checks + certificates.  At 0.2, W is past the full
+    # products' multiply count, so each restricted product is a full one:
+    # one apply per step-size trial, and one adjoint per proximal iteration
+    # and certificate.
     trials = _Counted(_soft_threshold)
     monkeypatch.setattr(solvers_module, "_soft_threshold", trials)
+    finishes = []    # (full adjoints, outcome) of each finish tried
+    real_finish = solvers_module._fista_finish
+
+    def finish(ctx, *args):
+        before = ctx.op.apply_adjoint.calls
+        out = real_finish(ctx, *args)
+        finishes.append((ctx.op.apply_adjoint.calls - before, out))
+        return out
+
+    monkeypatch.setattr(solvers_module, "_fista_finish", finish)
+    failed_finishes = 0
     for fraction, full in ((0.5, False), (0.2, True)):
         for seed in range(4):
             ctx = make_ctx(seed, 10.0, b=16)
@@ -234,17 +208,28 @@ def test_fista_costs_one_adjoint_per_iteration(monkeypatch):
             ctx.op.restricted = restricted
             ctx.op.spectral_norm_estimate()
             applies.calls = adjoints.calls = trials.calls = 0
+            finishes.clear()
             report = run_fista(ctx, gamma)
-            assert report.halted_by == "converged"
+            assert report.halted_by == "newton"
+            *failed, (certificates, finished) = finishes
+            assert finished is not None and certificates == 1
+            assert all(out is None and n <= 1 for n, out in failed)
+            failed_finishes += len(failed)
+            newton_steps = len(finished[2])
+            assert newton_steps > 0
+            assert report.objective_trace[-newton_steps:] == finished[2]
+            iterations = report.iterations - newton_steps
+            certificates = sum(n for n, _ in finishes)
             assert rounds and all(part.full == full for part in rounds)
-            assert sum(part.adjoint.calls for part in rounds) == report.iterations - len(rounds)
-            assert sum(part.image.calls for part in rounds) == trials.calls >= report.iterations
+            assert sum(part.adjoint.calls for part in rounds) == iterations - len(rounds)
+            assert sum(part.image.calls for part in rounds) == trials.calls >= iterations
             if full:
                 assert applies.calls == trials.calls
-                assert adjoints.calls == report.iterations + 1
+                assert adjoints.calls == iterations + certificates
             else:
                 assert applies.calls == 0
-                assert adjoints.calls == 1 + len(rounds)
+                assert adjoints.calls == len(rounds) + certificates
+    assert failed_finishes > 0
 
 
 def test_grahtp_step_costs_two_applies(monkeypatch):

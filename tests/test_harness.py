@@ -262,8 +262,10 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run_fista", recorded)
         records = run_experiment(replace(TINY, algorithms=("fista",)))
         # One algorithm, run serially: the rows come in the order of the solves.
+        # Every solve here ends by its certified Newton finish, whose steps
+        # the iterations count.
         assert [r.iterations for r in records] == [rep.iterations for rep in reports]
-        assert all(rep.halted_by == "converged" for rep in reports)
+        assert all(rep.halted_by == "newton" for rep in reports)
 
     def test_grahtp_row_is_salvaged_when_no_gradient_step_passes(self, monkeypatch, capsys):
         # Every step-size trial fails, so the first GraHTP step search raises

@@ -28,6 +28,15 @@ SOLVER_PARAMETERS = {
     "brute_force_map": ("ctx", "L"),
 }
 SOLVER_CONFIG_FIELDS = ("sparsity", "eta", "max_outer_iters", "inner_tol", "debias")
+# The solvers' module constants: values that no caller sets.  FISTA's Newton
+# finish added FINISH_STABLE_ITERS, FINISH_MAX_SUPPORT and FINISH_TOL.  A
+# new constant, or one turned into a knob, fails here until this is edited.
+SOLVER_CONSTANTS = {
+    "FISTA_SUPPORT_EPS": 1e-8, "FISTA_TOL": 1e-6, "FINISH_STABLE_ITERS": 5,
+    "FINISH_MAX_SUPPORT": 32, "FINISH_TOL": 1e-8, "ARMIJO_SHRINK": 0.5, "ARMIJO_SLOPE": 0.1,
+    "ARMIJO_MAX_STEPS": 50, "NEWTON_MAX_ITERS": 100, "TUNE_MAX_BISECT": 60,
+    "ORACLE_BUDGET": 10**5, "ORACLE_TIE_TOL": 1e-12,
+}
 
 # A sweep's knobs: ExperimentConfig's fields (16, as ROADMAP counts them) and
 # the config keys that set one scalar field (11 of ROADMAP's 16 keys).  A new
@@ -104,6 +113,9 @@ def test_solver_surface_is_pinned():
     assert got == SOLVER_PARAMETERS
     fields = tuple(field.name for field in dataclasses.fields(solvers.SolverConfig))
     assert fields == SOLVER_CONFIG_FIELDS
+    constants = {name: value for name, value in vars(solvers).items()
+                 if name.isupper() and not name.startswith("_")}
+    assert constants == SOLVER_CONSTANTS
 
 
 def test_sweep_surface_is_pinned():

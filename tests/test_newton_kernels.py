@@ -42,6 +42,9 @@ here:
   layout s .* real_form(u), with weights complex_form(lam .* s), beside the
   pursuits' interleaved layout; the likelihood now has the one layout of
   u.view(float), and the real-form likelihood is the oracle here.
+* the restricted solve had the Gaussian prior written into its Newton loop
+  and its Hessian; the loop now takes its penalty as an argument, and the
+  pursuits' solves must stay bit for bit oracles.prior_restricted_maximize.
 
 The GraHTP gradient step search returned its smallest step when no step
 passed; it now raises ConvergenceError, to which the pursuit loop adds the
@@ -92,7 +95,7 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
-from oracles import complex_form, make_ctx, real_form
+from oracles import complex_form, make_ctx, prior_restricted_maximize, real_form
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
@@ -761,6 +764,30 @@ def solve_outcome(solve, ctx, support, x0, **kwargs):
         return solve(ctx, support, x0=x0, **kwargs)
     except ConvergenceError as err:
         return err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 1.0, 10.0, 1000.0]),
+       size=st.integers(0, 6), scale=st.sampled_from([0.1, 1.0, 5.0]), warm=st.booleans(),
+       keep=st.sampled_from([None, 1, 2]), cap=st.sampled_from([1, 100]))
+def test_prior_solve_is_the_prior_only_loop_bit_for_bit(seed, rho, size, scale, warm, keep, cap):
+    # The same values, trace, likelihood terms and failures, at the Newton
+    # cap and within it, with and without the keep certificate.
+    ctx, support, x0 = restricted_problem(seed, rho, size, scale, warm)
+    with mock.patch.object(solvers_module, "NEWTON_MAX_ITERS", cap):
+        got = solve_outcome(restricted_maximize, ctx, support, x0, keep=keep)
+        want = solve_outcome(prior_restricted_maximize, ctx, support, x0, keep=keep)
+    if isinstance(want, ConvergenceError):
+        assert isinstance(got, ConvergenceError)
+        assert str(got) == str(want)
+        assert np.array_equal(got.best, want.best) and got.grad_norm == want.grad_norm
+        return
+    (values, trace, terms), (want_values, want_trace, want_terms) = got, want
+    assert np.array_equal(values, want_values)
+    assert trace == want_trace
+    assert terms.f == want_terms.f
+    for name in ("u", "v", "lam", "weights"):
+        assert np.array_equal(getattr(terms, name), getattr(want_terms, name))
 
 
 def negated(hessian):

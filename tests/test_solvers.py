@@ -259,7 +259,7 @@ class TestRestrictedMaximize:
         # descends, so the solve stalls before taking a step.
         _, ctx, _ = make_problem(l=2, rho=10.0, seed=6)
         monkeypatch.setattr(solvers_module, "_neg_hessian",
-                            lambda factors, curv: -np.eye(2 * 3))
+                            lambda factors, curv, penalty_curv: -np.eye(2 * 3))
         with pytest.raises(ConvergenceError, match=r"in 0 Newton iterations \(stalled") as err:
             restricted_maximize(ctx, [1, 2, 3])
         assert str(solvers_module.NEWTON_MAX_ITERS) not in str(err.value)
