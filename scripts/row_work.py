@@ -8,6 +8,10 @@ the benchmark's ``cells_per_s`` times):
 
 * minor page faults (``ru_minflt``);
 * full operator products: ``apply``, ``apply_adjoint`` and ``apply_gram``;
+* restricted products: the column sets ``restricted`` was built on, with
+  their summed sizes |W| and the summed sizes |Tb|*|R| of the sub-grids of
+  distinct transmit and receive bins they touch, and the ``image`` and
+  ``adjoint`` calls of the ``RestrictedOperator`` it returns;
 * likelihood kernel passes: ``sign_terms`` and ``loglik`` calls, the
   ``loglik`` calls alone (the step-size trials of GraHTP and FISTA), and the
   passes made inside the pursuits' ``_gradient_at``;
@@ -21,7 +25,8 @@ the benchmark's ``cells_per_s`` times):
 
 It prints one JSON object: the means per row, overall and per algorithm,
 and the same counts per ``tune_gamma`` call of the main sweep's set-up,
-with the FISTA solves that tuning ran.  Every count but the faults is a
+with the FISTA solves that tuning ran.  Each also gives the mean |W| and
+mean |Tb|*|R| per restricted column set.  Every count but the faults is a
 pure function of the workload and seed.
 
     python3 scripts/row_work.py --workload full-bms --seed 1 --seconds 20
@@ -48,7 +53,9 @@ sys.path.insert(0, str(ROOT / "sweepbench"))
 import run as bench  # noqa: E402  (puts this checkout's src/ on the path)
 from onebitcs import harness, objective, operator, solvers  # noqa: E402
 
-COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "kernel_passes", "loglik",
+COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "restricted_sets",
+          "restricted_columns", "restricted_grid", "restricted_image", "restricted_adjoint",
+          "kernel_passes", "loglik",
           "gradient_passes", "restricted_solves", "hessians", "pair_products", "bms_threshold",
           "partitions", "iterations", "fista_solves", "proximal_iterations", "newton_steps",
           "finish_attempts", "finishes_accepted")
@@ -75,6 +82,16 @@ class Counter:
                 self.now["gradient_passes"] += self.in_gradient
             return fn(*args, **kwargs)
         return wrapper
+
+    def restricted(self, fn):
+        def restricted(op, idx):
+            part = fn(op, idx)
+            bt, br = np.divmod(part.idx, op.B_RX)
+            self.now["restricted_sets"] += 1
+            self.now["restricted_columns"] += part.idx.size
+            self.now["restricted_grid"] += np.unique(bt).size * np.unique(br).size
+            return part
+        return restricted
 
     def gradient(self, fn):
         def _gradient_at(*args, **kwargs):
@@ -171,6 +188,11 @@ def install(counter):
     for name in ("apply", "apply_adjoint", "apply_gram", "pair_products"):
         if hasattr(cls, name):      # a checkout before apply_gram has none
             patch(cls, name, counter.counted((name,), getattr(cls, name)))
+    if hasattr(cls, "restricted"):      # a checkout before the working set has none
+        patch(cls, "restricted", counter.restricted(cls.restricted))
+        for name in ("image", "adjoint"):
+            method = getattr(operator.RestrictedOperator, name)
+            patch(operator.RestrictedOperator, name, counter.counted((f"restricted_{name}",), method))
     for name, counts in (("sign_terms", ("kernel_passes",)),
                          ("loglik", ("kernel_passes", "loglik"))):
         original = getattr(objective, name)
@@ -204,6 +226,10 @@ def summary(rows):
                    key=lambda k: int(k.split("_")[1]))
     for key in COUNTS + tuple(sizes):
         out[key] = round(sum(c.get(key, 0) for c in rows) / n, 3) if n else 0.0
+    sets = sum(c["restricted_sets"] for c in rows)
+    for key in ("columns", "grid"):
+        out[f"{key}_per_restricted_set"] = round(
+            sum(c[f"restricted_{key}"] for c in rows) / sets, 1) if sets else 0.0
     calls = sum(c["bms_threshold"] for c in rows)
     out["partitions_per_bms_threshold"] = round(
         sum(c["partitions"] for c in rows) / calls, 3) if calls else 0.0

@@ -132,7 +132,7 @@ class SensingOperator:
         return (self._gram_g @ c.reshape(self.T, self.M) @ self._gram_rx).reshape(-1)
 
     def restricted(self, idx) -> RestrictedOperator:
-        """A restricted to the columns idx, which must lie in [0, B)."""
+        """A restricted to the columns idx: distinct integers in [0, B)."""
         return RestrictedOperator(self, self._column_indices(idx))
 
     def columns(self, idx) -> np.ndarray:
@@ -178,13 +178,15 @@ class SensingOperator:
                 np.multiply(g2[..., None], g2[1][:, None, :], order="C"))
 
     def _column_indices(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=int)
+        idx = np.asarray(idx)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"column indices must be integers, got dtype {idx.dtype}")
         if idx.ndim != 1:
             raise ValueError(f"column indices must be a vector, got shape {idx.shape}")
         bad = idx[(idx < 0) | (idx >= self.B)]
         if bad.size:
             raise ValueError(f"column index {bad[0]} out of range [0, {self.B})")
-        return idx
+        return idx.astype(int, copy=False)
 
     # -- coherence geometry ------------------------------------------------
 
@@ -229,52 +231,50 @@ class SensingOperator:
 
 
 class RestrictedOperator:
-    """The columns idx of A, applied through their gathered factor columns.
+    """The columns idx of A, applied on the sub-grid of bins they touch.
 
-    Built by :meth:`SensingOperator.restricted`.  Column b = br + bt*B_RX of
-    A is g_bt kron a_rx(br), so the block A[:, idx] needs only G[:, bt] and
-    A_RX[:, br], gathered once here:
+    Built by :meth:`SensingOperator.restricted`.  Column b = br + bt*B_RX
+    of A is g_bt kron a_rx(br).  With Tb and R the distinct transmit and
+    receive bins of idx, (it, ir) each column's place among them,
+    Z[it, ir] = z and C = unvec(c)^T, in the full products' order:
 
-        image(z)    = A[:, idx] @ z          = vec((G_W * z) @ A_W^T)
-        adjoint(c)  = (A^H c)[idx]           = conj(sum_t G_W .* (conj(C) A_W))
+        image(z)    = A[:, idx] @ z  = vec(G[:, Tb] (Z A_RX[:, R]^T))
+        adjoint(c)  = (A^H c)[idx]   = (G[:, Tb]^H C conj(A_RX[:, R]))[it, ir]
 
-    with C = unvec(c)^T, at O(M*T*len(idx)) work each.  When that is more
-    than the B*M + T*B_TX*M multiplies of the full products, both go
-    through :meth:`SensingOperator.apply` and :meth:`~SensingOperator.apply_adjoint`
-    instead, and nothing is gathered: FISTA's working set reaches that
-    size while gamma is tuned at full scale, where the full products are
-    the faster ones.  Pursuit supports stay far below it, so their images
-    are always the gathered product.
+    When idx covers every bin, these are the full products.
     """
 
     def __init__(self, op: SensingOperator, idx: np.ndarray):
-        self.op = op
-        self.idx = idx
-        self.full = op.M * op.T * idx.size > op.B * op.M + op.T * op.B_TX * op.M
-        if not self.full:
-            br, bt = idx % op.B_RX, idx // op.B_RX
-            self._g = op.G[:, bt]
-            self._a = op.A_RX[:, br]
+        self.op, self.idx = op, idx
+        tb, it = _distinct_bins(idx // op.B_RX, op.B_TX)
+        rb, ir = _distinct_bins(idx % op.B_RX, op.B_RX)
+        self._at = it * rb.size + ir    # each column's entry of the flattened Z
+        if np.count_nonzero(np.bincount(self._at)) < idx.size:
+            raise ValueError("column indices must not repeat")
+        self._g, self._g_h = op.G[:, tb], op._G_H[tb]
+        self._a, self._a_conj = op.A_RX[:, rb], op._A_RX_conj[:, rb]
 
     def image(self, z) -> np.ndarray:
-        """A[:, idx] @ z: the image of the x that holds z at idx (summed over repeats)."""
+        """A[:, idx] @ z: the image of the x that holds z at idx."""
         z = np.asarray(z)
         if z.shape != self.idx.shape:
-            raise ValueError(
-                f"idx {self.idx.shape} and values {z.shape} must be vectors of one length"
-            )
-        if self.full:
-            x = np.zeros(self.op.B, dtype=complex)
-            np.add.at(x, self.idx, z)
-            return self.op.apply(x)
-        return ((self._g * z) @ self._a.T).reshape(-1)
+            raise ValueError(f"idx {self.idx.shape} and values {z.shape} "
+                             "must be vectors of one length")
+        Z = np.zeros((self._g.shape[1], self._a.shape[1]), dtype=complex)
+        Z.reshape(-1)[self._at] = z
+        return (self._g @ (Z @ self._a.T)).reshape(-1)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """(A^H c)[idx] for a length-M*T measurement-space vector c."""
-        if self.full:
-            return self.op.apply_adjoint(c)[self.idx]
-        c_conj = np.reshape(c, (self.op.T, self.op.M)).conj()
-        return np.einsum("tk,tk->k", self._g, c_conj @ self._a).conj()
+        C = np.reshape(c, (self.op.T, self.op.M))
+        return (self._g_h @ C @ self._a_conj).reshape(-1)[self._at]
+
+
+def _distinct_bins(bins: np.ndarray, count: int):
+    """The distinct values of bins, ascending, and each entry's place among them."""
+    hit = np.zeros(count, dtype=bool)
+    hit[bins] = True
+    return np.flatnonzero(hit), np.cumsum(hit)[bins] - 1
 
 
 @dataclass(frozen=True)

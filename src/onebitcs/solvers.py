@@ -741,8 +741,8 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     Tibshirani 2010; Massias, Gramfort & Salmon 2018).  A prox step leaves
     column j at zero while x_j = 0 and |grad_j f| <= gamma, so the first
     iteration's full adjoint at 0 defines W = {j : |grad_j f(0)| > gamma},
-    and the loop runs on length-|W| vectors, its images and gradients coming
-    from op.restricted(W): O(M*T*|W|) work per product.  A x is carried
+    and the loop runs on length-|W| vectors.  Its images and gradients come
+    from op.restricted(W), on the factor bins W touches.  A x is carried
     along with every iterate, and the momentum point's image is the same
     linear combination of images.  At convergence one full adjoint checks
     |grad_j f| <= gamma off W; the columns that break it join W, and the

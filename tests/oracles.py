@@ -2,8 +2,9 @@
 
 The library applies A = G kron A_RX only through its two factors and lays
 the likelihood out one way, as u.view(float); the dense matrix and the
-stacked real form are formed here, where they are checked.  Retired solver
-implementations live here too, each with a note of what it stood for.
+stacked real form are formed here, where they are checked.  Retired operator
+products and solver implementations live here too, each with a note of
+what it stood for.
 (Not named ``reference``: sweepbench/, which some tests put on sys.path,
 has a module of that name.)
 """
@@ -60,6 +61,79 @@ def make_ctx(seed, rho, m=4, n=4, t=6, b=8, paths=2):
     op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
     H = draw_channel(paths, m, n, rng).H
     return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
+
+
+# -- retired operator products -------------------------------------------------
+
+
+def _is_dft_grid(factor):
+    m, bins = factor.shape
+    if bins < m:
+        return False
+    return np.allclose(factor, dft_dictionary(m, bins), rtol=0.0, atol=1e-12)
+
+
+class OracleDictProduct:
+    """Multiply by one dictionary factor, with the FFT fast path on the grid.
+
+    It and oracle_apply / oracle_apply_adjoint stood for SensingOperator's
+    apply and apply_adjoint before the two-factor products: truncated,
+    phase-twisted FFTs when the factor sat on the canonical DFT grid, dense
+    matmul otherwise, with column-major (order="F") reshapes around them.
+    """
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.m, self.bins = factor.shape
+        self.use_fft = _is_dft_grid(factor)
+        if self.use_fft:
+            k = np.arange(self.m)
+            # e^{-j pi k s_b} = e^{j pi k (1 - 1/bins)} * e^{-j 2 pi k b / bins}
+            self.phase = np.exp(1j * np.pi * k * (1.0 - 1.0 / self.bins)) / np.sqrt(self.m)
+
+    def forward(self, W):
+        if not self.use_fft:
+            return self.factor @ W
+        return self.phase[:, None] * np.fft.fft(W, axis=0)[: self.m]
+
+    def adjoint(self, C):
+        if not self.use_fft:
+            return self.factor.conj().T @ C
+        D = self.phase.conj()[:, None] * C
+        return self.bins * np.fft.ifft(D, n=self.bins, axis=0)
+
+
+def oracle_apply(op, x):
+    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
+    X = x.reshape(op.B_RX, op.B_TX, order="F")
+    W = op.S.conj().T @ tx.forward(X.conj().T)             # (T, B_RX)
+    return rx.forward(W.conj().T).reshape(-1, order="F")   # (M, T)
+
+
+def oracle_apply_adjoint(op, c):
+    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
+    C = c.reshape(op.M, op.T, order="F")
+    V = tx.adjoint(op.S @ C.conj().T)                      # (B_TX, M)
+    return rx.adjoint(V.conj().T).reshape(-1, order="F")   # (B_RX, B_TX)
+
+
+def gathered_image(op, idx, z):
+    """A[:, idx] @ z from one gathered factor column pair per column, summed over repeats.
+
+    It and gathered_adjoint stood for RestrictedOperator's products below
+    its size rule, before they went through the factor bins idx touches.
+    """
+    idx = np.asarray(idx, dtype=int)
+    g, a = op.G[:, idx // op.B_RX], op.A_RX[:, idx % op.B_RX]
+    return ((g * z) @ a.T).reshape(-1)
+
+
+def gathered_adjoint(op, idx, c):
+    """(A^H c)[idx] from one gathered factor column pair per column."""
+    idx = np.asarray(idx, dtype=int)
+    g, a = op.G[:, idx // op.B_RX], op.A_RX[:, idx % op.B_RX]
+    c_conj = np.reshape(c, (op.T, op.M)).conj()
+    return np.einsum("tk,tk->k", g, c_conj @ a).conj()
 
 
 # -- retired solvers ----------------------------------------------------------

@@ -1,11 +1,16 @@
 """Differential tests for the two-factor operator products.
 
-The oracle below is the earlier factored path: products with each dictionary
-factor went through truncated, phase-twisted FFTs when the factor sat on the
-canonical DFT grid and through dense matmul otherwise, with column-major
-(order="F") reshapes around them.  The two-factor products must agree with it to
-1e-12 relative on and off the grid, for unequal dictionary sizes, for N < T,
-and at desk and full scale.  The Gram product A A^H c, formed from the two
+The oracle, oracles.oracle_apply and oracle_apply_adjoint, is the earlier
+factored path: products with each dictionary factor went through truncated,
+phase-twisted FFTs when the factor sat on the canonical DFT grid and through
+dense matmul otherwise, with column-major (order="F") reshapes around them.
+The two-factor products must agree with it to 1e-12 relative on and off the
+grid, for unequal dictionary sizes, for N < T, and at desk and full scale.
+The restricted products, applied on the sub-grid of the factor bins a column
+set touches, must agree to the same tolerance with the gathered factor
+columns they replaced (oracles.gathered_image and gathered_adjoint) and
+with the dense matrix, for one column, some columns, and sets that touch
+every bin.  The Gram product A A^H c, formed from the two
 factor Grams, must agree to the same tolerance with an adjoint followed by
 an apply and with the dense matrix.  The pair products of the factor
 columns must give the weighted Grams C^H diag(W) C and C^T diag(W) C of a
@@ -20,55 +25,17 @@ from hypothesis import strategies as st
 from onebitcs.model import dft_dictionary, steering_vector, zc_training
 from onebitcs.operator import build_operator
 
-from oracles import dense_matrix
+from oracles import (
+    OracleDictProduct,
+    dense_matrix,
+    gathered_adjoint,
+    gathered_image,
+    oracle_apply,
+    oracle_apply_adjoint,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
-
-
-def _is_dft_grid(factor):
-    m, bins = factor.shape
-    if bins < m:
-        return False
-    return np.allclose(factor, dft_dictionary(m, bins), rtol=0.0, atol=1e-12)
-
-
-class OracleDictProduct:
-    """Multiply by one dictionary factor, with the FFT fast path on the grid."""
-
-    def __init__(self, factor):
-        self.factor = factor
-        self.m, self.bins = factor.shape
-        self.use_fft = _is_dft_grid(factor)
-        if self.use_fft:
-            k = np.arange(self.m)
-            # e^{-j pi k s_b} = e^{j pi k (1 - 1/bins)} * e^{-j 2 pi k b / bins}
-            self.phase = np.exp(1j * np.pi * k * (1.0 - 1.0 / self.bins)) / np.sqrt(self.m)
-
-    def forward(self, W):
-        if not self.use_fft:
-            return self.factor @ W
-        return self.phase[:, None] * np.fft.fft(W, axis=0)[: self.m]
-
-    def adjoint(self, C):
-        if not self.use_fft:
-            return self.factor.conj().T @ C
-        D = self.phase.conj()[:, None] * C
-        return self.bins * np.fft.ifft(D, n=self.bins, axis=0)
-
-
-def oracle_apply(op, x):
-    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
-    X = x.reshape(op.B_RX, op.B_TX, order="F")
-    W = op.S.conj().T @ tx.forward(X.conj().T)             # (T, B_RX)
-    return rx.forward(W.conj().T).reshape(-1, order="F")   # (M, T)
-
-
-def oracle_apply_adjoint(op, c):
-    rx, tx = OracleDictProduct(op.A_RX), OracleDictProduct(op.A_TX)
-    C = c.reshape(op.M, op.T, order="F")
-    V = tx.adjoint(op.S @ C.conj().T)                      # (B_TX, M)
-    return rx.adjoint(V.conj().T).reshape(-1, order="F")   # (B_RX, B_TX)
 
 
 def off_grid_dictionary(rng, antennas, bins):
@@ -179,3 +146,35 @@ def test_pair_products_give_the_weighted_grams(case, size):
         assert np.all(np.abs(got - gram.conj()) <= RTOL * np.max(scale))
     with pytest.raises(ValueError, match="out of range"):
         op.pair_products([0, op.B])
+
+
+def column_sets(op, rng):
+    """Distinct columns of op, in any order: one, some, every bin, and all of them.
+
+    The third touches each transmit and receive bin, through the columns
+    (k mod B_RX) + (k mod B_TX) B_RX, which are distinct for k below the
+    larger bin count, and a few more drawn at random.
+    """
+    k = np.arange(max(op.B_RX, op.B_TX))
+    cover = k % op.B_RX + (k % op.B_TX) * op.B_RX
+    return (rng.integers(0, op.B, size=1),
+            rng.choice(op.B, size=rng.integers(1, op.B + 1), replace=False),
+            rng.permutation(np.union1d(cover, rng.choice(op.B, size=op.B // 4))),
+            rng.permutation(op.B))
+
+
+@SETTINGS
+@given(operators())
+def test_restricted_products_match_gathered_oracle_and_dense(case):
+    op, rng = case
+    A = dense_matrix(op)
+    for idx in column_sets(op, rng):
+        part = op.restricted(idx)
+        z, c = rand_complex(rng, idx.size), rand_complex(rng, op.M * op.T)
+        cols = A[:, idx]
+        for got, oracle, dense in ((part.image(z), gathered_image(op, idx, z), cols @ z),
+                                   (part.adjoint(c), gathered_adjoint(op, idx, c),
+                                    cols.conj().T @ c)):
+            assert got.shape == dense.shape
+            for want in (oracle, dense):
+                assert relative_error(got, want) <= RTOL
