@@ -26,8 +26,10 @@ the benchmark's ``cells_per_s`` times):
 It prints one JSON object: the means per row, overall and per algorithm,
 and the same counts per ``tune_gamma`` call of the main sweep's set-up,
 with the FISTA solves that tuning ran.  Each also gives the mean |W| and
-mean |Tb|*|R| per restricted column set.  Every count but the faults is a
-pure function of the workload and seed.
+mean |Tb|*|R| per restricted column set.  For each ``tune_gamma`` call it
+also lists its evaluations (the gammas it solved problems at), how many of
+them stopped before the last problem, and its FISTA solves.  Every count
+but the faults is a pure function of the workload and seed.
 
     python3 scripts/row_work.py --workload full-bms --seed 1 --seconds 20
 
@@ -59,6 +61,7 @@ COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "restricted_sets",
           "gradient_passes", "restricted_solves", "hessians", "pair_products", "bms_threshold",
           "partitions", "iterations", "fista_solves", "proximal_iterations", "newton_steps",
           "finish_attempts", "finishes_accepted")
+TUNING_COUNTS = ("evaluations", "stopped_evaluations")
 # The module-level negative-Hessian assembly, under its name in either
 # checkout: from the Kronecker factors, or (before) from the sign-folded block.
 HESSIANS = ("_neg_hessian", "_folded_neg_hessian")
@@ -69,6 +72,7 @@ class Counter:
         self.now = dict.fromkeys(COUNTS, 0)
         self.rows = []           # (algorithm, counts of one solver call)
         self.tunings = []        # counts of one tune_gamma call
+        self.tuning_solves = None    # the problem of each FISTA solve of the running tune_gamma
         self.in_bms = False
         self.in_gradient = False
         self.in_finish = False
@@ -127,21 +131,31 @@ class Counter:
         return _fista_finish
 
     def fista(self, fn):
-        def run_fista(*args, **kwargs):
+        def run_fista(ctx, *args, **kwargs):
+            if self.tuning_solves is not None:
+                self.tuning_solves.append(ctx)
             self.finish_steps = 0
-            report = fn(*args, **kwargs)
+            report = fn(ctx, *args, **kwargs)
             self.now["fista_solves"] += 1
             self.now["proximal_iterations"] += report.iterations - self.finish_steps
             return report
         return run_fista
 
     def tune(self, fn):
-        def tune_gamma(*args, **kwargs):
+        def tune_gamma(ctxs, *args, **kwargs):
             before = dict(self.now)
+            self.tuning_solves = []
             try:
-                return fn(*args, **kwargs)
+                return fn(ctxs, *args, **kwargs)
             finally:
-                self.tunings.append({k: self.now[k] - before.get(k, 0) for k in self.now})
+                counts = {k: self.now[k] - before.get(k, 0) for k in self.now}
+                # An evaluation solves a prefix of ctxs, so each starts at the first problem.
+                starts = [i for i, ctx in enumerate(self.tuning_solves) if ctx is ctxs[0]]
+                lengths = np.diff(starts + [len(self.tuning_solves)])
+                counts["evaluations"] = len(starts)
+                counts["stopped_evaluations"] = int(np.sum(lengths < len(ctxs)))
+                self.tunings.append(counts)
+                self.tuning_solves = None
         return tune_gamma
 
     def bms(self, fn):
@@ -219,12 +233,12 @@ def install(counter):
     return undo
 
 
-def summary(rows):
+def summary(rows, counts=COUNTS):
     n = len(rows)
     out = {"rows": n}
     sizes = sorted({k for c in rows for k in c if k.startswith("hessians_")},
                    key=lambda k: int(k.split("_")[1]))
-    for key in COUNTS + tuple(sizes):
+    for key in counts + tuple(sizes):
         out[key] = round(sum(c.get(key, 0) for c in rows) / n, 3) if n else 0.0
     sets = sum(c["restricted_sets"] for c in rows)
     for key in ("columns", "grid"):
@@ -265,7 +279,9 @@ def main(argv=None) -> int:
         "per_row": summary([c for _, c in rows]),
         "per_algorithm": {algo: summary([c for a, c in rows if a == algo])
                           for algo in config.algorithms},
-        "per_tuning": summary(counter.tunings),
+        "per_tuning": summary(counter.tunings, COUNTS + TUNING_COUNTS),
+        "tunings": [{k: c[k] for k in TUNING_COUNTS + ("fista_solves",)}
+                    for c in counter.tunings],
     }
     print(json.dumps(result, indent=1))
     return 0

@@ -896,14 +896,25 @@ def tune_gamma(ctxs, L: int):
     empty start is measured, not assumed.  One loop then walks a bracket in
     log(gamma): while no evaluated gamma has its mean above the window
     [3L-1, 3L+1] it halves gamma, and after that it bisects log(gamma)
-    between the nearest gammas evaluated above and below the window.  The
-    search premise is that mean support size decreases as gamma grows; the
-    evaluation trace is checked against it and violations beyond one support
-    unit raise TuningError.  So do a window whose low end exceeds the
-    problems' mean B (checked before any solve: no mean support can reach
-    it), gamma_max = 0 (no penalty gives a nonzero estimate), a mean above
-    the window at gamma_max, and a window that TUNE_MAX_BISECT halvings or
-    bisections do not reach.
+    between the nearest gammas evaluated above and below the window.
+
+    An evaluation solves the problems in order and stops once their support
+    sizes sum to more than len(ctxs) * (3L+1): sizes are non-negative, so
+    the mean is then above the window whatever the remaining solves give,
+    and the search takes the branch the full mean would.  A stopped
+    evaluation keeps sum / len(ctxs), a lower bound on its mean.
+
+    The search premise is that mean support size decreases as gamma grows;
+    the evaluation trace is checked against it and violations beyond one
+    support unit raise TuningError.  A lower bound is compared only where it
+    settles the question: at the larger gamma of a pair it can prove a
+    violation, and at the smaller gamma it is not read as a value.  A
+    message quoting a lower bound says "at least".  TuningError is also
+    raised for a window whose low end exceeds the problems' mean B (checked
+    before any solve: no mean support can reach it), gamma_max = 0 (no
+    penalty gives a nonzero estimate), a mean above the window at
+    gamma_max, and a window that TUNE_MAX_BISECT halvings or bisections do
+    not reach.
 
     Returns (gamma, achieved_mean).
     """
@@ -919,18 +930,25 @@ def tune_gamma(ctxs, L: int):
     if gamma_max == 0.0:
         raise TuningError("the likelihood gradient vanishes at 0 on every problem")
 
-    evaluations = []
+    bound = len(ctxs) * (target + 1)    # a support sum above it puts the mean above the window
+    evaluations = []    # (gamma, mean, exact); a stopped evaluation's mean is a lower bound
     above = below = None    # the nearest gammas evaluated with the mean above / below the window
     gamma, steps = gamma_max, 0
     while True:
-        m = float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
-        evaluations.append((gamma, m))
+        total = 0
+        for solved, c in enumerate(ctxs, 1):
+            total += run_fista(c, gamma).estimate.support.size
+            if total > bound:
+                break
+        m, exact = total / len(ctxs), solved == len(ctxs)
+        evaluations.append((gamma, m, exact))
         if target - 1 <= m <= target + 1:
             break
         if m < target:
             below = gamma
         elif below is None:
-            raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
+            raise TuningError(f"no bracket: mean support {'' if exact else 'at least '}{m} "
+                              f"at gamma_max = {gamma_max}")
         else:
             if above is None:
                 steps = 0    # the bracket closes: the bisections start
@@ -946,11 +964,10 @@ def tune_gamma(ctxs, L: int):
         else:
             gamma = math.exp(0.5 * (math.log(above) + math.log(below)))
 
-    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
-        if g2 > g1 and m2 > m1 + 1.0:
-            raise TuningError(
-                f"support size not decreasing in gamma: {m1} at {g1}, {m2} at {g2}"
-            )
+    for (g1, m1, exact1), (g2, m2, exact2) in itertools.combinations(sorted(evaluations), 2):
+        if g2 > g1 and exact1 and m2 > m1 + 1.0:
+            raise TuningError(f"support size not decreasing in gamma: {m1} at {g1}, "
+                              f"{'' if exact2 else 'at least '}{m2} at {g2}")
     if not target - 1 <= m <= target + 1:
         raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
                           f"in {TUNE_MAX_BISECT} bisections")

@@ -9,12 +9,13 @@ what it stood for.
 has a module of that name.)
 """
 
+import itertools
 import math
 
 import numpy as np
 
 import onebitcs.solvers as solvers_module
-from onebitcs.errors import ConvergenceError
+from onebitcs.errors import ConvergenceError, TuningError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
 from onebitcs.objective import ObjectiveContext, f_loglik, grad_h, likelihood, loglik
 from onebitcs.operator import build_operator
@@ -31,6 +32,7 @@ from onebitcs.solvers import (
     _kept_set_is_certain,
     _scatter,
     _soft_threshold,
+    run_fista,
 )
 
 
@@ -439,3 +441,108 @@ def fista_applying_every_product(ctx, gamma, max_iters=500, tol=1e-6):
     x_final = x_prev.copy()
     x_final[np.abs(x_final) <= FISTA_SUPPORT_EPS] = 0.0
     return x_final, trace
+
+
+def oracle_tune_gamma(make_ctx, L, trials, lo=1e-6, hi=1e6, max_bisect=60):
+    """Bisect log(gamma) over [lo, hi] until the mean support is near 3L.
+
+    It stood for tune_gamma when the search bracket was fixed, not started
+    at the problems' zero threshold.
+    """
+    ctxs = [make_ctx(k) for k in range(trials)]
+    target = 3 * L
+
+    def mean_support(gamma):
+        return float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
+
+    evaluations = []
+
+    def record(gamma, mean):
+        evaluations.append((gamma, mean))
+        return mean
+
+    m_lo = record(lo, mean_support(lo))
+    m_hi = record(hi, mean_support(hi))
+    if not (m_lo >= target and m_hi <= target):
+        raise TuningError(f"no bracket in [{lo}, {hi}]")
+    result = None
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for _ in range(max_bisect):
+        mid = math.exp(0.5 * (log_lo + log_hi))
+        m = record(mid, mean_support(mid))
+        if target - 1 <= m <= target + 1:
+            result = (mid, m)
+            break
+        if m > target:
+            log_lo = math.log(mid)
+        else:
+            log_hi = math.log(mid)
+    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
+        if g2 > g1 and m2 > m1 + 1.0:
+            raise TuningError("support size not decreasing in gamma")
+    if result is None:
+        raise TuningError("window not reached")
+    return result
+
+
+def oracle_halve_then_bisect(ctxs, L, fista, max_steps=60):
+    """The search as two loops: halve from gamma_max, then bisect log(gamma).
+
+    It stood for tune_gamma before the search was one bracketing loop and
+    before an evaluation stopped once its mean was above the window; it
+    solves every problem at every gamma.
+    """
+    target = 3 * L
+    evaluations = []
+
+    def mean_support(gamma):
+        mean = float(np.mean([fista(c, gamma).estimate.support.size for c in ctxs]))
+        evaluations.append((gamma, mean))
+        return mean
+
+    gamma_max = 0.0
+    for c in ctxs:
+        at_zero = likelihood(c, np.zeros(c.op.M * c.op.T, dtype=complex))
+        gamma_max = max(gamma_max, float(np.max(np.abs(c.op.apply_adjoint(at_zero.weights)))))
+    if gamma_max == 0.0:
+        raise TuningError("the likelihood gradient vanishes at 0 on every problem")
+
+    gamma = gamma_max
+    m = mean_support(gamma)
+    if m > target + 1:
+        raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
+    for _ in range(max_steps):
+        if m >= target - 1:
+            break
+        gamma *= 0.5
+        m = mean_support(gamma)
+    if m < target - 1:
+        raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
+                          f"{max_steps} halvings of gamma_max = {gamma_max}")
+
+    result = None
+    if m <= target + 1:
+        result = (gamma, m)
+    else:
+        # The mean is above the window at gamma and below it at 2 gamma.
+        log_lo, log_hi = math.log(gamma), math.log(2.0 * gamma)
+        for _ in range(max_steps):
+            mid = math.exp(0.5 * (log_lo + log_hi))
+            m = mean_support(mid)
+            if target - 1 <= m <= target + 1:
+                result = (mid, m)
+                break
+            if m > target:
+                log_lo = math.log(mid)
+            else:
+                log_hi = math.log(mid)
+
+    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
+        if g2 > g1 and m2 > m1 + 1.0:
+            raise TuningError(
+                f"support size not decreasing in gamma: {m1} at {g1}, {m2} at {g2}"
+            )
+    if result is None:
+        raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
+                          f"in {max_steps} bisections")
+    return result

@@ -2,14 +2,15 @@
 
 For gamma >= max|grad f(0)| the l1-penalized estimate is exactly zero, so
 tune_gamma starts at that threshold and halves down to the target window.
-Two earlier searches serve as oracles: one bisected log(gamma) over the
-fixed bracket [1e-6, 1e6]; the other halved from the zero threshold in one
-loop and bisected in a second, and tune_gamma's single bracketing loop
-must evaluate exactly its gammas.
+Two earlier searches, in tests/oracles.py, serve as oracles: one bisected
+log(gamma) over the fixed bracket [1e-6, 1e6]; the other halved from the
+zero threshold in one loop and bisected in a second, solving every problem
+at every gamma.  tune_gamma's single bracketing loop must evaluate exactly
+its gammas and return its result bit for bit, although an evaluation stops
+once its support sizes sum past len(ctxs) * (3L+1).
 """
 
 import itertools
-import math
 from unittest import mock
 
 import numpy as np
@@ -20,108 +21,13 @@ from hypothesis import strategies as st
 import onebitcs.solvers as solvers_module
 from onebitcs.errors import TuningError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, grad_h, likelihood
+from onebitcs.objective import ObjectiveContext, grad_h
 from onebitcs.operator import build_operator
 from onebitcs.solvers import run_fista, tune_gamma
+from oracles import oracle_halve_then_bisect, oracle_tune_gamma
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 FISTA_CAP = 500    # run_fista's default max_iters, which tune_gamma uses
-
-
-def oracle_tune_gamma(make_ctx, L, trials, lo=1e-6, hi=1e6, max_bisect=60):
-    """Bisect log(gamma) over [lo, hi] until the mean support is near 3L."""
-    ctxs = [make_ctx(k) for k in range(trials)]
-    target = 3 * L
-
-    def mean_support(gamma):
-        return float(np.mean([run_fista(c, gamma).estimate.support.size for c in ctxs]))
-
-    evaluations = []
-
-    def record(gamma, mean):
-        evaluations.append((gamma, mean))
-        return mean
-
-    m_lo = record(lo, mean_support(lo))
-    m_hi = record(hi, mean_support(hi))
-    if not (m_lo >= target and m_hi <= target):
-        raise TuningError(f"no bracket in [{lo}, {hi}]")
-    result = None
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(max_bisect):
-        mid = math.exp(0.5 * (log_lo + log_hi))
-        m = record(mid, mean_support(mid))
-        if target - 1 <= m <= target + 1:
-            result = (mid, m)
-            break
-        if m > target:
-            log_lo = math.log(mid)
-        else:
-            log_hi = math.log(mid)
-    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
-        if g2 > g1 and m2 > m1 + 1.0:
-            raise TuningError("support size not decreasing in gamma")
-    if result is None:
-        raise TuningError("window not reached")
-    return result
-
-
-def oracle_halve_then_bisect(ctxs, L, fista, max_steps=60):
-    """The search as two loops: halve from gamma_max, then bisect log(gamma)."""
-    target = 3 * L
-    evaluations = []
-
-    def mean_support(gamma):
-        mean = float(np.mean([fista(c, gamma).estimate.support.size for c in ctxs]))
-        evaluations.append((gamma, mean))
-        return mean
-
-    gamma_max = 0.0
-    for c in ctxs:
-        at_zero = likelihood(c, np.zeros(c.op.M * c.op.T, dtype=complex))
-        gamma_max = max(gamma_max, float(np.max(np.abs(c.op.apply_adjoint(at_zero.weights)))))
-    if gamma_max == 0.0:
-        raise TuningError("the likelihood gradient vanishes at 0 on every problem")
-
-    gamma = gamma_max
-    m = mean_support(gamma)
-    if m > target + 1:
-        raise TuningError(f"no bracket: mean support {m} at gamma_max = {gamma_max}")
-    for _ in range(max_steps):
-        if m >= target - 1:
-            break
-        gamma *= 0.5
-        m = mean_support(gamma)
-    if m < target - 1:
-        raise TuningError(f"window [{target - 1}, {target + 1}] not reached in "
-                          f"{max_steps} halvings of gamma_max = {gamma_max}")
-
-    result = None
-    if m <= target + 1:
-        result = (gamma, m)
-    else:
-        # The mean is above the window at gamma and below it at 2 gamma.
-        log_lo, log_hi = math.log(gamma), math.log(2.0 * gamma)
-        for _ in range(max_steps):
-            mid = math.exp(0.5 * (log_lo + log_hi))
-            m = mean_support(mid)
-            if target - 1 <= m <= target + 1:
-                result = (mid, m)
-                break
-            if m > target:
-                log_lo = math.log(mid)
-            else:
-                log_hi = math.log(mid)
-
-    for (g1, m1), (g2, m2) in itertools.combinations(sorted(evaluations), 2):
-        if g2 > g1 and m2 > m1 + 1.0:
-            raise TuningError(
-                f"support size not decreasing in gamma: {m1} at {g1}, {m2} at {g2}"
-            )
-    if result is None:
-        raise TuningError(f"window [{target - 1}, {target + 1}] not reached "
-                          f"in {max_steps} bisections")
-    return result
 
 
 def problems(seed, rho, m=4, n=4, t=6, b=8, paths=1):
@@ -173,11 +79,6 @@ def recording_of(fista, gammas):
     return recorded
 
 
-def recording(gammas):
-    """run_fista, appending every gamma it is handed to gammas."""
-    return recording_of(run_fista, gammas)
-
-
 def outcome(search):
     """search()'s result, or the message of the TuningError it raised."""
     try:
@@ -186,8 +87,41 @@ def outcome(search):
         return str(err)
 
 
+def verdict(result):
+    """An outcome as compared bit for bit: the result's float.hex, or the error's reason."""
+    if isinstance(result, str):
+        return result.split(":")[0]
+    return tuple(x.hex() for x in result)
+
+
+def solves_of(fista, solves):
+    """fista, appending (ctx, gamma, support size) of every solve to solves."""
+    def logged(ctx, gamma):
+        report = fista(ctx, gamma)
+        solves.append((ctx, gamma, report.estimate.support.size))
+        return report
+    return logged
+
+
+def evaluations_of(solves, ctxs):
+    """The logged solves as evaluations, (gamma, support sizes) each.
+
+    An evaluation is a prefix of ctxs, solved in order at one gamma.
+    """
+    evaluations = []
+    for ctx, gamma, size in solves:
+        if ctx is ctxs[0]:
+            evaluations.append((gamma, []))
+        assert evaluations, "the first solve is not of the first problem"
+        at, sizes = evaluations[-1]
+        assert len(sizes) < len(ctxs) and ctx is ctxs[len(sizes)]
+        assert gamma.hex() == at.hex()
+        sizes.append(size)
+    return evaluations
+
+
 def test_one_bracketing_loop_matches_halve_then_bisect():
-    bisected = []
+    bisected, stopped = [], []
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -196,17 +130,29 @@ def test_one_bracketing_loop_matches_halve_then_bisect():
     def check(seed, rho, L, trials):
         make_ctx = problems(seed, rho, paths=L)
         ctxs = [make_ctx(k) for k in range(trials)]
-        want_gammas, got_gammas = [], []
-        want = outcome(lambda: oracle_halve_then_bisect(ctxs, L, recording(want_gammas)))
-        with mock.patch.object(solvers_module, "run_fista", recording(got_gammas)):
+        want_solves, got_solves = [], []
+        want = outcome(lambda: oracle_halve_then_bisect(ctxs, L, solves_of(run_fista, want_solves)))
+        with mock.patch.object(solvers_module, "run_fista", solves_of(run_fista, got_solves)):
             got = outcome(lambda: tune_gamma(ctxs, L))
-        assert [g.hex() for g in got_gammas] == [g.hex() for g in want_gammas]
-        assert got == want
+        wanted, evaluated = evaluations_of(want_solves, ctxs), evaluations_of(got_solves, ctxs)
+        assert [g.hex() for g, _ in evaluated] == [g.hex() for g, _ in wanted]
+        assert verdict(got) == verdict(want)
+        bound = trials * (3 * L + 1)
+        for (_, sizes), (_, full) in zip(evaluated, wanted):
+            assert sizes == full[:len(sizes)]
+            sums = list(itertools.accumulate(sizes))
+            # Cut short only once the partial sum exceeds the bound, and then at once.
+            assert all(s <= bound for s in sums[:-1])
+            assert len(sizes) == trials or sums[-1] > bound
+        stopped.append(any(len(sizes) < trials for _, sizes in evaluated))
+        if not stopped[-1]:
+            assert got == want
         # A bisection's first midpoint lies above the last halving.
-        bisected.append(any(b > a for a, b in zip(want_gammas, want_gammas[1:])))
+        gammas = [g for g, _ in wanted]
+        bisected.append(any(b > a for a, b in zip(gammas, gammas[1:])))
 
     check()
-    assert len(bisected) >= 30 and any(bisected)
+    assert len(bisected) >= 30 and any(bisected) and any(stopped)
 
 
 def empty_fista(ctx, gamma):
@@ -241,9 +187,56 @@ def test_unreachable_window_fails_before_any_solve():
     assert len(gammas) == 2 * (1 + solvers_module.TUNE_MAX_BISECT)
 
 
-@pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
-def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
-    # The criterion-8 problems (tests/test_acceptance.py) at three SNRs.
+def scripted_fista(ctxs, script, gammas):
+    """A run_fista stand-in whose support sizes follow script.
+
+    script[e][k] is problem k's support size at the e-th evaluation; the
+    gamma of each solve is appended to gammas[e].
+    """
+    def fista(ctx, gamma):
+        k = next(k for k, c in enumerate(ctxs) if c is ctx)
+        if k == 0:
+            gammas.append([])
+        gammas[-1].append(gamma)
+        size = script[len(gammas) - 1][k]
+        x = np.zeros(ctx.op.B, dtype=complex)
+        x[:size] = 1.0
+        estimate = solvers_module.SparseEstimate(x, np.arange(size))
+        return solvers_module.SolverReport(estimate, 1, "converged", [0.0])
+    return fista
+
+
+def test_a_stopped_evaluation_at_the_larger_gamma_proves_a_violation():
+    # L = 1: the window is [2, 4] and two problems stop once their sizes sum past 8.
+    ctxs = [problems(3, 10.0)(k) for k in range(2)]
+    # gamma_max; gamma_max / 2, whose 9 exceeds 8 only at the last problem,
+    # so its mean 4.5 is exact; the bisection's first midpoint, above it,
+    # stopped at 12 (at least 6.0 > 4.5 + 1); and the window.
+    script = [[0, 0], [3, 6], [12, None], [3, 3]]
+    gammas = []
+    with mock.patch.object(solvers_module, "run_fista", scripted_fista(ctxs, script, gammas)):
+        with pytest.raises(TuningError, match=r"not decreasing in gamma: 4\.5 at \S+, at least 6\.0 at"):
+            tune_gamma(ctxs, 1)
+    assert [len(g) for g in gammas] == [2, 2, 1, 2]
+    assert gammas[1][0] < gammas[2][0] < gammas[0][0]
+
+
+def test_a_stopped_evaluation_at_the_smaller_gamma_is_not_read_as_a_value():
+    # gamma_max / 2 stopped at 12 (a mean of at least 6.0, which may be 12);
+    # the larger gamma above it means exactly 8.0, more than 6.0 + 1 but
+    # no violation that the stopped evaluation proves.
+    ctxs = [problems(3, 10.0)(k) for k in range(2)]
+    script = [[0, 0], [12, None], [4, 12], [3, 3]]
+    gammas = []
+    with mock.patch.object(solvers_module, "run_fista", scripted_fista(ctxs, script, gammas)):
+        gamma, achieved = tune_gamma(ctxs, 1)
+    assert [len(g) for g in gammas] == [2, 1, 2, 2]
+    assert gammas[1][0] < gammas[2][0] < gammas[0][0]
+    assert (gamma, achieved) == (gammas[3][0], 3.0)
+
+
+def criterion_8_problems(rho):
+    """The criterion-8 problems (tests/test_acceptance.py) at one SNR."""
     tr = zc_training(16, 20)
     op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64), "fft")
 
@@ -252,6 +245,11 @@ def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
         ch = draw_channel(2, 16, 16, rng)
         return ObjectiveContext(op, synthesize_measurement(ch.H, tr.S, rho, rng))
 
+    return [make_ctx(k) for k in range(6)]
+
+
+@pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
+def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
     iterations = []
 
     def counted(ctx, gamma):
@@ -260,6 +258,20 @@ def test_no_tuning_solve_reaches_the_cap(monkeypatch, rho):
         return report
 
     monkeypatch.setattr(solvers_module, "run_fista", counted)
-    _, achieved = tune_gamma([make_ctx(k) for k in range(6)], 2)
+    _, achieved = tune_gamma(criterion_8_problems(rho), 2)
     assert abs(achieved - 6.0) <= 1.0
     assert iterations and max(iterations) < FISTA_CAP
+
+
+def test_criterion_8_tuning_matches_the_retired_search_in_fewer_solves():
+    fewer = []
+    for rho in (0.1, 10.0, 1000.0):
+        ctxs = criterion_8_problems(rho)
+        want_solves, got_solves = [], []
+        want = oracle_halve_then_bisect(ctxs, 2, solves_of(run_fista, want_solves))
+        with mock.patch.object(solvers_module, "run_fista", solves_of(run_fista, got_solves)):
+            got = tune_gamma(ctxs, 2)
+        assert verdict(got) == verdict(want)
+        assert len(got_solves) <= len(want_solves)
+        fewer.append(len(got_solves) < len(want_solves))
+    assert any(fewer)
