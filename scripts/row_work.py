@@ -21,7 +21,9 @@ the benchmark's ``cells_per_s`` times):
 * ``bms_threshold`` calls, and the ``np.partition`` calls made inside them;
 * the iterations each report gives, and for FISTA how they split: its
   proximal iterations, the Newton steps of its finishes (accepted or not),
-  its finish attempts and its accepted finishes.
+  its finish attempts and its accepted finishes, and of those the attempts
+  that grew their set by the certificate's violators and the finishes
+  accepted after such a growth.
 
 It prints one JSON object: the means per row, overall and per algorithm,
 and the same counts per ``tune_gamma`` call of the main sweep's set-up,
@@ -60,7 +62,7 @@ COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "restricted_sets",
           "kernel_passes", "loglik",
           "gradient_passes", "restricted_solves", "hessians", "pair_products", "bms_threshold",
           "partitions", "iterations", "fista_solves", "proximal_iterations", "newton_steps",
-          "finish_attempts", "finishes_accepted")
+          "finish_attempts", "finishes_accepted", "finishes_grown", "grown_finishes_accepted")
 TUNING_COUNTS = ("evaluations", "stopped_evaluations")
 # The module-level negative-Hessian assembly, under its name in either
 # checkout: from the Kronecker factors, or (before) from the sign-folded block.
@@ -76,6 +78,7 @@ class Counter:
         self.in_bms = False
         self.in_gradient = False
         self.in_finish = False
+        self.finish_loops = []   # the set sizes of the running finish's Newton loops
         self.finish_steps = 0    # Newton steps of the accepted finish of the current solve
 
     def counted(self, names, fn):
@@ -116,16 +119,28 @@ class Counter:
             return out
         return assembly
 
+    def newton_loop(self, fn):
+        def _newton_loop(ctx, support, *args, **kwargs):
+            if self.in_finish:
+                self.finish_loops.append(len(support))
+            return fn(ctx, support, *args, **kwargs)
+        return _newton_loop
+
     def finish(self, fn):
         def _fista_finish(*args, **kwargs):
             self.now["finish_attempts"] += 1
             self.in_finish = True
+            self.finish_loops = []
             try:
                 out = fn(*args, **kwargs)
             finally:
                 self.in_finish = False
+            # Only a growth makes a loop's set larger than the one before.
+            grown = any(b > a for a, b in zip(self.finish_loops, self.finish_loops[1:]))
+            self.now["finishes_grown"] += grown
             if out is not None:
                 self.now["finishes_accepted"] += 1
+                self.now["grown_finishes_accepted"] += grown
                 self.finish_steps = len(out[-1])
             return out
         return _fista_finish
@@ -223,6 +238,7 @@ def install(counter):
     patch(solvers, "bms_threshold", counter.bms(solvers.bms_threshold))
     if hasattr(solvers, "_fista_finish"):      # a checkout before the finish has none
         patch(solvers, "_fista_finish", counter.finish(solvers._fista_finish))
+        patch(solvers, "_newton_loop", counter.newton_loop(solvers._newton_loop))
     # Rows and tuning both reach FISTA through the solvers module's name.
     patch(solvers, "run_fista", counter.fista(solvers.run_fista))
     patch(harness, "run_fista", solvers.run_fista)

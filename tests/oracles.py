@@ -218,6 +218,39 @@ def prior_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, keep=None, 
     )
 
 
+def fista_step(ctx):
+    """run_fista's first step size, 1 / (2 rho ||A||^2)."""
+    sigma = ctx.op.spectral_norm_estimate()
+    return 1.0 / max(2.0 * ctx.rho * sigma * sigma, 1e-3)
+
+
+def one_shot_fista_finish(ctx, gamma, support, values, u):
+    """solvers._fista_finish as it was before a refused certificate grew the set.
+
+    It stood for the finish until then: the same Newton loop with the same
+    drop-on-crossing rule and certificate, but a failed certificate returns
+    None.  Where it certifies, the grown finish takes its path and returns
+    its result.
+    """
+    penalty = solvers_module._l1_penalty(gamma)
+    start = likelihood(ctx, u)
+    trace = []
+    while support.size:
+        try:
+            values, steps, terms, crossed = solvers_module._newton_loop(
+                ctx, support, values, solvers_module.FINISH_TOL * math.sqrt(support.size),
+                penalty, start=start)
+        except (ConvergenceError, np.linalg.LinAlgError):
+            return None
+        trace += steps[1:]
+        if crossed is None:
+            off = np.abs(ctx.op.apply_adjoint(terms.weights)) > gamma
+            off[support] = False
+            return None if off.any() else (support, values, trace)
+        support, values, start = support[~crossed], values[~crossed], None
+    return None
+
+
 def working_set_fista(ctx, gamma, max_iters=500, tol=FISTA_TOL):
     """run_fista on its working set, ending at the tolerance tol, without the Newton finish.
 

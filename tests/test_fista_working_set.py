@@ -100,35 +100,66 @@ def test_solve_matches_full_length_oracle(seed, rho, fraction):
             assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def hide_from_first_adjoint(ctx, column):
+    """Zero column of the first full adjoint ctx.op makes: the gradient at 0 misses it."""
+    full_adjoint = ctx.op.apply_adjoint
+    calls = []
+
+    def first_without_column(c):
+        g = full_adjoint(c)
+        if not calls:
+            g[column] = 0.0
+        calls.append(None)
+        return g
+
+    ctx.op.apply_adjoint = first_without_column
+
+
 def test_kkt_check_adds_the_violating_column():
-    # Hide the strongest column from the first gradient: W misses it, the
-    # round converges without it, and the full check brings it in.
+    # Hide the strongest column from the first gradient: W misses it, and
+    # the Newton finish on the settled set fails its full KKT check, which
+    # sees the hidden column.  The finish grows its set by that column and
+    # certifies the optimum, in the first round.
     ctx = make_ctx(4, 10.0)
     g0 = gradient_at_zero(ctx)
     hidden = int(np.argmax(np.abs(g0)))
     gamma = 0.5 * float(np.abs(g0[hidden]))
     rounds = record_rounds(ctx.op)
-    full_adjoint = ctx.op.apply_adjoint
-    calls = []
-
-    def first_without_hidden(c):
-        g = full_adjoint(c)
-        if not calls:
-            g[hidden] = 0.0
-        calls.append(None)
-        return g
-
-    ctx.op.apply_adjoint = first_without_hidden
+    hide_from_first_adjoint(ctx, hidden)
     with record_finishes() as finishes:
         got = run_fista(ctx, gamma)
+    assert len(rounds) == 1
+    assert hidden not in rounds[0].idx
+    assert [out is not None for out in finishes] == [True]
+    assert got.halted_by == "newton"
+    want, _ = full_length_fista(ctx, gamma)
+    assert hidden in got.estimate.support
+    assert np.array_equal(got.estimate.support, want.estimate.support)
+    a, b = got.objective_trace[-1], want.objective_trace[-1]
+    assert abs(a - b) <= 1e-9 * abs(b)
+    # The trace stays monotone through the grown finish.
+    assert np.all(np.diff(got.objective_trace) >= 0)
+
+
+def test_kkt_round_adds_the_violating_column_past_the_finish_limit():
+    # The same hidden column on a solve whose nonzero sets all hold more
+    # than FINISH_MAX_SUPPORT entries: no finish is tried, the first round
+    # converges without the column, and the full check at convergence
+    # brings it in for a second round.
+    ctx = make_ctx(0, 10.0, m=8, n=8, t=12, b=12)
+    g0 = gradient_at_zero(ctx)
+    hidden = int(np.argmax(np.abs(g0)))
+    gamma = 0.2 * float(np.abs(g0[hidden]))
+    rounds = record_rounds(ctx.op)
+    hide_from_first_adjoint(ctx, hidden)
+    with record_finishes() as finishes:
+        got = run_fista(ctx, gamma)
+    assert finishes == []
+    assert got.halted_by == "converged"
+    assert got.estimate.support.size > solvers_module.FINISH_MAX_SUPPORT
     assert len(rounds) == 2
     assert hidden not in rounds[0].idx and hidden in rounds[1].idx
     assert np.array_equal(rounds[1].idx[:rounds[0].idx.size], rounds[0].idx)
-    # A Newton finish on the first round's settled set fails its full KKT
-    # check, which sees the hidden column, and FISTA goes on; the second
-    # round's finish is certified.
-    assert [out is not None for out in finishes] == [False, True]
-    assert got.halted_by == "newton"
     want, _ = full_length_fista(ctx, gamma)
     assert hidden in got.estimate.support
     assert np.array_equal(got.estimate.support, want.estimate.support)

@@ -28,7 +28,7 @@ from onebitcs.solvers import (
     run_fista,
 )
 
-from oracles import make_ctx
+from oracles import fista_step, make_ctx, one_shot_fista_finish
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -133,10 +133,11 @@ def test_an_entry_whose_newton_step_crosses_zero_leaves_the_set(seed):
     # Start the finish from the certified optimum, shrunk by 1%, plus one
     # small entry at a column off its support.  The first Newton step sends
     # that entry through zero: the loop stops there and the entry leaves
-    # the set.  A finish that then certifies has the optimum's support and
-    # values, and passes the certificate formed from scratch; on seed 4 the
-    # step drops entries of the optimum's support too, and the finish's
-    # full check refuses the result.
+    # the set.  The finish then certifies the optimum's support and values,
+    # which pass the certificate formed from scratch.  On seeds 1 and 4 the
+    # step drops entries of the optimum's support too: the retired
+    # one-shot finish refuses that set, and the certificate's violators
+    # bring the dropped entries back in one growth.
     ctx = make_ctx(seed, 10.0)
     gamma = 0.4 * float(np.max(np.abs(ctx.gradient_at_zero)))
     report = run_fista(ctx, gamma)
@@ -157,13 +158,18 @@ def test_an_entry_whose_newton_step_crosses_zero_leaves_the_set(seed):
         return out
 
     with mock.patch.object(solvers_module, "_newton_loop", loop):
-        finished = _fista_finish(ctx, gamma, support, x[support], ctx.op.apply(x))
+        finished = _fista_finish(ctx, gamma, support, x[support], ctx.op.apply(x),
+                                 fista_step(ctx))
     assert crossings[0][np.searchsorted(support, extra)]
+    one_shot = one_shot_fista_finish(ctx, gamma, support, x[support], ctx.op.apply(x))
     if crossings[0].sum() > 1:
-        assert finished is None
-        return
+        assert seed in (1, 4)
+        assert one_shot is None
+        assert crossings[1:] == [None, None]
+    else:
+        assert crossings[1:] == [None]
+        assert one_shot is not None
     assert finished is not None
-    assert crossings[1:] == [None]
     got_support, values, steps = finished
     assert np.array_equal(got_support, optimum.support)
     assert steps
