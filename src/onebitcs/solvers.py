@@ -686,6 +686,13 @@ def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return v * (1.0 - tau / np.maximum(np.abs(v), tau))
 
 
+def _violators(g, gamma, held):
+    """The columns off held whose gradient g breaks |g_j| <= gamma."""
+    off = np.abs(g) > gamma
+    off[held] = False
+    return np.flatnonzero(off)
+
+
 def _fista_finish(ctx, gamma, support, values, u, step):
     """Maximize f - gamma ||x||_1 on FISTA's settled nonzero set by Newton, and certify it.
 
@@ -729,11 +736,9 @@ def _fista_finish(ctx, gamma, support, values, u, step):
             support, values = support[~crossed], values[~crossed]
             continue
         g = ctx.op.apply_adjoint(terms.weights)
-        off = np.abs(g) > gamma
-        off[support] = False
-        if not off.any():
+        new = _violators(g, gamma, support)
+        if new.size == 0:
             return support, values, trace
-        new = np.flatnonzero(off)
         if grown or support.size + new.size > FINISH_MAX_SUPPORT:
             return None
         grown = True
@@ -802,14 +807,7 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     lip = max(2.0 * ctx.rho * sigma * sigma, 1e-3)
     step = 1.0 / lip
 
-    def penalty(x):
-        return gamma * float(np.sum(np.abs(x)))
-
-    def violators(g):
-        """The columns off W whose gradient g breaks |g_j| <= gamma."""
-        off = np.abs(g) > gamma
-        off[W] = False
-        return np.flatnonzero(off)
+    penalty = _l1_penalty(gamma).value
 
     def failure(message):
         return ConvergenceError(message, best=_scatter(op.B, W, x_prev)[0])
@@ -818,9 +816,9 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
     x_prev = np.zeros(0, dtype=complex)              # values at W
     u_prev = np.zeros(op.M * op.T, dtype=complex)    # A x_prev
     at_y = ctx.at_zero
-    obj_prev = at_y.f - penalty(x_prev)
+    obj_prev = at_y.f + penalty(x_prev)
     g = ctx.gradient_at_zero    # the full gradient at x_prev
-    new = violators(g)
+    new = _violators(g, gamma, W)
     y, u_y, z_prev = x_prev, u_prev, x_prev
     t_mom = 1.0
     trace = [obj_prev]
@@ -859,7 +857,7 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
             passes = 0
             if step < 1e-18:
                 raise failure("step size underflow in FISTA")
-        obj_z = fz - penalty(z)
+        obj_z = fz + penalty(z)
         if not math.isfinite(obj_z):
             raise failure("objective became non-finite")
 
@@ -886,7 +884,7 @@ def run_fista(ctx: ObjectiveContext, gamma: float, max_iters: int = 500) -> Solv
         if converged:
             at_y = likelihood(ctx, u_prev)
             g = op.apply_adjoint(at_y.weights)
-            new = violators(g)
+            new = _violators(g, gamma, W)
             if new.size == 0:
                 halted_by = "converged"
                 break

@@ -1,16 +1,11 @@
 """Differential tests for the CSR coherence bands and the prefix-scan thresholders.
 
-The oracles below are the earlier implementations: bands collected column
-by column into separate arrays, band-maximum selection walking the
-candidates one at a time in full lexsort order, and hard thresholding by a
-full lexsort.  The new code must reproduce them exactly, including on exact
-magnitude ties, zero blocks and estimates with shared nonzero values.
-
-The prefix scan itself was replaced too: it copied the nonzero magnitudes
-on every call, and band-maximum selection opened with a prefix of budget
-indices; it now skips the copy when no score is zero and opens with 4 *
-budget.  Both thresholders must select what they selected through the
-earlier scan, which is kept below as well.
+The oracles, in tests/oracles.py, are the implementations these replaced:
+bands collected column by column, band-maximum selection and hard
+thresholding in full lexsort order, and both thresholders through the
+prefix scan that copied the nonzero magnitudes on every call.  The new code
+must reproduce them exactly, including on exact magnitude ties, zero blocks
+and estimates with shared nonzero values.
 """
 
 import numpy as np
@@ -18,93 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebitcs.model import dft_dictionary, steering_vector, zc_training
+from onebitcs.model import dft_dictionary, zc_training
 from onebitcs.operator import CoherenceStructure, build_operator, coherence_bands, select_eta
-from onebitcs.solvers import _band_admits, bms_threshold, hard_threshold
+from onebitcs.solvers import bms_threshold, hard_threshold
+
+from oracles import (
+    off_grid_dictionary,
+    oracle_bms_threshold,
+    oracle_coherence_bands,
+    oracle_hard_threshold,
+    oracle_prefix_bms_threshold,
+    oracle_prefix_hard_threshold,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 # Multiplying by these leaves |z| bitwise unchanged (it only swaps and
 # negates the real and imaginary parts), so they make exact ties.
 QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
-
-
-def oracle_coherence_bands(op, eta):
-    """Per-column loop: one sorted member array per column."""
-    mu_rx, mu_g = op._factor_mus()
-    b_rx = op.B_RX
-    bands = []
-    for it in range(op.B_TX):
-        row_g = mu_g[it]
-        jts = np.nonzero(row_g >= eta)[0]
-        thresholds = eta / row_g[jts]
-        for ir in range(b_rx):
-            row_rx = mu_rx[ir]
-            members = []
-            for jt, thr in zip(jts, thresholds):
-                jrs = np.nonzero(row_rx >= thr)[0]
-                members.append(jrs + jt * b_rx)
-            band = np.concatenate(members) if members else np.array([], dtype=int)
-            bands.append(np.sort(band))
-    return bands
-
-
-def oracle_magnitude_order(z):
-    return np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
-
-
-def oracle_hard_threshold(z, budget):
-    return np.sort(oracle_magnitude_order(z)[: max(budget, 0)])
-
-
-def oracle_bms_threshold(z, current_x, budget, bands):
-    """Walk candidates by descending |z| until budget are admitted."""
-    mags = np.abs(z)
-    selected = []
-    for i in oracle_magnitude_order(z):
-        if len(selected) == budget:
-            break
-        band = bands[i]
-        byproduct = band[(current_x[band] == current_x[i]) & (band != i)]
-        if byproduct.size == 0 or mags[i] > np.max(mags[byproduct]):
-            selected.append(int(i))
-    return np.array(sorted(selected), dtype=int)
-
-
-def oracle_descending_prefixes(mags, count):
-    """The prefix scan that copied the nonzero magnitudes on every call."""
-    vals = mags[mags > 0]
-    while 0 < count <= vals.size:
-        kth = np.partition(vals, vals.size - count)[vals.size - count]
-        top = np.flatnonzero(mags >= kth)
-        yield top[np.argsort(-mags[top], kind="stable")]
-        count = 4 * top.size
-    nz = np.flatnonzero(mags)
-    yield np.concatenate([nz[np.argsort(-mags[nz], kind="stable")], np.flatnonzero(mags == 0)])
-
-
-def oracle_prefix_hard_threshold(z, budget):
-    return np.sort(next(oracle_descending_prefixes(np.abs(z), budget))[: max(budget, 0)])
-
-
-def oracle_prefix_bms_threshold(z, current_x, budget, bands):
-    """Band-maximum selection over the earlier scan, from a prefix of budget indices."""
-    mags = np.abs(z)
-    admitted = []
-    found = scanned = 0
-    for order in oracle_descending_prefixes(mags, budget):
-        tail = order[scanned:]
-        scanned = order.size
-        admitted.append(tail[_band_admits(tail, mags, current_x, bands)])
-        found += admitted[-1].size
-        if found >= budget:
-            break
-    return np.sort(np.concatenate(admitted)[:budget])
-
-
-def off_grid_dictionary(rng, antennas, bins):
-    sines = np.sort(rng.uniform(-1.0, 1.0, bins))
-    return np.stack([steering_vector(float(np.arcsin(s)), antennas) for s in sines], axis=1)
 
 
 @st.composite

@@ -2,14 +2,14 @@
 
 run_fista and the GraHTP step search evaluate the likelihood at operator
 images formed as linear combinations of images they already hold, instead
-of applying the operator at every evaluation.  The oracles below are the
-earlier implementations, which did apply it every time; the FISTA one is
-oracles.fista_applying_every_product.  The pursuit loops
-likewise take their objective trace from values the steps already hold.
-The step search forms the image of the gradient from the factor Grams, not
-by an apply, and starts one grid step above its line-Newton guess; every
-solver that starts at 0 reads the gradient there from its context, so
-solvers sharing a context pay that adjoint once.
+of applying the operator at every evaluation.  The oracles are the earlier
+implementations, which did apply it every time:
+oracles.fista_applying_every_product and oracle_backtrack_gradient_step.
+The pursuit loops likewise take their objective trace from values the steps
+already hold.  The step search forms the image of the gradient from the
+factor Grams, not by an apply, and starts one grid step above its
+line-Newton guess; every solver that starts at 0 reads the gradient there
+from its context, so solvers sharing a context pay that adjoint once.
 """
 
 import math
@@ -31,29 +31,20 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
-from oracles import fista_applying_every_product, make_ctx
+from oracles import (
+    fista_applying_every_product,
+    make_ctx,
+    oracle_backtrack_gradient_step,
+    penalized,
+    zero_threshold,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 
-def oracle_backtrack_gradient_step(ctx, x, g, shrink=0.5, slope=0.1, max_steps=50):
-    """Armijo search evaluating h(x + t g) by an operator apply per trial."""
-    h0 = h_objective(ctx, x)
-    gn2 = float(np.vdot(g, g).real)
-    if gn2 == 0.0:
-        return 1.0
-    t = 1.0
-    for _ in range(max_steps):
-        if h_objective(ctx, x + t * g) >= h0 + slope * t * gn2:
-            return t
-        t *= shrink
-    return t
-
-
 def gamma_for(ctx, fraction):
     """A penalty below the level that zeroes the solution, as a fraction of it."""
-    g0 = grad_h(ctx, np.zeros(ctx.op.B, dtype=complex))
-    return fraction * float(np.max(np.abs(g0)))
+    return fraction * zero_threshold(ctx)
 
 
 class _Counted:
@@ -70,10 +61,6 @@ def count_operator_calls(op):
     op.apply = _Counted(op.apply)
     op.apply_adjoint = _Counted(op.apply_adjoint)
     return op.apply, op.apply_adjoint
-
-
-def penalized(ctx, gamma, x):
-    return f_loglik(ctx, x) - gamma * float(np.sum(np.abs(x)))
 
 
 @SETTINGS

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebitcs.model import dft_dictionary, steering_vector, zc_training
+from onebitcs.model import dft_dictionary, zc_training
 from onebitcs.operator import build_operator
 
 from oracles import (
@@ -30,21 +30,14 @@ from oracles import (
     dense_matrix,
     gathered_adjoint,
     gathered_image,
+    off_grid_dictionary,
     oracle_apply,
     oracle_apply_adjoint,
+    rand_complex,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
-
-
-def off_grid_dictionary(rng, antennas, bins):
-    sines = np.sort(rng.uniform(-1.0, 1.0, bins))
-    return np.stack([steering_vector(float(np.arcsin(s)), antennas) for s in sines], axis=1)
-
-
-def rand_complex(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def relative_error(got, want):

@@ -20,17 +20,13 @@ from hypothesis import strategies as st
 
 import onebitcs.solvers as solvers_module
 from onebitcs.errors import ConvergenceError
-from onebitcs.objective import f_loglik, likelihood, loglik
+from onebitcs.objective import loglik
 from onebitcs.operator import RestrictedOperator
 from onebitcs.solvers import run_fista
 
-from oracles import full_length_fista, make_ctx, working_set_fista
+from oracles import full_length_fista, gradient_at_zero, make_ctx, penalized, working_set_fista
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
-
-
-def gradient_at_zero(ctx):
-    return ctx.op.apply_adjoint(likelihood(ctx, np.zeros(ctx.op.M * ctx.op.T, dtype=complex)).weights)
 
 
 def record_rounds(op):
@@ -167,10 +163,6 @@ def test_kkt_round_adds_the_violating_column_past_the_finish_limit():
     assert abs(a - b) <= 1e-9 * abs(b)
     # The trace stays monotone across the two rounds.
     assert np.all(np.diff(got.objective_trace) >= 0)
-
-
-def penalized(ctx, gamma, x):
-    return f_loglik(ctx, x) - gamma * float(np.sum(np.abs(x)))
 
 
 @SETTINGS

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import onebitcs.solvers as solvers_module
 from onebitcs.errors import TuningError
 from onebitcs.model import dft_dictionary, draw_channel, synthesize_measurement, zc_training
-from onebitcs.objective import ObjectiveContext, grad_h
+from onebitcs.objective import ObjectiveContext
 from onebitcs.operator import build_operator
 from onebitcs.solvers import run_fista, tune_gamma
-from oracles import oracle_halve_then_bisect, oracle_tune_gamma
+from oracles import oracle_halve_then_bisect, oracle_tune_gamma, zero_threshold
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 FISTA_CAP = 500    # run_fista's default max_iters, which tune_gamma uses
@@ -33,7 +33,7 @@ FISTA_CAP = 500    # run_fista's default max_iters, which tune_gamma uses
 def problems(seed, rho, m=4, n=4, t=6, b=8, paths=1):
     """make_ctx for seeded problems on one shared operator."""
     tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b), "fft")
+    op = build_operator(tr.S, dft_dictionary(m, b), dft_dictionary(n, b))
 
     def make_ctx(k):
         rng = np.random.default_rng([seed, k])
@@ -41,11 +41,6 @@ def problems(seed, rho, m=4, n=4, t=6, b=8, paths=1):
         return ObjectiveContext(op, synthesize_measurement(H, tr.S, rho, rng))
 
     return make_ctx
-
-
-def zero_threshold(ctx):
-    """max|grad f(0)|; the prior's gradient vanishes at 0."""
-    return float(np.max(np.abs(grad_h(ctx, np.zeros(ctx.op.B, dtype=complex)))))
 
 
 @SETTINGS
@@ -238,7 +233,7 @@ def test_a_stopped_evaluation_at_the_smaller_gamma_is_not_read_as_a_value():
 def criterion_8_problems(rho):
     """The criterion-8 problems (tests/test_acceptance.py) at one SNR."""
     tr = zc_training(16, 20)
-    op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64), "fft")
+    op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64))
 
     def make_ctx(k):
         rng = np.random.default_rng(800 + k)

@@ -69,7 +69,7 @@ class TestNmse:
     def test_on_grid_reconstruction_is_exact(self):
         tr = zc_training(4, 6)
         a_rx, a_tx = dft_dictionary(4, 8), dft_dictionary(4, 8)
-        op = build_operator(tr.S, a_rx, a_tx, "fft")
+        op = build_operator(tr.S, a_rx, a_tx)
         x = np.zeros(op.B, dtype=complex)
         x[13] = 2.0 - 0.5j
         H = a_rx @ x.reshape(8, 8, order="F") @ a_tx.conj().T
@@ -78,7 +78,7 @@ class TestNmse:
     @pytest.mark.parametrize("nonzeros", [0, 1, 3, 64])
     def test_reconstruction_matches_dense_product(self, nonzeros):
         tr = zc_training(4, 6)
-        op = build_operator(tr.S, dft_dictionary(4, 8), dft_dictionary(4, 8), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 8), dft_dictionary(4, 8))
         rng = np.random.default_rng(nonzeros)
         x = np.zeros(op.B, dtype=complex)
         idx = rng.choice(op.B, size=nonzeros, replace=False)

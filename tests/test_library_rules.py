@@ -1,4 +1,4 @@
-"""Static rules for the library source."""
+"""Static rules for the library source, and one for the tests' oracles."""
 
 import ast
 import dataclasses
@@ -180,3 +180,14 @@ def test_a_sweep_leaves_scipy_linalg_unimported():
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracles_live_only_in_the_oracles_module():
+    # A replaced implementation stays in tests/ as an oracle once, in
+    # tests/oracles.py with a note of what it stood for; tests import it.
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    found = [f"{path.name}:{node.lineno} {node.name}" for path in tests
+             for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith(("oracle", "_oracle"))
+             or isinstance(node, ast.ClassDef) and node.name.startswith("Oracle")]
+    assert len(tests) > 10 and found == [], found

@@ -1,59 +1,14 @@
 """Differential tests for the pursuits' inner-loop kernels.
 
-Several implementations were replaced, and the earlier ones are the oracles
-here:
-
-* the inverse Mills ratio was a masked two-branch pass of its own (erfcx
-  below zero, phi / Phi above); the likelihood now derives it from the
-  log Phi values it already computes, with erfcx only below -40;
-* the restricted Newton step assembled its negative Hessian from the real
-  (2MT x 2q) embedding of the column block, and then from two complex
-  q x q products; the whole restricted solve, which ran in complex storage
-  with the full likelihood at every trial, now runs on one sign-folded
-  real block;
-* the pursuit steps found each iterate's support with np.nonzero over all
-  B entries; they now carry it as a sorted index array;
-* the sign-folded solve derived log Phi and the inverse Mills ratios itself,
-  and lambda a second time for its failure report; it now calls the
-  likelihood kernel sign_terms once per trial and carries the accepted
-  trial's lambda;
-* the likelihood kernel took log Phi from log_ndtr; it now takes
-  log(ndtr), with log_ndtr only where ndtr is not a normal float, and the
-  oracles below take log Phi that way in their own code;
-* debiased GraSP ran its merged restricted solve to inner_tol and re-ran
-  the debias solve from the pruned values even on an unchanged support; the
-  merged solve now stops once its L kept entries are certain, and an
-  unchanged support restarts from the current iterate;
-* the likelihood kernel checked its arguments with isfinite and took a
-  second min pass for its erfcx branch, and log Phi looked up the smallest
-  normal float on every call; one min and one max pass now serve both, and
-  the underflow scan of log Phi is skipped where no argument lies below -37;
-* the restricted solve ran on the sign-folded real block K^T = (diag(s)
-  C_R)^T and assembled its negative Hessian as 2I + K^T diag(curv) K; it
-  now runs on the complex column block, with its likelihood arguments the
-  float view of the image, and assembles the Hessian from the Kronecker
-  factors' pair products.  The folded block, its Hessian and the folded
-  solve are the oracles here, compared at stated tolerances with equal
-  Newton counts, since the two sum in different orders;
-* each pursuit step formed the image and a likelihood pass at the iterate
-  that the step before had just returned; the solves now take the terms at
-  their start and return them at their result, and the steps hand them on;
-* FISTA and the GraHTP step search took the likelihood in the real-form
-  layout s .* real_form(u), with weights complex_form(lam .* s), beside the
-  pursuits' interleaved layout; the likelihood now has the one layout of
-  u.view(float), and the real-form likelihood is the oracle here.
-* the restricted solve had the Gaussian prior written into its Newton loop
-  and its Hessian; the loop now takes its penalty as an argument, and the
-  pursuits' solves must stay bit for bit oracles.prior_restricted_maximize.
-
-The GraHTP gradient step search returned its smallest step when no step
-passed; it now raises ConvergenceError, to which the pursuit loop adds the
-current iterate.  FISTA fails through ConvergenceError too.
+The likelihood kernel, the restricted solve, its negative Hessian and the
+pursuit loops are checked against the implementations they replaced, kept
+in tests/oracles.py.  The folded solve sums in other orders than the
+pair-product solve, so they agree at stated tolerances with equal Newton
+counts; the pursuits' solves are oracles.prior_restricted_maximize bit for
+bit.  The GraHTP step search and FISTA fail through ConvergenceError.
 """
 
-import math
 import tracemalloc
-from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -64,7 +19,7 @@ from scipy import special
 
 import onebitcs.objective as objective_module
 import onebitcs.solvers as solvers_module
-from onebitcs.errors import CapacityError, ConvergenceError
+from onebitcs.errors import ConvergenceError
 from onebitcs.model import (
     dft_dictionary,
     draw_channel,
@@ -72,22 +27,12 @@ from onebitcs.model import (
     synthesize_measurement,
     zc_training,
 )
-from onebitcs.objective import (
-    ObjectiveContext,
-    g_logprior,
-    grad_h,
-    likelihood,
-    loglik,
-    sign_terms,
-)
+from onebitcs.objective import ObjectiveContext, likelihood, loglik, sign_terms
 from onebitcs.operator import RestrictedOperator, build_operator
 from onebitcs.solvers import (
     SolverConfig,
-    SolverReport,
-    SparseEstimate,
     _hessian_factors,
     _neg_hessian,
-    _threshold,
     hard_threshold,
     restricted_maximize,
     run_fista,
@@ -95,25 +40,32 @@ from onebitcs.solvers import (
     run_grasp,
 )
 
-from oracles import complex_form, make_ctx, prior_restricted_maximize, real_form
+from oracles import (
+    as_real_form,
+    folded_hessian,
+    interleaved,
+    make_ctx,
+    oracle_folded_block,
+    oracle_folded_neg_hessian,
+    oracle_folded_restricted_maximize,
+    oracle_grahtp_step,
+    oracle_grasp_step,
+    oracle_inv_mills,
+    oracle_neg_hessian,
+    oracle_pursuit,
+    oracle_real_form_likelihood,
+    oracle_restricted_maximize,
+    oracle_sign_terms,
+    prior_restricted_maximize,
+    real_form,
+    real_form_signs,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RTOL = 1e-12
 
 
 # -- inverse Mills ratio -----------------------------------------------------
-
-
-def oracle_inv_mills(x):
-    """phi(x) / Phi(x) by two masked branches: erfcx below 0, the ratio above."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    neg = x < 0.0
-    out[neg] = np.sqrt(2.0 / np.pi) / special.erfcx(-x[neg] / np.sqrt(2.0))
-    pos = ~neg
-    phi = np.exp(-0.5 * x[pos] ** 2) / np.sqrt(2.0 * np.pi)
-    out[pos] = phi / special.ndtr(x[pos])
-    return out
 
 
 @SETTINGS
@@ -129,28 +81,6 @@ def test_inv_mills_matches_oracle_on_dense_grid():
     x = np.concatenate([np.linspace(-40.0, 37.0, 200001), [-40.0 - 1e-9, -40.0 + 1e-9]])
     want = oracle_inv_mills(x)
     assert np.max(np.abs(sign_terms(x)[1] - want) / want) <= RTOL
-
-
-class RealFormTerms(NamedTuple):
-    """The likelihood terms in the real-form layout, as the oracle returns them."""
-
-    f: float              # sum_i log Phi(v_i)
-    v: np.ndarray         # likelihood arguments s .* real_form(u)
-    lam: np.ndarray       # inverse Mills ratios lambda(v)
-    weights: np.ndarray   # complex_form(lam .* s): grad f = A^H weights
-
-
-def real_form_signs(ctx):
-    """The scaled sign pattern s = sqrt(2 rho) * real_form(y_hat), from the measurement."""
-    return np.sqrt(2.0 * ctx.y_hat.rho) * real_form(ctx.y_hat.y_hat)
-
-
-def oracle_real_form_likelihood(ctx, u):
-    """The likelihood terms at the image u, laid out as real_form(u)."""
-    signs = real_form_signs(ctx)
-    v = signs * real_form(u)
-    f, lam = sign_terms(v)
-    return RealFormTerms(f, v, lam, complex_form(lam * signs))
 
 
 @pytest.mark.parametrize("rho", [0.1, 10.0, 1000.0])
@@ -198,7 +128,8 @@ def test_fista_raises_convergence_error_on_blown_up_images(monkeypatch, blowup):
 
 # -- log Phi through ndtr ----------------------------------------------------
 
-# log Phi stays within LOG_CDF_ULPS * 2^-52 * max(1, |log Phi|) of log_ndtr.
+# log Phi stays within LOG_CDF_ULPS * 2^-52 * max(1, |log Phi|) of log_ndtr,
+# which the kernel took it from until 7f75703.
 # Each is a few units of 2^-52 from the exact value; they differ most near
 # v = -1.3, where ndtr forms 1 - erf (4.9 units on a dense grid over (-2, -1)).
 LOG_CDF_ULPS = 8
@@ -228,30 +159,6 @@ def test_log_cdf_and_ratios_hold_their_bounds_over_float64(values):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sign_terms(np.append(v, bad))
-
-
-def oracle_sign_terms(v):
-    """The kernel with an isfinite check and a min pass of its own for erfcx."""
-    if not np.isfinite(v).all():
-        raise ValueError("likelihood requires a finite operator image")
-    log_cdf = special.ndtr(v)
-    tiny = np.finfo(float).tiny
-    if log_cdf.min(initial=1.0) < tiny:
-        under = log_cdf < tiny
-        log_cdf[under] = 1.0
-        np.log(log_cdf, out=log_cdf)
-        log_cdf[under] = special.log_ndtr(v[under])
-    else:
-        np.log(log_cdf, out=log_cdf)
-    lam = np.multiply(v, -0.5)
-    lam *= v
-    lam -= 0.5 * np.log(2.0 * np.pi)
-    lam -= log_cdf
-    np.exp(lam, out=lam)
-    if v.min(initial=0.0) < -40.0:
-        deep = v < -40.0
-        lam[deep] = np.sqrt(2.0 / np.pi) / special.erfcx(-v[deep] / np.sqrt(2.0))
-    return float(log_cdf.sum()), lam
 
 
 def assert_kernel_matches_oracle(v):
@@ -312,61 +219,6 @@ def test_loglik_is_the_likelihood_sum_bit_for_bit(seed, rho, log_scale):
 
 
 # -- negative Hessian --------------------------------------------------------
-
-
-def oracle_real_embed(cols):
-    """Real form of a complex column block: [[Re, -Im], [Im, Re]]."""
-    return np.block([[cols.real, -cols.imag], [cols.imag, cols.real]])
-
-
-def oracle_neg_hessian(cols, d):
-    cols_r = oracle_real_embed(cols)
-    return 2.0 * np.eye(cols_r.shape[1]) + cols_r.T @ (d[:, None] * cols_r)
-
-
-def oracle_folded_block(cols, signs):
-    """K^T for K = diag(s) C_R, the sign-folded real form of the block C = cols.
-
-    K x_R is the likelihood argument v = s .* (C x)_R; K^T = C_R^T diag(s) has
-    rows [Re C^T, Im C^T] over [-Im C^T, Re C^T], each column scaled by its
-    sign.  The restricted solve ran on this block before it ran on the
-    complex block.
-    """
-    ct = cols.T
-    q, n = ct.shape
-    s_re, s_im = signs[:n], signs[n:]
-    kt = np.empty((2 * q, 2 * n))
-    np.multiply(ct.real, s_re, out=kt[:q, :n])
-    np.multiply(ct.imag, s_im, out=kt[:q, n:])
-    np.multiply(ct.imag, -s_re, out=kt[q:, :n])
-    np.multiply(ct.real, s_im, out=kt[q:, n:])
-    return kt
-
-
-def oracle_folded_neg_hessian(kt, curv):
-    """2I + K^T diag(curv) K for the sign-folded block kt = K^T, over x_R."""
-    n = kt.shape[1] // 2
-    out = (kt[:, :n] * curv[:n]) @ kt[:, :n].T
-    out += (kt[:, n:] * curv[n:]) @ kt[:, n:].T
-    out.flat[:: out.shape[0] + 1] += 2.0
-    return out
-
-
-def folded_hessian(cols, signs, curv):
-    """The sign-folded assembly from the column block, signs and curvature."""
-    return oracle_folded_neg_hessian(oracle_folded_block(cols, signs), curv)
-
-
-def interleaved(q):
-    """Indices that reorder the real form (Re b; Im b) as b.view(float)."""
-    order = np.empty(2 * q, dtype=int)
-    order[0::2], order[1::2] = np.arange(q), q + np.arange(q)
-    return order
-
-
-def as_real_form(v_il):
-    """A vector laid out as u.view(float), reordered as real_form(u)."""
-    return np.concatenate([v_il[0::2], v_il[1::2]])
 
 
 @SETTINGS
@@ -463,88 +315,6 @@ def test_image_terms_are_the_likelihood_terms_interleaved(rho):
 # -- the restricted solve ----------------------------------------------------
 
 
-def oracle_complex_neg_hessian(cols, cols_h, d):
-    """2I + C_R^T diag(d) C_R from two complex products (Wirtinger calculus).
-
-    With a = (d_re + d_im)/2 and b = (d_re - d_im)/2 over the two halves of
-    d, H1 = C^H diag(a) C and H2 = C^T diag(b) C give the blocks
-    [[Re(H1 + H2), -Im(H1 + H2)], [Im(H1 - H2), Re(H1 - H2)]].
-    """
-    half = d.size // 2
-    q = cols.shape[1]
-    a = 0.5 * (d[:half] + d[half:])
-    b = 0.5 * (d[:half] - d[half:])
-    h1 = cols_h @ (a[:, None] * cols)
-    h2 = cols.T @ (b[:, None] * cols)
-    plus, minus = h1 + h2, h1 - h2
-    out = np.empty((2 * q, 2 * q))
-    out[:q, :q] = plus.real
-    out[:q, q:] = -plus.imag
-    out[q:, :q] = minus.imag
-    out[q:, q:] = minus.real
-    out[np.diag_indices(2 * q)] += 2.0
-    return out
-
-
-def oracle_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, max_iters=100):
-    """The restricted Newton solve in complex storage, with the full
-    likelihood at every Armijo trial and the complex Hessian assembly."""
-    if x0 is None:
-        support = np.unique(np.asarray(support, dtype=int))
-        x = np.zeros(support.size, dtype=complex)
-    else:
-        support = np.asarray(support, dtype=int)
-        x = np.array(x0, dtype=complex)
-    cols = ctx.op.columns(support)
-    cols_h = cols.conj().T
-    signs = real_form_signs(ctx)
-    rho_term = signs * signs
-
-    def h_at(u_t, x_t):
-        terms = oracle_real_form_likelihood(ctx, u_t)
-        xr = real_form(x_t)
-        return terms, terms.f - float(xr @ xr)
-
-    u = cols @ x
-    terms, h_val = h_at(u, x)
-    trace = [h_val]
-    best = (h_val, x.copy())
-    for _ in range(max_iters):
-        g_r = real_form(cols_h @ terms.weights - 2.0 * x)
-        if np.linalg.norm(g_r) <= inner_tol:
-            return x, trace
-        neg_hess = oracle_complex_neg_hessian(
-            cols, cols_h, rho_term * terms.lam * (terms.v + terms.lam))
-        d_r = np.linalg.solve(neg_hess, g_r)
-        d_c = complex_form(d_r)
-        slope = float(g_r @ d_r)
-        w = cols @ d_c
-        noise_floor = 1e-12 * (1.0 + abs(h_val))
-        t = 1.0
-        accepted = False
-        if slope > noise_floor:
-            for _ in range(50):
-                trial, h_t = h_at(u + t * w, x + t * d_c)
-                if h_t >= h_val + 0.1 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            t = 1.0
-            trial, h_t = h_at(u + w, x + d_c)
-            if h_t < h_val - noise_floor:
-                break
-        x = x + t * d_c
-        u = u + t * w
-        terms, h_val = trial, h_t
-        trace.append(h_val)
-        if h_val > best[0]:
-            best = (h_val, x.copy())
-    full = np.zeros(ctx.op.B, dtype=complex)
-    full[support] = best[1]
-    raise ConvergenceError("cap", best=full)
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]),
        size=st.integers(0, 6), scale=st.sampled_from([0.0, 0.1, 1.0, 5.0]))
@@ -610,107 +380,6 @@ def test_restricted_solve_stays_in_restricted_storage(monkeypatch):
 
 
 # -- the solve before it shared the likelihood kernel ------------------------
-
-
-def own_inv_mills_from(v, log_cdf):
-    """phi(v) / Phi(v) from log Phi(v), as the solve once derived it itself."""
-    out = np.exp(-0.5 * v * v - 0.5 * np.log(2.0 * np.pi) - log_cdf)
-    deep = v < -40.0
-    if deep.any():
-        out[deep] = np.sqrt(2.0 / np.pi) / special.erfcx(-v[deep] / np.sqrt(2.0))
-    return out
-
-
-def oracle_log_cdf(v):
-    """log Phi(v): log(ndtr(v)) where ndtr(v) is a normal float, log_ndtr elsewhere."""
-    cdf = special.ndtr(v)
-    normal = cdf >= np.finfo(float).tiny
-    return np.where(normal, np.log(np.where(normal, cdf, 1.0)), special.log_ndtr(v))
-
-
-def oracle_kept_set_is_certain(x_r, keep, grad_norm):
-    """Whether the keep largest |b_j| lead the others (or zero) by more than grad_norm.
-
-    b is the complex vector whose real form is x_r.  The maximizer lies within
-    grad_norm / 2 of b, since minus the Hessian is at least 2I.
-    """
-    q = x_r.size // 2
-    mags = np.hypot(x_r[:q], x_r[q:])
-    order = np.argsort(-mags, kind="stable")
-    inside, outside = mags[order[:keep]], mags[order[keep:]]
-    return inside.size > 0 and inside.min() - outside.max(initial=0.0) > grad_norm
-
-
-def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, keep=None,
-                                      hessian=oracle_folded_neg_hessian):
-    """The sign-folded restricted solve with its own log Phi and lambda passes.
-
-    It runs on x_R and on the folded block K^T, assembling 2I + K^T diag(curv)
-    K by `hessian`.  lambda comes from the log Phi values at the start of
-    every iteration, and again from v = K x_R at the best iterate for the
-    failure report.  With keep it also stops once the keep largest
-    magnitudes are certain.  The constants are looked up in the solver
-    module, so a test that patches them there patches both solves.
-    """
-    support = np.asarray(support, dtype=int)
-    x = np.zeros(2 * support.size) if x0 is None else real_form(np.asarray(x0, dtype=complex))
-    kt = oracle_folded_block(ctx.op.columns(support), real_form_signs(ctx))
-
-    def h_at(v_t, x_t):
-        if not np.isfinite(v_t).all():
-            raise ValueError("likelihood requires a finite operator image")
-        log_cdf = oracle_log_cdf(v_t)
-        return log_cdf, float(log_cdf.sum()) - float(x_t @ x_t)
-
-    v = kt.T @ x
-    log_cdf, h_val = h_at(v, x)
-    trace = [h_val]
-    best = (h_val, x)
-
-    for _ in range(solvers_module.NEWTON_MAX_ITERS):
-        lam = own_inv_mills_from(v, log_cdf)
-        grad = kt @ lam - 2.0 * x
-        grad_norm = math.sqrt(grad @ grad)
-        if grad_norm <= inner_tol:
-            return complex_form(x), trace
-        if keep is not None and oracle_kept_set_is_certain(x, keep, grad_norm):
-            return complex_form(x), trace
-
-        d = np.linalg.solve(hessian(kt, lam * (v + lam)), grad)
-        slope = float(grad @ d)
-        w = kt.T @ d
-        noise_floor = 1e-12 * (1.0 + abs(h_val))
-        t = 1.0
-        accepted = False
-        if slope > noise_floor:
-            for _ in range(solvers_module.ARMIJO_MAX_STEPS):
-                v_t, x_t = v + t * w, x + t * d
-                trial, h_t = h_at(v_t, x_t)
-                if h_t >= h_val + solvers_module.ARMIJO_SLOPE * t * slope:
-                    accepted = True
-                    break
-                t *= solvers_module.ARMIJO_SHRINK
-        if not accepted:
-            v_t, x_t = v + w, x + d
-            trial, h_t = h_at(v_t, x_t)
-            if h_t < h_val - noise_floor:
-                stop = "stalled: the next Newton step descends"
-                break
-        x, v, log_cdf, h_val = x_t, v_t, trial, h_t
-        trace.append(h_val)
-        if h_val > best[0]:
-            best = (h_val, x)
-    else:
-        stop = "hit the iteration cap"
-
-    v = kt.T @ best[1]
-    grad = kt @ own_inv_mills_from(v, oracle_log_cdf(v)) - 2.0 * best[1]
-    raise ConvergenceError(
-        f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
-        f"Newton iterations ({stop})",
-        best=complex_form(best[1]),
-        grad_norm=float(np.linalg.norm(grad)),
-    )
 
 
 def restricted_problem(seed, rho, size, scale, warm):
@@ -999,81 +668,6 @@ def test_only_debiased_grasp_passes_keep(monkeypatch, runner, use_bms):
 
 
 # -- supports carried as index arrays ----------------------------------------
-
-
-def _oracle_support_of(x):
-    return np.nonzero(x)[0]
-
-
-def oracle_restricted(ctx, support, init, inner_tol, keep=None):
-    """The restricted maximizer from init as a full-length vector, and its h trace."""
-    values, h_trace = oracle_folded_restricted_maximize(ctx, support, x0=init[support],
-                                                        inner_tol=inner_tol, keep=keep)
-    x = np.zeros(ctx.op.B, dtype=complex)
-    x[support] = values
-    return x, h_trace
-
-
-def oracle_grasp_step(ctx, config, x, bands, trace):
-    L = config.sparsity
-    z = grad_h(ctx, x)
-    idx = _threshold(z, x, 2 * L, bands)
-    merged = np.union1d(idx, _oracle_support_of(x))
-    if merged.size > 3 * L:
-        raise CapacityError("merged support exceeds 3L")
-    # Debiasing keeps only which L entries lead, so that solve may stop
-    # once they are certain.
-    b_vec, _ = oracle_restricted(ctx, merged, x, config.inner_tol,
-                                 keep=L if config.debias else None)
-    keep = hard_threshold(b_vec, L)
-    pruned = np.zeros_like(b_vec)
-    pruned[keep] = b_vec[keep]
-    if config.debias:
-        pruned_support = _oracle_support_of(pruned)
-        # On an unchanged support the current iterate is the maximizer.
-        start = x if np.array_equal(pruned_support, _oracle_support_of(x)) else pruned
-        x_new, h_trace = oracle_restricted(ctx, pruned_support, start, config.inner_tol)
-        trace.append(h_trace[-1])
-        return x_new
-    trace.append(loglik(ctx, ctx.op.columns(keep) @ pruned[keep]) + g_logprior(pruned))
-    return pruned
-
-
-def oracle_grahtp_step(ctx, config, x, bands, trace):
-    L = config.sparsity
-    at_x = likelihood(ctx, ctx.op.apply(x))
-    g = ctx.op.apply_adjoint(at_x.weights) - 2.0 * x
-    kappa = solvers_module._backtrack_gradient_step(ctx, x, _oracle_support_of(x), at_x, g)
-    idx = _threshold(x + kappa * g, x, L, bands)
-    x_new, h_trace = oracle_restricted(ctx, idx, x, config.inner_tol)
-    trace.append(h_trace[-1])
-    return x_new
-
-
-def oracle_pursuit(ctx, config, use_bms, step):
-    """The outer loop as it was, finding each support with np.nonzero."""
-    bands = ctx.op.bands_at(config.eta) if use_bms else None
-    x = np.zeros(ctx.op.B, dtype=complex)
-    prev_support = frozenset()
-    visited = {prev_support}
-    trace = []
-    halted_by = "max-iters"
-    iterations = 0
-    for _ in range(config.max_outer_iters):
-        iterations += 1
-        x = step(ctx, config, x, bands, trace)
-        support = _oracle_support_of(x)
-        new_support = frozenset(support.tolist())
-        if new_support == prev_support:
-            halted_by = "support-fixed"
-            break
-        if new_support in visited:
-            halted_by = "cycle"
-            break
-        visited.add(new_support)
-        prev_support = new_support
-    return SolverReport(estimate=SparseEstimate(x_hat=x, support=support),
-                        iterations=iterations, halted_by=halted_by, objective_trace=trace)
 
 
 @SETTINGS

@@ -57,7 +57,7 @@ INV_MILLS_REFERENCE = [
 def make_problem(m=4, n=4, t=8, b_rx=8, b_tx=8, l=2, rho=1.0, seed=0):
     rng = np.random.default_rng(seed)
     tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx), "fft")
+    op = build_operator(tr.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx))
     ch = draw_channel(l, m, n, rng)
     meas = synthesize_measurement(ch.H, tr.S, rho, rng)
     return op, ObjectiveContext(op, meas), rng
@@ -267,7 +267,7 @@ class TestGradient:
         # gradient entries.
         tr = zc_training(4, 6)
         a_rx = dft_dictionary(4, 4)[:, [0, 1, 2, 2]]
-        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4))
         ch = draw_channel(1, 4, 4, np.random.default_rng(5))
         meas = synthesize_measurement(ch.H, tr.S, 2.0, np.random.default_rng(6))
         ctx = ObjectiveContext(op, meas)

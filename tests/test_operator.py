@@ -11,18 +11,14 @@ from onebitcs.errors import DegenerateOperatorError
 from onebitcs.model import dft_dictionary, zc_training
 from onebitcs.operator import build_operator, coherence_bands, select_eta
 
-from oracles import complex_form, dense_matrix, real_form
+from oracles import complex_form, dense_matrix, rand_complex, real_form
 
 
 def make_pair(m=8, n=8, t=10, b_rx=16, b_tx=16):
     """The operator for one training block and the dense matrix A it applies."""
     tr = zc_training(n, t)
-    op = build_operator(tr.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx), "fft")
+    op = build_operator(tr.S, dft_dictionary(m, b_rx), dft_dictionary(n, b_tx))
     return op, dense_matrix(op)
-
-
-def rand_complex(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def column(op, b):
@@ -74,7 +70,7 @@ class TestBuildAndShapes:
         # N == T ZC training has orthogonal columns too, so the full Gram is
         # a scaled identity: the Gram computation oracle.
         tr = zc_training(4, 4)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4))
         A = dense_matrix(op)
         gram = A.conj().T @ A
         expected = np.diag(np.kron(op.g_norms, op.rx_norms) ** 2)
@@ -165,7 +161,7 @@ class TestApplication:
         S = zc_training(4, 6).S
         a_rx = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
         a_tx = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        op = build_operator(S, a_rx, a_tx, "fft")
+        op = build_operator(S, a_rx, a_tx)
         want = np.linalg.norm(dense_matrix(op), 2)
         assert abs(op.spectral_norm_estimate() - want) <= 1e-12 * want
 
@@ -192,7 +188,7 @@ def image_operators(scale):
     if scale == "desk":
         return make_pair(m=16, n=16, t=20, b_rx=64, b_tx=64)
     tr = zc_training(64, 80)
-    return build_operator(tr.S, dft_dictionary(64, 256), dft_dictionary(64, 256), "fft"), None
+    return build_operator(tr.S, dft_dictionary(64, 256), dft_dictionary(64, 256)), None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -290,7 +286,7 @@ class TestCoherence:
     def test_duplicated_factor_column_gives_unit_coherence(self):
         tr = zc_training(4, 6)
         a_rx = dft_dictionary(4, 4)[:, [0, 1, 2, 2]]      # duplicate last column
-        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4))
         assert abs(coherence(op, 2, 3) - 1.0) < 1e-12
 
     def test_matches_dense_gram(self):
@@ -306,7 +302,7 @@ class TestCoherence:
         tr = zc_training(4, 6)
         a_rx = dft_dictionary(4, 4).copy()
         a_rx[:, 1] = 0.0
-        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4))
         with pytest.raises(DegenerateOperatorError):
             select_eta(op)
 
@@ -322,7 +318,7 @@ def brute_force_bands(A, eta):
 class TestCoherenceBands:
     def test_unitary_factors_give_singleton_bands(self):
         tr = zc_training(4, 8)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4))
         bands = coherence_bands(op, 0.5)
         assert all(np.array_equal(b, [i]) for i, b in enumerate(bands.bands))
 
@@ -349,7 +345,7 @@ class TestCoherenceBands:
         tr = zc_training(n, t)
         a_rx = dft_dictionary(m, b_rx)
         a_tx = dft_dictionary(n, b_tx)
-        op = build_operator(tr.S, a_rx, a_tx, "fft")
+        op = build_operator(tr.S, a_rx, a_tx)
         bands = coherence_bands(op, eta)
         expected = brute_force_bands(dense_matrix(op), eta)
         for got, want in zip(bands.bands, expected):
@@ -370,7 +366,7 @@ class TestBandsAt:
 
     def test_auto_on_orthonormal_dictionaries_is_none(self):
         tr = zc_training(4, 8)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4))
         assert op.bands_at("auto") is None
 
     def test_auto_uses_the_selected_eta(self):
@@ -405,7 +401,7 @@ class TestSelectEta:
 
     def test_orthogonal_columns_yield_not_applicable(self):
         tr = zc_training(4, 8)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(4, 4))
         selection = select_eta(op)
         assert selection.eta is None
         assert not selection.clamped
@@ -414,7 +410,7 @@ class TestSelectEta:
         tr = zc_training(4, 6)
         base = dft_dictionary(4, 4)
         a_rx = np.concatenate([base, base], axis=1)   # every column duplicated
-        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4), "fft")
+        op = build_operator(tr.S, a_rx, dft_dictionary(4, 4))
         selection = select_eta(op)
         assert selection.clamped
         assert 0.0 < selection.eta < 1.0

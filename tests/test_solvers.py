@@ -39,7 +39,7 @@ def make_problem(m=8, n=8, t=10, b_rx=8, b_tx=8, l=1, rho=10.0, seed=0, on_grid=
     tr = zc_training(n, t)
     a_rx = dft_dictionary(m, b_rx)
     a_tx = dft_dictionary(n, b_tx)
-    op = build_operator(tr.S, a_rx, a_tx, "fft")
+    op = build_operator(tr.S, a_rx, a_tx)
     if on_grid:
         x_true = np.zeros(op.B, dtype=complex)
         idx = rng.choice(op.B, size=l, replace=False)
@@ -506,7 +506,7 @@ class TestFista:
         # each solve must reach FISTA_TOL, not the 500-iteration cap, or
         # the FISTA rows are not the l1 estimates they stand for.
         tr = zc_training(16, 20)
-        op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64), "fft")
+        op = build_operator(tr.S, dft_dictionary(16, 64), dft_dictionary(16, 64))
         iterations = []
         for seed in range(6):
             rng = np.random.default_rng(900 + seed)
@@ -627,7 +627,7 @@ class TestBruteForce:
         # rounding-level amount, in the direction that would reorder them,
         # leaves the oracle's answer at the first support in enumeration.
         tr = zc_training(2, 4)
-        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(2, 2), "fft")
+        op = build_operator(tr.S, dft_dictionary(4, 4), dft_dictionary(2, 2))
         rng = np.random.default_rng(82)
         meas = synthesize_measurement(draw_channel(1, 4, 2, rng).H, tr.S, 10.0, rng)
         ctx = ObjectiveContext(op, meas)
