@@ -64,9 +64,6 @@ COUNTS = ("faults", "apply", "apply_adjoint", "apply_gram", "restricted_sets",
           "partitions", "iterations", "fista_solves", "proximal_iterations", "newton_steps",
           "finish_attempts", "finishes_accepted", "finishes_grown", "grown_finishes_accepted")
 TUNING_COUNTS = ("evaluations", "stopped_evaluations")
-# The module-level negative-Hessian assembly, under its name in either
-# checkout: from the Kronecker factors, or (before) from the sign-folded block.
-HESSIANS = ("_neg_hessian", "_folded_neg_hessian")
 
 
 class Counter:
@@ -215,13 +212,11 @@ def install(counter):
 
     cls = operator.SensingOperator
     for name in ("apply", "apply_adjoint", "apply_gram", "pair_products"):
-        if hasattr(cls, name):      # a checkout before apply_gram has none
-            patch(cls, name, counter.counted((name,), getattr(cls, name)))
-    if hasattr(cls, "restricted"):      # a checkout before the working set has none
-        patch(cls, "restricted", counter.restricted(cls.restricted))
-        for name in ("image", "adjoint"):
-            method = getattr(operator.RestrictedOperator, name)
-            patch(operator.RestrictedOperator, name, counter.counted((f"restricted_{name}",), method))
+        patch(cls, name, counter.counted((name,), getattr(cls, name)))
+    patch(cls, "restricted", counter.restricted(cls.restricted))
+    for name in ("image", "adjoint"):
+        method = getattr(operator.RestrictedOperator, name)
+        patch(operator.RestrictedOperator, name, counter.counted((f"restricted_{name}",), method))
     for name, counts in (("sign_terms", ("kernel_passes",)),
                          ("loglik", ("kernel_passes", "loglik"))):
         original = getattr(objective, name)
@@ -232,13 +227,10 @@ def install(counter):
     patch(solvers, "restricted_maximize",
           counter.counted(("restricted_solves",), solvers.restricted_maximize))
     patch(solvers, "_gradient_at", counter.gradient(solvers._gradient_at))
-    for name in HESSIANS:
-        if hasattr(solvers, name):
-            patch(solvers, name, counter.hessian(getattr(solvers, name)))
+    patch(solvers, "_neg_hessian", counter.hessian(solvers._neg_hessian))
     patch(solvers, "bms_threshold", counter.bms(solvers.bms_threshold))
-    if hasattr(solvers, "_fista_finish"):      # a checkout before the finish has none
-        patch(solvers, "_fista_finish", counter.finish(solvers._fista_finish))
-        patch(solvers, "_newton_loop", counter.newton_loop(solvers._newton_loop))
+    patch(solvers, "_fista_finish", counter.finish(solvers._fista_finish))
+    patch(solvers, "_newton_loop", counter.newton_loop(solvers._newton_loop))
     # Rows and tuning both reach FISTA through the solvers module's name.
     patch(solvers, "run_fista", counter.fista(solvers.run_fista))
     patch(harness, "run_fista", solvers.run_fista)

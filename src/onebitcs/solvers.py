@@ -123,17 +123,12 @@ def _descending_prefixes(mags: np.ndarray, count: int):
     order.  Only the entries at or above the count-th largest magnitude are
     sorted.
     """
-    # np.partition is slow on a long, mostly zero vector; a vector without
-    # zeros needs no copy.
-    vals = mags if mags.min(initial=np.inf) > 0 else mags[mags > 0]
-    while 0 < count <= vals.size:
-        kth = np.partition(vals, vals.size - count)[vals.size - count]
+    while 0 < count <= mags.size:
+        kth = np.partition(mags, mags.size - count)[mags.size - count]
         top = np.flatnonzero(mags >= kth)
         yield top[np.argsort(-mags[top], kind="stable")]
         count = 4 * top.size
-    # Past the nonzeros every zero ties with the last magnitude.
-    nz = np.flatnonzero(mags)
-    yield np.concatenate([nz[np.argsort(-mags[nz], kind="stable")], np.flatnonzero(mags == 0)])
+    yield np.argsort(-mags, kind="stable")
 
 
 def hard_threshold(z: np.ndarray, budget: int):
@@ -213,6 +208,8 @@ def bms_threshold(
 # Hessian that conj(H_c) and conj(H_s) make (see _neg_hessian).
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
 _ROW_MIX = np.array([[1.0, 1.0], [1j, -1j]])
+# The Gaussian prior's curvature pair (2, 0) (see _neg_hessian).
+_PRIOR_CURVATURE = np.array([[2.0], [0.0]], dtype=complex)
 
 
 def _hessian_factors(ctx: ObjectiveContext, support: np.ndarray):
@@ -227,17 +224,14 @@ def _hessian_factors(ctx: ObjectiveContext, support: np.ndarray):
             tx.reshape(2, ctx.op.T, -1))
 
 
-def _neg_hessian(factors, curv: np.ndarray, penalty_curv=2.0) -> np.ndarray:
+def _neg_hessian(factors, curv: np.ndarray, penalty_curv=_PRIOR_CURVATURE) -> np.ndarray:
     """2 rho C_R^T diag(curv) C_R plus the penalty's curvature, over the interleaved real form.
 
     curv = lam .* (v + lam) is the likelihood's curvature in v, laid out as
     the image's float view, and factors is _hessian_factors' output; since
     every s_i^2 is 2 rho, the first term is the negative Hessian of f.
-    penalty_curv is the negative Hessian of the penalty (see _Penalty): a
-    float c for c I, the prior's 2I by default, which makes the result SPD
-    with eigenvalues at least 2, or an array of one (2, 2) block per entry,
-    added on the diagonal.  Rows and columns run over the interleaved real form
-    b.view(float), (Re b_0, Im b_0, Re b_1, ...).
+    Rows and columns run over the interleaved real form b.view(float),
+    (Re b_0, Im b_0, Re b_1, ...).
 
     With P, Q = rho (c_re +- c_im) over the real-part and imaginary-part
     measurements (each (T, M)), the C_R^T diag C_R term is made of H_c =
@@ -250,6 +244,13 @@ def _neg_hessian(factors, curv: np.ndarray, penalty_curv=2.0) -> np.ndarray:
     transmit pairs summed down their T rows.  That is half the multiplies
     of the (2q x 2MT) x (2MT x 2q) product of the real-form block, and no
     such block is formed.
+
+    penalty_curv is the penalty's curvature (see _Penalty): the pair (a,
+    s), a real and s complex, as the rows of a (2, 1) or (2, q) array,
+    added to the diagonals of conj(H_c) and conj(H_s) before the rows mix.
+    It puts the (2, 2) block a I + [[Re s, Im s], [Im s, -Re s]] on entry
+    j's diagonal: the prior's (2, 0), the default, is 2I, which makes the
+    result SPD with eigenvalues at least 2.
     """
     mix, rx, tx = factors
     pq = mix @ curv.reshape(-1, 2).T
@@ -257,26 +258,20 @@ def _neg_hessian(factors, curv: np.ndarray, penalty_curv=2.0) -> np.ndarray:
     r *= tx
     h = r.sum(axis=1)
     q = math.isqrt(h.shape[1])
-    blocks = isinstance(penalty_curv, np.ndarray)
-    if not blocks:
-        # c I: conj(H_c)[j, j] + c adds c to both diagonal entries of block j
-        h[0, :: q + 1] += penalty_curv
-    neg = (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
-    if blocks:
-        j = np.arange(q)
-        neg.reshape(q, 2, q, 2)[j, :, j, :] += penalty_curv
-    return neg
+    h[:, :: q + 1] += penalty_curv
+    return (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
 
 
 class _Penalty(NamedTuple):
     """A concave penalty p on a support's values b, as the Newton loop takes it.
 
-    Each function takes the interleaved real form x = b.view(float):
-    value(x) is p, gradient(x) its gradient in x, and curvature(x) the
-    negative Hessian of p that _neg_hessian adds to the likelihood's.
-    crossing, where p is not smooth at zero, takes x and a Newton direction
-    d and returns the mask of the entries that the full step sends through
-    zero; the loop stops there and hands the mask back.
+    Each function takes the complex values b: value(b) is p, gradient(b)
+    its gradient in the interleaved real form b.view(float), and
+    curvature(b) the pair that _neg_hessian adds to the likelihood's
+    diagonals, for the negative Hessian of p.  crossing, where p is not
+    smooth at zero, takes b and a Newton direction d and returns the mask
+    of the entries that the full step sends through zero; the loop stops
+    there and hands the mask back.
     """
 
     value: Callable
@@ -287,33 +282,33 @@ class _Penalty(NamedTuple):
 
 # The Gaussian prior -||b||^2: gradient -2b, curvature 2I.  Its arithmetic
 # is the one the pursuits' solves have always done.
-_GAUSSIAN_PRIOR = _Penalty(lambda x: -float(x @ x), lambda x: -2.0 * x, lambda x: 2.0)
+_GAUSSIAN_PRIOR = _Penalty(lambda b: -float((x := b.view(float)) @ x),
+                           lambda b: -2.0 * b.view(float), lambda b: _PRIOR_CURVATURE)
 
 
 def _l1_penalty(gamma: float) -> _Penalty:
     """-gamma sum_j |b_j| on a support where no b_j is zero.
 
-    Its gradient is -gamma b_j / |b_j|, and its curvature one (2, 2) block
-    gamma (I - u u^T) / |b_j| per entry over (Re b_j, Im b_j), with u =
-    (Re b_j, Im b_j) / |b_j|: zero along b_j, and gamma / |b_j| across it.
-    An entry crosses zero when Re(conj(b_j) (b_j + d_j)) <= 0; a shorter
-    step b + t d, 0 < t < 1, then never reaches zero on the others.
+    Its gradient is -gamma b_j / |b_j|, and its curvature the pair
+    (gamma / (2 |b_j|), -gamma b_j^2 / (2 |b_j|^3)): the block gamma (I - u
+    u^T) / |b_j| over (Re b_j, Im b_j), with u = (Re b_j, Im b_j) / |b_j|,
+    zero along b_j and gamma / |b_j| across it.  An entry crosses zero when
+    Re(conj(b_j) (b_j + d_j)) <= 0; a shorter step b + t d, 0 < t < 1, then
+    never reaches zero on the others.
     """
-    def value(x):
-        return -gamma * float(np.sum(np.abs(x.view(complex))))
+    def value(b):
+        return -gamma * float(np.sum(np.abs(b)))
 
-    def gradient(x):
-        pairs = x.reshape(-1, 2)
-        return (pairs * (-gamma / np.abs(x.view(complex)))[:, None]).reshape(-1)
+    def gradient(b):
+        return ((-gamma / np.abs(b)) * b).view(float)
 
-    def curvature(x):
-        mags = np.abs(x.view(complex))
-        unit = x.reshape(-1, 2) / mags[:, None]
-        return (gamma / mags)[:, None, None] * (np.eye(2) - unit[:, :, None] * unit[:, None, :])
+    def curvature(b):
+        mags = np.abs(b)
+        half = 0.5 * gamma / mags
+        return np.array([half, -half * (b / mags) ** 2])
 
-    def crossing(x, d):
-        b = x.view(complex)
-        return (b.conj() * (b + d.view(complex))).real <= 0.0
+    def crossing(b, d):
+        return (b.conj() * (b + d)).real <= 0.0
 
     return _Penalty(value, gradient, curvature, crossing)
 
@@ -371,7 +366,7 @@ def restricted_maximize(
     message gives the Newton iterations taken and which stop happened.  A
     non-finite image raises ValueError, as :func:`likelihood` does.
     """
-    support = np.asarray(support, dtype=int)
+    support = np.asarray(support)
     if np.any(support[1:] <= support[:-1]):
         raise ValueError("support must be sorted and free of repeats")
     b = np.zeros(support.size, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
@@ -404,41 +399,40 @@ def _newton_loop(ctx, support, b, inner_tol, penalty, keep=None, start=None):
     cols = ctx.op.columns(support)
     cols_h = cols.T.conj()
     terms = likelihood(ctx, cols @ b) if start is None else start
-    x = b.view(float)
-    h_val = terms.f + value(x)
+    h_val = terms.f + value(b)
     trace = [h_val]
-    best = (h_val, x, terms)
+    best = (h_val, b, terms)
     factors = None
 
     def trial(t, d, w):
         # The full Newton step, t = 1, needs no multiply.
-        x_t = x + d if t == 1.0 else x + t * d
+        b_t = b + d if t == 1.0 else b + t * d
         at_t = likelihood(ctx, terms.u + w if t == 1.0 else terms.u + t * w)
-        return x_t, at_t, at_t.f + value(x_t)
+        return b_t, at_t, at_t.f + value(b_t)
 
     for _ in range(NEWTON_MAX_ITERS):
-        grad = (cols_h @ terms.weights).view(float) + gradient(x)
+        grad = (cols_h @ terms.weights).view(float) + gradient(b)
         grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= inner_tol or (
-                keep is not None and _kept_set_is_certain(x.view(complex), keep, grad_norm)):
-            return x.view(complex), trace, terms, None
+                keep is not None and _kept_set_is_certain(b, keep, grad_norm)):
+            return b, trace, terms, None
 
         if factors is None:
             factors = _hessian_factors(ctx, support)
-        d = np.linalg.solve(_neg_hessian(factors, terms.lam * (terms.v + terms.lam), curvature(x)),
-                            grad)
+        d = np.linalg.solve(_neg_hessian(factors, terms.lam * (terms.v + terms.lam), curvature(b)),
+                            grad).view(complex)
         if crossing is not None:
-            crossed = crossing(x, d)
+            crossed = crossing(b, d)
             if crossed.any():
-                return x.view(complex), trace, terms, crossed
-        slope = float(grad @ d)               # > 0: ascent direction
-        w = cols @ d.view(complex)
+                return b, trace, terms, crossed
+        slope = float(grad @ d.view(float))   # > 0: ascent direction
+        w = cols @ d
         noise_floor = 1e-12 * (1.0 + abs(h_val))
         t = 1.0
         accepted = False
         if slope > noise_floor:
             for _ in range(ARMIJO_MAX_STEPS):
-                x_t, at_t, h_t = trial(t, d, w)
+                b_t, at_t, h_t = trial(t, d, w)
                 if h_t >= h_val + ARMIJO_SLOPE * t * slope:
                     accepted = True
                     break
@@ -448,22 +442,23 @@ def _newton_loop(ctx, support, b, inner_tol, penalty, keep=None, start=None):
             # noise of h, making backtracking comparisons meaningless; the
             # raw Newton step still contracts the gradient quadratically,
             # so take it unless it measurably descends.
-            x_t, at_t, h_t = trial(1.0, d, w)
+            b_t, at_t, h_t = trial(1.0, d, w)
             if h_t < h_val - noise_floor:
                 stop = "stalled: the next Newton step descends"
                 break
-        x, terms, h_val = x_t, at_t, h_t
+        b, terms, h_val = b_t, at_t, h_t
         trace.append(h_val)
         if h_val > best[0]:
-            best = (h_val, x, terms)
+            best = (h_val, b, terms)
     else:
         stop = "hit the iteration cap"
 
-    grad = (cols_h @ best[2].weights).view(float) + gradient(best[1])
+    _, b, terms = best
+    grad = (cols_h @ terms.weights).view(float) + gradient(b)
     raise ConvergenceError(
         f"restricted maximize did not reach tol {inner_tol} in {len(trace) - 1} "
         f"Newton iterations ({stop})",
-        best=best[1].view(complex),
+        best=b,
         grad_norm=float(np.linalg.norm(grad)),
     )
 

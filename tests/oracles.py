@@ -412,16 +412,36 @@ def folded_hessian(cols, signs, curv):
     return oracle_folded_neg_hessian(oracle_folded_block(cols, signs), curv)
 
 
-def prior_neg_hessian(factors, curv):
-    """_neg_hessian until a795136: the prior's 2I written in, added before the row mix."""
+def oracle_block_neg_hessian(factors, curv, penalty_curv=2.0):
+    """_neg_hessian until the penalties' curvature became one diagonal pair.
+
+    penalty_curv is a float c, added as c I before the row mix (the
+    prior's 2.0 by default, the only form until a795136), or an array of
+    one real (2, 2) block per entry, indexed into the diagonal of the
+    finished matrix after it: the l1 penalty's gamma (I - u u^T) / |b_j|,
+    with u = (Re b_j, Im b_j) / |b_j|.
+    """
     mix, rx, tx = factors
     pq = mix @ curv.reshape(-1, 2).T
     r = np.matmul(pq.reshape(2, tx.shape[1], -1), rx).view(complex)
     r *= tx
     h = r.sum(axis=1)
     q = math.isqrt(h.shape[1])
-    h[0, :: q + 1] += 2.0
-    return (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
+    blocks = isinstance(penalty_curv, np.ndarray)
+    if not blocks:
+        h[0, :: q + 1] += penalty_curv
+    neg = (_ROW_MIX @ h.reshape(2, q, q).transpose(1, 0, 2)).view(float).reshape(2 * q, 2 * q)
+    if blocks:
+        j = np.arange(q)
+        neg.reshape(q, 2, q, 2)[j, :, j, :] += penalty_curv
+    return neg
+
+
+def oracle_l1_curvature_blocks(gamma, b):
+    """The l1 penalty's curvature as _l1_penalty gave it until then: gamma (I - u u^T) / |b_j|."""
+    mags = np.abs(b)
+    unit = b.view(float).reshape(-1, 2) / mags[:, None]
+    return (gamma / mags)[:, None, None] * (np.eye(2) - unit[:, :, None] * unit[:, None, :])
 
 
 # -- retired restricted solves: in complex storage, on the sign-folded block,
@@ -574,8 +594,8 @@ def oracle_folded_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, kee
 def prior_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, keep=None, start=None):
     """restricted_maximize with the Gaussian prior written into its Newton loop.
 
-    It and prior_neg_hessian stood for restricted_maximize and _neg_hessian
-    until a795136, when the loop took its penalty as an argument so that
+    It stood for restricted_maximize, and oracle_block_neg_hessian with its
+    default for _neg_hessian, until a795136, when the loop took its penalty as an argument so that
     FISTA's finish could run the same loop with the l1 penalty.  The
     pursuits' solves must stay bitwise what it returns.
     """
@@ -603,7 +623,8 @@ def prior_restricted_maximize(ctx, support, x0=None, inner_tol=1e-8, keep=None, 
             return x.view(complex), trace, terms
         if factors is None:
             factors = _hessian_factors(ctx, support)
-        d = np.linalg.solve(prior_neg_hessian(factors, terms.lam * (terms.v + terms.lam)), grad)
+        d = np.linalg.solve(oracle_block_neg_hessian(factors, terms.lam * (terms.v + terms.lam)),
+                            grad)
         slope = float(grad @ d)
         w = cols @ d.view(complex)
         noise_floor = 1e-12 * (1.0 + abs(h_val))

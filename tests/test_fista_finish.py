@@ -13,10 +13,12 @@ import contextlib
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onebitcs.solvers as solvers_module
+from onebitcs.errors import ConvergenceError
 from onebitcs.objective import likelihood
 from onebitcs.solvers import FINISH_TOL, _fista_finish, run_fista
 
@@ -171,6 +173,38 @@ def test_a_refused_grown_finish_lets_fista_go_on_without_a_second_growth():
     assert np.allclose(report.estimate.x_hat, optimum.x_hat, rtol=0, atol=1e-5)
     assert len(rounds) == 1
     assert len(adjoints) == len(rounds) + certificates + 1
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, np.linalg.LinAlgError])
+def test_a_finish_whose_newton_loop_fails_lets_fista_go_on(error):
+    # The first finish's Newton loop fails, as on its cap, a stall or a
+    # singular system: that finish returns None, and FISTA goes on from its
+    # own iterate.  Its nonzero set, already tried, holds, so it ends at
+    # FISTA_TOL or in a later finish on another set, on the optimum of the
+    # unscripted solve.
+    ctx, gamma, optimum = certified_optimum(4)
+    real_loop = solvers_module._newton_loop
+    real_finish = solvers_module._fista_finish
+    raised, outcomes = [], []
+
+    def loop(*args, **kwargs):
+        if not raised:
+            raised.append(error)
+            raise error("scripted failure")
+        return real_loop(*args, **kwargs)
+
+    def finish(*args):
+        outcomes.append(real_finish(*args))
+        return outcomes[-1]
+
+    with mock.patch.object(solvers_module, "_newton_loop", loop), \
+            mock.patch.object(solvers_module, "_fista_finish", finish):
+        report = run_fista(ctx, gamma)
+    assert raised == [error]
+    assert outcomes[0] is None
+    assert report.halted_by in ("newton", "converged")
+    assert np.array_equal(report.estimate.support, optimum.support)
+    assert np.allclose(report.estimate.x_hat, optimum.x_hat, rtol=0, atol=1e-5)
 
 
 @contextlib.contextmanager

@@ -182,6 +182,14 @@ def test_unreachable_window_fails_before_any_solve():
     assert len(gammas) == 2 * (1 + solvers_module.TUNE_MAX_BISECT)
 
 
+def sized_report(ctx, size):
+    """A FISTA report whose estimate has size nonzeros, the first columns of ctx's operator."""
+    x = np.zeros(ctx.op.B, dtype=complex)
+    x[:size] = 1.0
+    estimate = solvers_module.SparseEstimate(x, np.arange(size))
+    return solvers_module.SolverReport(estimate, 1, "converged", [0.0])
+
+
 def scripted_fista(ctxs, script, gammas):
     """A run_fista stand-in whose support sizes follow script.
 
@@ -193,11 +201,7 @@ def scripted_fista(ctxs, script, gammas):
         if k == 0:
             gammas.append([])
         gammas[-1].append(gamma)
-        size = script[len(gammas) - 1][k]
-        x = np.zeros(ctx.op.B, dtype=complex)
-        x[:size] = 1.0
-        estimate = solvers_module.SparseEstimate(x, np.arange(size))
-        return solvers_module.SolverReport(estimate, 1, "converged", [0.0])
+        return sized_report(ctx, script[len(gammas) - 1][k])
     return fista
 
 
@@ -228,6 +232,31 @@ def test_a_stopped_evaluation_at_the_smaller_gamma_is_not_read_as_a_value():
     assert [len(g) for g in gammas] == [2, 1, 2, 2]
     assert gammas[1][0] < gammas[2][0] < gammas[0][0]
     assert (gamma, achieved) == (gammas[3][0], 3.0)
+
+
+def test_a_window_the_bisections_do_not_reach_raises():
+    # L = 1: the window is [2, 4].  Every problem's support size jumps from
+    # 5 straight to 0 where gamma crosses 0.75 gamma_max, so the mean never
+    # lands in the window: the bracket closes at gamma_max / 2, and each of
+    # the TUNE_MAX_BISECT bisections lands on one side of the jump.
+    ctxs = [problems(3, 10.0)(k) for k in range(2)]
+    jump = 0.75 * max(float(np.max(np.abs(c.gradient_at_zero))) for c in ctxs)
+    gammas = []
+
+    def fista(ctx, gamma):
+        gammas.append(gamma)
+        return sized_report(ctx, 5 if gamma < jump else 0)
+
+    with mock.patch.object(solvers_module, "run_fista", fista):
+        with pytest.raises(TuningError, match=rf"not reached in {solvers_module.TUNE_MAX_BISECT} "
+                                              r"bisections"):
+            tune_gamma(ctxs, 1)
+    evaluated = gammas[::2]
+    assert gammas[1::2] == evaluated
+    assert len(evaluated) == 2 + solvers_module.TUNE_MAX_BISECT
+    assert evaluated[1] == 0.5 * evaluated[0]
+    assert all(evaluated[1] <= g <= evaluated[0] for g in evaluated[2:])
+    assert min(abs(g - jump) for g in evaluated) <= 1e-12 * jump
 
 
 def criterion_8_problems(rho):

@@ -46,6 +46,20 @@ TINY = ExperimentConfig(
 )
 
 
+def recording_reconstruct(estimates):
+    """reconstruct_channel, appending each estimate it is given to estimates."""
+    def reconstruct(op, x_hat):
+        estimates.append(x_hat)
+        return reconstruct_channel(op, x_hat)
+    return reconstruct
+
+
+def metadata(cfg, out):
+    """The lines of metadata.txt from a one-trial CLI run of the config file cfg into out."""
+    assert cli_main(["run", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
+    return (out / "metadata.txt").read_text().splitlines()
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this checkout's onebitcs."""
     src = os.path.dirname(os.path.dirname(onebitcs.__file__))
@@ -285,19 +299,14 @@ class TestRunExperiment:
         real_solve = solvers_module.restricted_maximize
         cap = solvers_module.NEWTON_MAX_ITERS
         estimates = []
-        real_reconstruct = harness.reconstruct_channel
 
         def solve(ctx, support, x0=None, **kwargs):
             warm = x0 is not None and np.any(x0)
             monkeypatch.setattr(solvers_module, "NEWTON_MAX_ITERS", 1 if warm else cap)
             return real_solve(ctx, support, x0=x0, **kwargs)
 
-        def reconstruct(op, x_hat):
-            estimates.append(x_hat)
-            return real_reconstruct(op, x_hat)
-
         monkeypatch.setattr(solvers_module, "restricted_maximize", solve)
-        monkeypatch.setattr(harness, "reconstruct_channel", reconstruct)
+        monkeypatch.setattr(harness, "reconstruct_channel", recording_reconstruct(estimates))
         config = replace(TINY, algorithms=("grasp",), l=2)
         records = run_experiment(config)
         assert all(r.iterations == -1 for r in records)
@@ -309,7 +318,6 @@ class TestRunExperiment:
         assert ALGORITHMS == ("bmsgrasp", "bmsgrasp-debias", "bmsgrahtp", "grasp", "grahtp",
                               "fista", "oracle")
         reports, estimates = [], []
-        real_reconstruct = harness.reconstruct_channel
 
         def recorded(fn):
             def solver(*args, **kwargs):
@@ -317,13 +325,9 @@ class TestRunExperiment:
                 return reports[-1]
             return solver
 
-        def reconstruct(op, x_hat):
-            estimates.append(x_hat)
-            return real_reconstruct(op, x_hat)
-
         for name in ("run_grasp", "run_grahtp", "run_fista", "brute_force_map"):
             monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
-        monkeypatch.setattr(harness, "reconstruct_channel", reconstruct)
+        monkeypatch.setattr(harness, "reconstruct_channel", recording_reconstruct(estimates))
         records = run_experiment(replace(TINY, algorithms=ALGORITHMS, snr_db=(10.0,), trials=1))
         # One trial, run serially: the solves come in the order of ALGORITHMS.
         assert len(reports) == len(estimates) == len(records) == len(ALGORITHMS)
@@ -638,27 +642,17 @@ class TestCli:
 
     def test_metadata_records_blas_threads(self, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path)
-
-        def metadata(out):
-            assert cli_main(["run", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
-            return (out / "metadata.txt").read_text().splitlines()
-
         want = "unpinned" if harness._blas_threads() is None else "1"
-        assert f"blas_threads = {want}" in metadata(tmp_path / "default")
+        assert f"blas_threads = {want}" in metadata(cfg, tmp_path / "default")
         monkeypatch.setattr(harness, "_BLAS_THREAD_SYMBOLS", ("no_such_get", "no_such_set"))
-        assert "blas_threads = unpinned" in metadata(tmp_path / "unresolved")
+        assert "blas_threads = unpinned" in metadata(cfg, tmp_path / "unresolved")
 
     def test_metadata_records_the_heap_setting(self, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path)
-
-        def metadata(out):
-            assert cli_main(["run", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
-            return (out / "metadata.txt").read_text().splitlines()
-
         want = "unpinned" if harness._keep_heap() is None else "kept"
-        assert f"heap = {want}" in metadata(tmp_path / "default")
+        assert f"heap = {want}" in metadata(cfg, tmp_path / "default")
         monkeypatch.setattr(harness, "_keep_heap", lambda: None)
-        assert "heap = unpinned" in metadata(tmp_path / "unkept")
+        assert "heap = unpinned" in metadata(cfg, tmp_path / "unkept")
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -30,7 +30,7 @@ from onebitcs.solvers import (
     _soft_threshold,
 )
 
-from oracles import real_form
+from oracles import make_ctx, real_form
 
 
 def make_problem(m=8, n=8, t=10, b_rx=8, b_tx=8, l=1, rho=10.0, seed=0, on_grid=True):
@@ -242,6 +242,15 @@ class TestRestrictedMaximize:
         for support in ([2, 1], [1, 1, 2]):
             with pytest.raises(ValueError, match="sorted"):
                 restricted_maximize(ctx, support)
+
+    def test_rejects_a_non_integer_support(self):
+        # A support of floats is not truncated to the columns below it: the
+        # operator's integer check refuses it.
+        ctx = make_ctx(3, 10.0)
+        with pytest.raises(ValueError, match="integers"):
+            restricted_maximize(ctx, [1.5, 2.7])
+        with pytest.raises(ValueError, match="integers"):
+            restricted_maximize(ctx, [1.5, 2.7], x0=np.zeros(2, dtype=complex))
 
     def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         # The best iterate comes back as values at the support, as the
